@@ -144,9 +144,16 @@ def glrt_unquantized(
 def glrt_unquantized_batch(
     x: np.ndarray, signal: EffectiveSignal, noise_power: float
 ) -> np.ndarray:
-    """Row-wise :func:`glrt_unquantized` for a (batch, n) complex block."""
+    """Row-wise :func:`glrt_unquantized` for a (batch, n) complex block.
+
+    A row's statistic does not depend on the batch around it: matmul
+    reduces a lone row with a dot kernel but a block of rows with gemv,
+    whose sums differ in the last bits, so a single row is reduced as a
+    two-row block.
+    """
     energy = signal.energy
     if energy == 0.0:
         raise ZeroSignalError("template has zero energy")
-    corr = x @ np.conj(signal.z)
+    rows = np.concatenate([x, x]) if x.shape[0] == 1 else x
+    corr = (rows @ np.conj(signal.z))[: x.shape[0]]
     return np.abs(corr) ** 2 / (energy * noise_power / 2.0)

@@ -11,6 +11,11 @@ for bit.  Work is split into fixed-size index ranges; with
 ``workers > 1`` the ranges are farmed out to processes and re-assembled
 in index order.
 
+A chunk draws its noise through one Philox bit generator, re-keyed for
+each trial (:func:`quantdet.signal_model.noise_block`): trial i's draws
+equal ``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))``
+bit for bit, without a generator built per trial.
+
 Sub-experiments (one per detector / SNR point in a sweep) draw their
 master seeds from a SeedSequence spawned off the experiment seed, so
 adding an SNR point never disturbs the others.
@@ -33,9 +38,8 @@ from .signal_model import (
     Hypothesis,
     SceneConfig,
     effective_signal,
-    stream_rng,
-    synthesize_observation,
-    trial_counter,
+    noise_block,
+    stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
 from .special import chi2_2_sf, marcum_q1
 
@@ -92,20 +96,35 @@ class TrialConfig:
 
 
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
-    """Statistics for trials [start, stop); the parallel unit of work."""
+    """Statistics for trials [start, stop); the parallel unit of work.
+
+    The observations are built as real/imaginary planes with the same
+    float operations as :func:`~quantdet.signal_model.synthesize_observation`
+    (noise times sqrt(noise_power / 2), plus Re/Im of beta * z under H1),
+    so every trial's statistic is bit-identical to one computed from its
+    own synthesised observation.
+    """
     scene = cfg.scene
     signal = effective_signal(scene)
-    n = len(signal)
-    x = np.empty((stop - start, n), dtype=complex)
-    for j in range(stop - start):
-        rng = stream_rng(cfg.seed, trial_counter(hypothesis, start + j))
-        x[j] = synthesize_observation(scene, signal, hypothesis, rng)
+    w = noise_block(cfg.seed, hypothesis, start, stop, len(signal))
+    w *= math.sqrt(scene.noise_power / 2.0)
+    if hypothesis is Hypothesis.H1:
+        mean = scene.beta_complex * signal.z
+        w[:, 0] += mean.real
+        w[:, 1] += mean.imag
     det = cfg.detector
     if isinstance(det, RaoDetector):
         table = bin_stats_table(det.thresholds, scene.noise_power)
-        re0 = bin_indices(x.real, det.thresholds)
-        im0 = bin_indices(x.imag, det.thresholds)
+        re0 = bin_indices(w[:, 0], det.thresholds)
+        im0 = bin_indices(w[:, 1], det.thresholds)
+        del w  # free the planes before the score sums, which set the peak
         return rao_statistic_batch(re0, im0, signal, table)
+    # interleave each trial's two planes in place, so the block itself holds
+    # the complex observations; 64 trials at a time keep the temporary small
+    for a in range(0, len(w), 64):
+        rows = w[a : a + 64]
+        rows.reshape(len(rows), -1)[:] = rows.transpose(0, 2, 1).reshape(len(rows), -1)
+    x = w.reshape(len(w), -1).view(complex)
     return glrt_unquantized_batch(x, signal, scene.noise_power)
 
 

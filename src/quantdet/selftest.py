@@ -47,9 +47,9 @@ from .signal_model import (
     Hypothesis,
     SceneConfig,
     effective_signal,
+    noise_block,
     stream_rng,
     synthesize_observation,
-    trial_counter,
 )
 
 DEFAULT_SEED = 20260819
@@ -133,15 +133,12 @@ def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     thresholds = design.thresholds
     table = bin_stats_table(thresholds, scene.noise_power)
     info = fisher_information(signal, thresholds, scene.noise_power).diagonal
-    mc_seed = subseed(seed, 6)
-    n = len(signal)
-    re0 = np.empty((trials, n), dtype=np.int64)
-    im0 = np.empty((trials, n), dtype=np.int64)
-    for i in range(trials):
-        rng = stream_rng(mc_seed, trial_counter(Hypothesis.H0, i))
-        x = synthesize_observation(scene, signal, Hypothesis.H0, rng)
-        re0[i] = bin_indices(x.real, thresholds)
-        im0[i] = bin_indices(x.imag, thresholds)
+    # H0 observations: the noise scaled as synthesize_observation scales it
+    w = noise_block(subseed(seed, 6), Hypothesis.H0, 0, trials, len(signal))
+    w *= math.sqrt(scene.noise_power / 2.0)
+    re0 = bin_indices(w[:, 0], thresholds)
+    im0 = bin_indices(w[:, 1], thresholds)
+    del w  # free the planes before the score sums, which set the peak
     s_r, s_i = _score_sums(re0, im0, signal, table)
     # var(S_R) estimates the diagonal with SE ~ diag * sqrt(2/n);
     # E[S_R S_I] estimates 0 with SE ~ diag / sqrt(n)

@@ -19,9 +19,11 @@ snapshots of receiver 0 first.  Every consumer of ``z`` in this package
 relies on that ordering.
 
 Reproducibility: all randomness flows through counter-based Philox
-streams built by :func:`stream_rng`.  A (master seed, counter) pair
-names a stream independently of how work is batched or distributed, so
-serial and parallel runs of the same experiment produce identical draws.
+streams keyed by (master seed, counter), as built by :func:`stream_rng`.
+A pair names a stream independently of how work is batched or
+distributed, so serial and parallel runs of the same experiment produce
+identical draws.  :func:`noise_block` draws many trials' streams into one
+array with a single re-keyed generator.
 """
 
 from __future__ import annotations
@@ -206,6 +208,11 @@ def effective_signal(cfg: SceneConfig) -> EffectiveSignal:
     return EffectiveSignal(g=z.real, h=z.imag)
 
 
+def _philox_key(master_seed: int, counter: int) -> list:
+    """The two 64-bit words of stream (master_seed, counter)'s Philox key."""
+    return [counter & 0xFFFFFFFFFFFFFFFF, master_seed & 0xFFFFFFFFFFFFFFFF]
+
+
 def stream_rng(master_seed: int, counter: int = 0) -> np.random.Generator:
     """Independent Philox stream named by (master_seed, counter).
 
@@ -214,10 +221,7 @@ def stream_rng(master_seed: int, counter: int = 0) -> np.random.Generator:
     independent streams without any sequential draw-order coupling --
     the property that makes trial-level parallelism reproducible.
     """
-    key = np.array(
-        [counter & 0xFFFFFFFFFFFFFFFF, master_seed & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
+    key = np.array(_philox_key(master_seed, counter), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -232,6 +236,28 @@ def trial_counter(hypothesis: Hypothesis, trial_index: int) -> int:
         raise ValueError("trial_index out of range")
     hyp_bit = 1 if hypothesis is Hypothesis.H1 else 0
     return (hyp_bit << 63) | trial_index
+
+
+def noise_block(
+    master_seed: int, hypothesis: Hypothesis, start: int, stop: int, n: int
+) -> np.ndarray:
+    """Standard normal noise of trials [start, stop), shape (stop - start, 2, n).
+
+    Row j holds, bit for bit, ``stream_rng(master_seed, trial_counter(
+    hypothesis, start + j)).standard_normal((2, n))``: the draw that
+    :func:`synthesize_observation` scales for that trial.  A Philox
+    stream depends only on its key, so one bit generator re-keyed per
+    trial (counter zeroed, buffer emptied) replays every trial's stream
+    without building a generator per trial.
+    """
+    block = np.empty((stop - start, 2, n))
+    rng = stream_rng(master_seed)
+    fresh = rng.bit_generator.state  # just built: counter zero, buffer empty
+    for j in range(stop - start):
+        fresh["state"]["key"] = _philox_key(master_seed, trial_counter(hypothesis, start + j))
+        rng.bit_generator.state = fresh
+        rng.standard_normal(out=block[j])
+    return block
 
 
 def synthesize_observation(

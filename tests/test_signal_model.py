@@ -9,6 +9,7 @@ from quantdet.signal_model import (
     SceneConfig,
     effective_signal,
     lfm_waveform,
+    noise_block,
     steering_matrix,
     stream_rng,
     synthesize_observation,
@@ -176,6 +177,27 @@ def test_trial_counter_separates_hypotheses():
     assert trial_counter(Hypothesis.H0, 0) == 0
     with pytest.raises(ValueError):
         trial_counter(Hypothesis.H0, -1)
+
+
+@pytest.mark.parametrize(
+    "seed, hypothesis, start, stop, n",
+    [
+        (7, Hypothesis.H0, 0, 4, 8),
+        (7, Hypothesis.H1, 5, 9, 8),
+        # odd n leaves Philox output buffered after each trial; it must not
+        # leak into the next one
+        (2**64 - 5, Hypothesis.H0, 3, 7, 3),
+        (-12345, Hypothesis.H1, 1, 5, 3),
+        (7, Hypothesis.H1, 2**63 - 3, 2**63, 5),
+    ],
+    ids=["h0", "h1-offset", "seed-above-2^63", "negative-seed", "last-trial-index"],
+)
+def test_noise_block_rows_replay_per_trial_streams(seed, hypothesis, start, stop, n):
+    block = noise_block(seed, hypothesis, start, stop, n)
+    assert block.shape == (stop - start, 2, n)
+    for j, row in enumerate(block):
+        ref = stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))
+        assert row.tobytes() == ref.tobytes()
 
 
 def test_synthesize_deterministic_and_stream_keyed(scene, signal):
