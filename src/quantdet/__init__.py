@@ -3,8 +3,8 @@
 Library layout:
 
 * :mod:`quantdet.signal_model`  -- scenes, steering/waveform structure, synthesis
-* :mod:`quantdet.quantizer`     -- threshold sets and Gaussian bin statistics
-* :mod:`quantdet.detectors`     -- closed-form Rao test, unquantized GLRT
+* :mod:`quantdet.quantizer`     -- threshold sets, 0-based binning, Gaussian bin statistics
+* :mod:`quantdet.detectors`     -- batch-first Rao test and unquantized GLRT
 * :mod:`quantdet.perf_theory`   -- Fisher information and asymptotic ROC theory
 * :mod:`quantdet.optimizer`     -- swarm design of detection-optimal thresholds
 * :mod:`quantdet.montecarlo`    -- reproducible trial engine, ROC / SNR sweeps
@@ -13,15 +13,7 @@ Library layout:
 * :mod:`quantdet.cli`           -- the ``quantdet`` command
 """
 
-from .detectors import (
-    DetectorOutcome,
-    ZeroSignalError,
-    decide,
-    glrt_unquantized,
-    rao_statistic,
-    run_detector,
-    score_components,
-)
+from .detectors import ZeroSignalError, glrt_unquantized_batch, rao_statistic_batch
 from .experiment import ConfigError, ExperimentSpec, load_config, parse_config, save_config, serialize_config
 from .montecarlo import (
     GlrtDetector,
@@ -45,23 +37,12 @@ from .optimizer import (
     write_checkpoint,
 )
 from .perf_theory import (
-    FisherInfo,
-    chi2_quantile,
     fisher_information,
     noncentrality,
     noncentrality_unquantized,
     theoretical_pd,
 )
-from .quantizer import (
-    BinStats,
-    DegenerateBinError,
-    QuantizedObservation,
-    ThresholdSet,
-    bin_derivatives,
-    bin_probability,
-    bin_stats_table,
-    quantize,
-)
+from .quantizer import BinStats, DegenerateBinError, ThresholdSet, bin_probability, bin_stats_table
 from .selftest import CheckResult, run_selftest
 from .signal_model import (
     EffectiveSignal,
@@ -74,7 +55,7 @@ from .signal_model import (
     synthesize_observation,
     trial_counter,
 )
-from .special import marcum_q1, noncentral_chi2_2_cdf, noncentral_chi2_2_sf, qfunc
+from .special import marcum_q1, qfunc
 
 __version__ = "0.1.0"
 
@@ -83,15 +64,12 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "DegenerateBinError",
-    "DetectorOutcome",
     "EffectiveSignal",
     "ExperimentSpec",
-    "FisherInfo",
     "GlrtDetector",
     "Hypothesis",
     "PsoConfig",
     "PsoResult",
-    "QuantizedObservation",
     "RaoDetector",
     "RocCurve",
     "SceneConfig",
@@ -99,22 +77,17 @@ __all__ = [
     "ThresholdSet",
     "TrialConfig",
     "ZeroSignalError",
-    "bin_derivatives",
     "bin_probability",
     "bin_stats_table",
     "canonical_grid",
-    "chi2_quantile",
-    "decide",
     "effective_signal",
     "empirical_threshold",
     "estimate_roc",
     "fisher_information",
-    "glrt_unquantized",
+    "glrt_unquantized_batch",
     "lfm_waveform",
     "load_config",
     "marcum_q1",
-    "noncentral_chi2_2_cdf",
-    "noncentral_chi2_2_sf",
     "noncentrality",
     "noncentrality_unquantized",
     "objective",
@@ -122,14 +95,11 @@ __all__ = [
     "parse_config",
     "pd_vs_snr",
     "qfunc",
-    "quantize",
-    "rao_statistic",
+    "rao_statistic_batch",
     "read_checkpoint",
-    "run_detector",
     "run_selftest",
     "run_trials",
     "save_config",
-    "score_components",
     "serialize_config",
     "steering_matrix",
     "stream_rng",

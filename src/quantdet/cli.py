@@ -10,7 +10,8 @@ theory      asymptotic-only operating curve to CSV (no simulation)
 selftest    built-in sanity battery
 
 Every experiment parameter lives in a flat ``key = value`` config file
-(``--config``); the command-line flags override file values.  All
+(``--config``); the command-line flags override file values.  Each
+subcommand accepts only the flags it reads; any other is a usage error.  All
 Monte Carlo commands require an explicit ``seed`` -- reproducibility is
 not optional here.
 
@@ -39,15 +40,11 @@ from .montecarlo import (
     subseed,
 )
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
-from .perf_theory import (
-    chi2_quantile,
-    noncentrality,
-    noncentrality_unquantized,
-    theoretical_pd,
-)
+from .perf_theory import noncentrality, noncentrality_unquantized, theoretical_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
+from .special import chi2_2_quantile
 
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
@@ -75,40 +72,52 @@ def _str_list(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+# every flag any subcommand reads; each subcommand registers only its own
+_FLAGS = {
+    "--config": dict(help="flat key = value experiment file"),
+    "--q": dict(type=int, help="quantizer bit depth"),
+    "--snr-db": dict(type=float, dest="snr_db", help="per-sample SNR in dB"),
+    "--pfa": dict(type=float, help="false-alarm budget"),
+    "--trials": dict(type=int, help="Monte Carlo trials per hypothesis"),
+    "--seed": dict(type=int, help="master seed (required for simulation)"),
+    "--out": dict(help="output file path"),
+    "--thresholds": dict(dest="thresholds_path", help="threshold checkpoint file to reuse"),
+    "--workers": dict(type=int, help="worker processes for trials"),
+    "--detectors": dict(type=_str_list,
+                        help="comma list of bit depths and/or 'inf' (default 1,2,3,inf)"),
+    "--pfa-grid": dict(type=_float_list, dest="pfa_grid",
+                       help="comma list of false-alarm rates"),
+    "--eta-grid": dict(type=_float_list, dest="eta_grid",
+                       help="comma list of statistic thresholds"),
+    "--snr-grid": dict(type=_float_list, dest="snr_grid_db",
+                       help="comma list of SNR points in dB"),
+}
+_DESIGN = ("--config", "--q", "--snr-db", "--seed", "--out")
+_SIMULATE = _DESIGN + ("--trials", "--thresholds", "--workers", "--detectors")
+_SUBCOMMANDS = {
+    "thresholds": ("design quantizer thresholds by swarm search", _DESIGN),
+    "roc": ("simulate ROC curves and write CSV", _SIMULATE + ("--pfa-grid", "--eta-grid")),
+    "pd-eta": ("simulate rates on a threshold grid and write CSV",
+               _SIMULATE + ("--pfa-grid", "--eta-grid")),
+    "pd-snr": ("simulate detection probability vs SNR and write CSV",
+               _SIMULATE + ("--pfa", "--snr-grid")),
+    "theory": ("write the asymptotic operating curve (no simulation)",
+               _DESIGN + ("--thresholds", "--pfa-grid")),
+    "selftest": ("run the built-in sanity battery", ("--config", "--seed", "--trials")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantdet",
         description="Quantized weak-target detection: design, simulate, compare to theory.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    specs = {
-        "thresholds": "design quantizer thresholds by swarm search",
-        "roc": "simulate ROC curves and write CSV",
-        "pd-eta": "simulate rates on a threshold grid and write CSV",
-        "pd-snr": "simulate detection probability vs SNR and write CSV",
-        "theory": "write the asymptotic operating curve (no simulation)",
-        "selftest": "run the built-in sanity battery",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value experiment file")
-        p.add_argument("--q", type=int, help="quantizer bit depth")
-        p.add_argument("--snr-db", type=float, dest="snr_db", help="per-sample SNR in dB")
-        p.add_argument("--pfa", type=float, help="false-alarm budget")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials per hypothesis")
-        p.add_argument("--seed", type=int, help="master seed (required for simulation)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--thresholds", dest="thresholds_path",
-                       help="threshold checkpoint file to reuse")
-        p.add_argument("--workers", type=int, help="worker processes for trials")
-        p.add_argument("--detectors", type=_str_list,
-                       help="comma list of bit depths and/or 'inf' (default 1,2,3,inf)")
-        p.add_argument("--pfa-grid", type=_float_list, dest="pfa_grid",
-                       help="comma list of false-alarm rates")
-        p.add_argument("--eta-grid", type=_float_list, dest="eta_grid",
-                       help="comma list of statistic thresholds")
-        p.add_argument("--snr-grid", type=_float_list, dest="snr_grid_db",
-                       help="comma list of SNR points in dB")
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        # no prefix matching: "roc --pfa" must not quietly become --pfa-grid
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -174,21 +183,30 @@ def _resolve_thresholds(spec, scene, signal, bits: int):
     return result.thresholds, tag
 
 
-def _parse_detectors(tokens) -> list:
-    out = []
+def _resolve_detectors(spec, scene, signal) -> list:
+    """(detector, threshold origin) for ``--q``, else for each ``--detectors`` token.
+
+    Every token is checked before any threshold is designed.
+    """
+    tokens = (str(spec.q),) if spec.q is not None else spec.detectors
+    if not tokens:
+        raise ConfigError("detector list is empty")
+    depths = []
     for tok in tokens:
-        if tok == "inf":
-            out.append(("inf", None))
-            continue
         try:
-            bits = int(tok)
+            bits = None if tok == "inf" else int(tok)
         except ValueError:
             raise ConfigError(f"bad detector token {tok!r}: expected a bit depth or 'inf'")
-        if bits < 1:
+        if bits is not None and bits < 1:
             raise ConfigError(f"bit depth must be >= 1, got {bits}")
-        out.append(("rao", bits))
-    if not out:
-        raise ConfigError("detector list is empty")
+        depths.append(bits)
+    out = []
+    for bits in depths:
+        if bits is None:
+            out.append((GlrtDetector(), "exact"))
+            continue
+        ts, origin = _resolve_thresholds(spec, scene, signal, bits)
+        out.append((RaoDetector(ts), origin))
     return out
 
 
@@ -254,7 +272,6 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     trials = spec.trials if spec.trials is not None else _DEFAULT_TRIALS
-    tokens = (str(spec.q),) if spec.q is not None else spec.detectors
     eta_grid = spec.eta_grid
     pfa_grid = spec.pfa_grid
     if eta_grid is None and pfa_grid is None:
@@ -263,15 +280,13 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
         else:
             eta_grid = tuple(np.linspace(0.0, 30.0, 31))
     rows = []
-    for d_idx, (kind, bits) in enumerate(_parse_detectors(tokens)):
-        if kind == "inf":
-            detector = GlrtDetector()
+    for d_idx, (detector, origin) in enumerate(_resolve_detectors(spec, scene, signal)):
+        if isinstance(detector, GlrtDetector):
             lam = noncentrality_unquantized(scene.beta_complex, signal, scene.noise_power)
-            origin = "exact"
         else:
-            ts, origin = _resolve_thresholds(spec, scene, signal, bits)
-            detector = RaoDetector(ts)
-            lam = noncentrality(scene.beta_complex, signal, ts, scene.noise_power)
+            lam = noncentrality(
+                scene.beta_complex, signal, detector.thresholds, scene.noise_power
+            )
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
               f"lambda_f={lam:.6g}, trials={trials} per hypothesis")
         cfg = TrialConfig(
@@ -314,15 +329,11 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     signal = effective_signal(scene)
     trials = spec.trials if spec.trials is not None else _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
-    tokens = (str(spec.q),) if spec.q is not None else spec.detectors
     detectors = []
-    for kind, bits in _parse_detectors(tokens):
-        if kind == "inf":
-            detectors.append(GlrtDetector())
-        else:
-            ts, origin = _resolve_thresholds(spec, scene, signal, bits)
-            print(f"detector rao q={bits}: thresholds {origin}")
-            detectors.append(RaoDetector(ts))
+    for detector, origin in _resolve_detectors(spec, scene, signal):
+        if isinstance(detector, RaoDetector):
+            print(f"detector rao q={detector.q_label}: thresholds {origin}")
+        detectors.append(detector)
     points = pd_vs_snr(
         scene, detectors, snr_grid, spec.pfa, trials, seed, workers=spec.workers
     )
@@ -356,7 +367,7 @@ def cmd_theory(spec: ExperimentSpec) -> int:
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
     rows = []
     for p in pfa_grid:
-        eta = chi2_quantile(p)
+        eta = chi2_2_quantile(p)
         rows.append((float(p), eta, lam, theoretical_pd(lam, p)))
     out = spec.out or "theory.csv"
     count = _write_csv(out, _THEORY_HEADER, rows)

@@ -26,39 +26,32 @@ every sample size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .quantizer import BinStats, QuantizedObservation, ThresholdSet, bin_stats_table
-from .signal_model import EffectiveSignal, Hypothesis
+from .quantizer import BinStats
+from .signal_model import EffectiveSignal
 
 
 class ZeroSignalError(ArithmeticError):
     """The template has zero energy, so no statistic is defined."""
 
 
-@dataclass(frozen=True)
-class DetectorOutcome:
-    statistic: float
-    threshold: float
-    decision: Hypothesis
-
-
-def decide(statistic: float, threshold: float) -> Hypothesis:
-    """Threshold comparison; ties go to H0 (strict exceedance detects)."""
-    return Hypothesis.H1 if statistic > threshold else Hypothesis.H0
-
-
-def run_detector(statistic: float, threshold: float) -> DetectorOutcome:
-    return DetectorOutcome(statistic, threshold, decide(statistic, threshold))
+def _check_template(n: int, signal: EffectiveSignal) -> float:
+    """Template energy, once the observation length ``n`` is known to fit."""
+    if n != len(signal):
+        raise ValueError("observation and template lengths differ")
+    energy = signal.energy
+    if energy == 0.0:
+        raise ZeroSignalError("template has zero energy")
+    return energy
 
 
 def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats):
     """(S_R, S_I) score components from 0-based bin indices.
 
     Index arrays may be (n,) for one observation or (batch, n); the sums
-    run along the last axis.
+    run along the last axis.  Their H0 covariance is the Fisher
+    information, the identity the self-test checks by Monte Carlo.
     """
     ratio = table.score_ratio
     r1 = ratio[re_idx0]
@@ -68,92 +61,48 @@ def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats):
     return s_r, s_i
 
 
-def score_components(
-    y: QuantizedObservation, signal: EffectiveSignal, table: BinStats
-):
-    """Score vector (S_R, S_I) at beta = 0 for one quantized observation.
-
-    Exposed separately from :func:`rao_statistic` because the score's
-    H0 covariance is the Fisher information -- the identity the
-    self-test checks by Monte Carlo.
-    """
-    if len(y) != len(signal):
-        raise ValueError("observation and template lengths differ")
-    s_r, s_i = _score_sums(y.re_bins - 1, y.im_bins - 1, signal, table)
-    return float(s_r), float(s_i)
-
-
-def rao_statistic(
-    y: QuantizedObservation,
-    signal: EffectiveSignal,
-    thresholds: ThresholdSet,
-    noise_power: float,
-    table: BinStats | None = None,
-) -> float:
-    """Closed-form Rao statistic of one quantized observation.
-
-    ``table`` may be passed to reuse a precomputed :func:`bin_stats_table`
-    (it must correspond to ``thresholds`` and ``noise_power``); otherwise
-    it is built on the fly.
-    """
-    if table is None:
-        table = bin_stats_table(thresholds, noise_power)
-    if len(y) != len(signal):
-        raise ValueError("observation and template lengths differ")
-    energy = signal.energy
-    if energy == 0.0:
-        raise ZeroSignalError("template has zero energy")
-    if int(max(y.re_bins.max(), y.im_bins.max())) > thresholds.n_bins:
-        raise ValueError("bin index exceeds 2^bits for the given thresholds")
-    s_r, s_i = _score_sums(y.re_bins - 1, y.im_bins - 1, signal, table)
-    return float((s_r * s_r + s_i * s_i) / (energy * table.info_per_energy))
-
-
 def rao_statistic_batch(
     re_idx0: np.ndarray,
     im_idx0: np.ndarray,
     signal: EffectiveSignal,
     table: BinStats,
 ) -> np.ndarray:
-    """Vectorized Rao statistics for a (batch, n) block of 0-based indices.
+    """Closed-form Rao statistics of 0-based bin indices.
 
-    Bit-identical to calling :func:`rao_statistic` row by row; the Monte
-    Carlo engine uses this path.
+    The indices of the real and imaginary parts are an (n,) row, which
+    gives one statistic, or a (batch, n) block, which gives one per row;
+    a row's statistic does not depend on the block around it.  ``table``
+    is the :func:`~quantdet.quantizer.bin_stats_table` of the quantizer
+    that produced the indices, each of which must lie in 0..2^q - 1.
     """
-    energy = signal.energy
-    if energy == 0.0:
-        raise ZeroSignalError("template has zero energy")
+    re_idx0 = np.asarray(re_idx0)
+    im_idx0 = np.asarray(im_idx0)
+    if re_idx0.shape != im_idx0.shape:
+        raise ValueError("real and imaginary bin indices differ in shape")
+    energy = _check_template(re_idx0.shape[-1], signal)
+    n_bins = table.f.shape[0]
+    for idx in (re_idx0, im_idx0):
+        # numpy would wrap a negative index silently, so check both ends
+        if idx.size and (idx.min() < 0 or idx.max() >= n_bins):
+            raise ValueError(f"bin index outside 0..{n_bins - 1} for the given table")
     s_r, s_i = _score_sums(re_idx0, im_idx0, signal, table)
     return (s_r * s_r + s_i * s_i) / (energy * table.info_per_energy)
-
-
-def glrt_unquantized(
-    x: np.ndarray, signal: EffectiveSignal, noise_power: float
-) -> float:
-    """Matched-filter GLRT on the raw (unquantized) observation."""
-    x = np.asarray(x)
-    if x.shape[-1] != len(signal):
-        raise ValueError("observation and template lengths differ")
-    energy = signal.energy
-    if energy == 0.0:
-        raise ZeroSignalError("template has zero energy")
-    corr = x @ np.conj(signal.z)
-    return float(np.abs(corr) ** 2 / (energy * noise_power / 2.0))
 
 
 def glrt_unquantized_batch(
     x: np.ndarray, signal: EffectiveSignal, noise_power: float
 ) -> np.ndarray:
-    """Row-wise :func:`glrt_unquantized` for a (batch, n) complex block.
+    """Matched-filter GLRT of an (n,) complex row or a (batch, n) block.
 
     A row's statistic does not depend on the batch around it: matmul
     reduces a lone row with a dot kernel but a block of rows with gemv,
-    whose sums differ in the last bits, so a single row is reduced as a
-    two-row block.
+    whose sums differ in the last bits, so a single row (including a
+    1-D input) is reduced as a two-row block.
     """
-    energy = signal.energy
-    if energy == 0.0:
-        raise ZeroSignalError("template has zero energy")
-    rows = np.concatenate([x, x]) if x.shape[0] == 1 else x
-    corr = (rows @ np.conj(signal.z))[: x.shape[0]]
-    return np.abs(corr) ** 2 / (energy * noise_power / 2.0)
+    x = np.asarray(x)
+    energy = _check_template(x.shape[-1], signal)
+    rows = np.atleast_2d(x)
+    block = np.concatenate([rows, rows]) if len(rows) == 1 else rows
+    corr = (block @ np.conj(signal.z))[: len(rows)]
+    stat = np.abs(corr) ** 2 / (energy * noise_power / 2.0)
+    return stat if x.ndim > 1 else stat[0]

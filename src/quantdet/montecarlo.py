@@ -32,7 +32,6 @@ from itertools import repeat
 import numpy as np
 
 from .detectors import glrt_unquantized_batch, rao_statistic_batch
-from .perf_theory import chi2_quantile
 from .quantizer import ThresholdSet, bin_indices, bin_stats_table
 from .signal_model import (
     Hypothesis,
@@ -41,7 +40,7 @@ from .signal_model import (
     noise_block,
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
-from .special import chi2_2_sf, marcum_q1
+from .special import chi2_2_quantile, chi2_2_sf, marcum_q1
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ def pd_vs_snr(
             "thinly sampled and the empirical threshold will be noisy",
             stacklevel=2,
         )
-    eta_asym = chi2_quantile(p_fa)
+    eta_asym = chi2_2_quantile(p_fa)
     points = []
     for d_idx, det in enumerate(detectors):
         h0_cfg = TrialConfig(

@@ -5,7 +5,8 @@ Key facts wrapped here:
 * The per-amplitude Fisher information matrix at beta = 0 is diagonal
   with equal entries E * J1 (template energy times information per unit
   energy), and exactly zero off-diagonal -- quantization never couples
-  the real and imaginary amplitude components at the null.
+  the real and imaginary amplitude components at the null -- so the
+  scalar E * J1 stands for the whole matrix.
 * Under H0 the statistic is asymptotically central chi-square, 2 dof;
   under a weak H1 it is noncentral with
 
@@ -23,44 +24,18 @@ every quantized J1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .quantizer import ThresholdSet, bin_stats_table
 from .signal_model import EffectiveSignal
 from .special import chi2_2_quantile, marcum_q1
 
 
-@dataclass(frozen=True)
-class FisherInfo:
-    """2x2 Fisher information for (Re beta, Im beta) at beta = 0."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).copy()
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if m[0, 1] != 0.0 or m[1, 0] != 0.0:
-            raise ValueError("information matrix must be diagonal at the null")
-        if m[0, 0] != m[1, 1] or not m[0, 0] > 0.0:
-            raise ValueError("diagonal entries must be equal and positive")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def diagonal(self) -> float:
-        return float(self.matrix[0, 0])
-
-
 def fisher_information(
     signal: EffectiveSignal, thresholds: ThresholdSet, noise_power: float
-) -> FisherInfo:
-    """Fisher information of the quantized observation at beta = 0."""
+) -> float:
+    """Diagonal entry E * J1 of the Fisher information at beta = 0."""
     table = bin_stats_table(thresholds, noise_power)
-    diag = signal.energy * table.info_per_energy
-    return FisherInfo(matrix=np.diag([diag, diag]))
+    return float(signal.energy * table.info_per_energy)
 
 
 def noncentrality(
@@ -71,7 +46,7 @@ def noncentrality(
 ) -> float:
     """Asymptotic noncentrality lambda_F = |beta|^2 * E * J1 (quantized)."""
     info = fisher_information(signal, thresholds, noise_power)
-    return float(abs(beta) ** 2 * info.diagonal)
+    return float(abs(beta) ** 2 * info)
 
 
 def noncentrality_unquantized(
@@ -81,11 +56,6 @@ def noncentrality_unquantized(
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
     return float(abs(beta) ** 2 * signal.energy * 2.0 / noise_power)
-
-
-def chi2_quantile(p_fa: float) -> float:
-    """Detection threshold eta with asymptotic false-alarm rate ``p_fa``."""
-    return chi2_2_quantile(p_fa)
 
 
 def theoretical_pd(lambda_f: float, p_fa: float) -> float:

@@ -1,18 +1,20 @@
 """Per-component scalar quantization and its Gaussian bin statistics.
 
 A ``q``-bit quantizer is a strictly increasing vector of ``2^q - 1``
-interior thresholds; with the implicit -inf / +inf edges it induces
-``2^q`` half-open bins.  Boundary convention: bin ``i`` (1-based) is
-``tau_{i-1} < x <= tau_i`` -- right-closed, so a sample exactly on a
-threshold belongs to the lower-indexed bin.  Real and imaginary parts
-are quantized independently by the same thresholds.
+interior thresholds; with the implicit -inf / +inf edges
+``e_0 < e_1 < ... < e_{2^q}`` (:meth:`ThresholdSet.edges`) it induces
+``2^q`` half-open bins.  Bin indices are 0-based everywhere in the
+package: bin ``i`` in ``0..2^q - 1`` is ``e_i < x <= e_{i+1}`` --
+right-closed, so a sample exactly on a threshold belongs to the
+lower-indexed bin.  Real and imaginary parts are quantized
+independently by the same thresholds (:func:`bin_indices`).
 
 For a Gaussian component N(u, noise_power / 2) the per-bin probability
 mass F_i and its first two derivatives in u,
 
-    F_i  = Q((tau_{i-1} - u)/s) - Q((tau_i - u)/s),        s = sqrt(noise_power/2)
-    F'_i = phi_s(tau_{i-1} - u) - phi_s(tau_i - u)
-    F''_i = [(tau_{i-1} - u) phi_s(tau_{i-1} - u) - (tau_i - u) phi_s(tau_i - u)] / s^2
+    F_i  = Q((e_i - u)/s) - Q((e_{i+1} - u)/s),        s = sqrt(noise_power/2)
+    F'_i = phi_s(e_i - u) - phi_s(e_{i+1} - u)
+    F''_i = [(e_i - u) phi_s(e_i - u) - (e_{i+1} - u) phi_s(e_{i+1} - u)] / s^2
 
 (phi_s the N(0, s^2) density) are the only statistics any downstream
 code needs: the score ratios F'_i / F_i drive the detector and
@@ -88,49 +90,15 @@ class ThresholdSet:
         return cls(bits=bits, interior=np.array(values, dtype=float))
 
 
-@dataclass(frozen=True)
-class QuantizedObservation:
-    """Bin indices (1-based, in 1..2^bits) of one observation's Re/Im parts."""
-
-    re_bins: np.ndarray
-    im_bins: np.ndarray
-
-    def __post_init__(self):
-        rb = np.asarray(self.re_bins)
-        ib = np.asarray(self.im_bins)
-        if rb.shape != ib.shape or rb.ndim != 1:
-            raise ValueError("re_bins and im_bins must be 1-D with equal length")
-        if not (np.issubdtype(rb.dtype, np.integer) and np.issubdtype(ib.dtype, np.integer)):
-            raise ValueError("bin indices must be integers")
-        if rb.size and (rb.min() < 1 or ib.min() < 1):
-            raise ValueError("bin indices are 1-based; found index < 1")
-        rb = rb.copy()
-        ib = ib.copy()
-        rb.flags.writeable = False
-        ib.flags.writeable = False
-        object.__setattr__(self, "re_bins", rb)
-        object.__setattr__(self, "im_bins", ib)
-
-    def __len__(self) -> int:
-        return self.re_bins.shape[0]
-
-
 def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
     """0-based bin index of each real value (vectorized hot path).
 
     ``searchsorted(..., side="left")`` counts thresholds strictly below
-    the value, which lands x == tau_i in bin i-1 (0-based): exactly the
-    right-closed convention.
+    the value, which lands x == e_{i+1} in bin i: exactly the
+    right-closed convention.  A complex observation is quantized as
+    ``bin_indices(x.real, ...)`` and ``bin_indices(x.imag, ...)``.
     """
     return np.searchsorted(thresholds.interior, values, side="left")
-
-
-def quantize(x: np.ndarray, thresholds: ThresholdSet) -> QuantizedObservation:
-    """Quantize a complex observation componentwise to 1-based bin indices."""
-    x = np.asarray(x)
-    re = bin_indices(x.real, thresholds) + 1
-    im = bin_indices(x.imag, thresholds) + 1
-    return QuantizedObservation(re_bins=re, im_bins=im)
 
 
 def _edge_terms(edges: np.ndarray, u, s: float):
@@ -165,27 +133,15 @@ def _stats_from_edges(edges: np.ndarray, u, noise_power: float):
 
 
 def bin_probability(u, i: int, thresholds: ThresholdSet, noise_power: float):
-    """Probability that N(u, noise_power/2) falls in bin ``i`` (1-based)."""
-    if not 1 <= i <= thresholds.n_bins:
-        raise ValueError(f"bin index {i} outside 1..{thresholds.n_bins}")
+    """Probability that N(u, noise_power/2) falls in bin ``i`` (0-based)."""
+    if not 0 <= i < thresholds.n_bins:
+        raise ValueError(f"bin index {i} outside 0..{thresholds.n_bins - 1}")
     s = math.sqrt(noise_power / 2.0)
     e = thresholds.edges()
-    out = qfunc((e[i - 1] - np.asarray(u, dtype=float)) / s) - qfunc(
-        (e[i] - np.asarray(u, dtype=float)) / s
+    out = qfunc((e[i] - np.asarray(u, dtype=float)) / s) - qfunc(
+        (e[i + 1] - np.asarray(u, dtype=float)) / s
     )
     return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
-
-def bin_derivatives(u, i: int, thresholds: ThresholdSet, noise_power: float):
-    """(dF_i/du, d2F_i/du2) at mean ``u`` for bin ``i`` (1-based)."""
-    if not 1 <= i <= thresholds.n_bins:
-        raise ValueError(f"bin index {i} outside 1..{thresholds.n_bins}")
-    e = thresholds.edges()[i - 1 : i + 1]
-    _, f1, f2 = _stats_from_edges(e, np.asarray(u, dtype=float)[..., None], noise_power)
-    f1 = f1[..., 0]
-    f2 = f2[..., 0]
-    if np.ndim(u) == 0:
-        return float(f1), float(f2)
-    return f1, f2
 
 
 @dataclass(frozen=True)
@@ -235,6 +191,6 @@ def bin_stats_table(
     if f.min() < floor:
         worst = int(np.argmin(f))
         raise DegenerateBinError(
-            f"bin {worst + 1} of {thresholds.n_bins} has mass {f[worst]:.3e} < {floor:g}"
+            f"bin {worst} of 0..{thresholds.n_bins - 1} has mass {f[worst]:.3e} < {floor:g}"
         )
     return BinStats(f=f, f1=f1, f2=f2)

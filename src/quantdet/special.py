@@ -107,19 +107,3 @@ def marcum_q1(a: float, b: float, atol: float = 1e-12) -> float:
             if pois * r / (1.0 - r) <= atol:
                 break
     return min(total, 1.0)
-
-
-def noncentral_chi2_2_sf(x: float, lam: float, atol: float = 1e-12) -> float:
-    """Right tail P(X > x) for X ~ noncentral chi-square, 2 dof, ncp lam."""
-    if x < 0.0:
-        return 1.0
-    if lam < 0.0:
-        raise ValueError("noncentrality must be non-negative")
-    return marcum_q1(math.sqrt(lam), math.sqrt(x), atol=atol)
-
-
-def noncentral_chi2_2_cdf(x: float, lam: float, atol: float = 1e-12) -> float:
-    """CDF companion of :func:`noncentral_chi2_2_sf` (same series)."""
-    if x < 0.0:
-        return 0.0
-    return 1.0 - noncentral_chi2_2_sf(x, lam, atol=atol)

@@ -40,29 +40,29 @@ def edges_of(interior) -> np.ndarray:
 
 
 def quantize_ref(values, interior) -> np.ndarray:
-    """Right-closed binning by explicit comparison, 1-based indices."""
+    """Right-closed binning by explicit comparison, 0-based indices."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
     edges = edges_of(interior)
     out = np.empty(values.shape, dtype=int)
     for k, v in enumerate(values):
         for i in range(len(edges) - 1):
             if edges[i] < v <= edges[i + 1]:
-                out[k] = i + 1
+                out[k] = i
                 break
         else:  # v == -inf would be needed to get here; guard anyway
-            out[k] = 1
+            out[k] = 0
     return out
 
 
 def loglik(beta_r, beta_i, re_bins, im_bins, interior, noise_power, g, h) -> float:
-    """Exact log-likelihood of a quantized observation at amplitude beta."""
+    """Exact log-likelihood of a quantized observation (0-based bins) at amplitude beta."""
     edges = edges_of(interior)
     total = 0.0
     for n in range(len(re_bins)):
         u_re = beta_r * g[n] - beta_i * h[n]
         u_im = beta_r * h[n] + beta_i * g[n]
-        i = int(re_bins[n]) - 1
-        j = int(im_bins[n]) - 1
+        i = int(re_bins[n])
+        j = int(im_bins[n])
         total += math.log(bin_mass(u_re, edges[i], edges[i + 1], noise_power))
         total += math.log(bin_mass(u_im, edges[j], edges[j + 1], noise_power))
     return total

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from conftest import FROZEN, REFERENCE_Q1, REFERENCE_Q2, REFERENCE_Q3
 from quantdet import cli
-from quantdet.detectors import _score_sums, rao_statistic
+from quantdet.detectors import _score_sums, rao_statistic_batch
 from quantdet.montecarlo import (
     GlrtDetector,
     RaoDetector,
@@ -27,22 +27,21 @@ from quantdet.montecarlo import (
 )
 from quantdet.optimizer import objective, read_checkpoint
 from quantdet.perf_theory import (
-    chi2_quantile,
     fisher_information,
     noncentrality,
     noncentrality_unquantized,
     theoretical_pd,
 )
-from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table, quantize
+from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
 from quantdet.signal_model import (
     Hypothesis,
     SceneConfig,
     effective_signal,
+    noise_block,
     stream_rng,
     synthesize_observation,
-    trial_counter,
 )
-from quantdet.special import noncentral_chi2_2_cdf
+from quantdet.special import chi2_2_quantile, marcum_q1
 
 SEED = 20260819
 
@@ -204,7 +203,7 @@ def test_criterion_3_theory_matches_simulation(q, mc14, scene, signal, cli_desig
     h1 = mc14[q]["h1"]
     diffs = {}
     for pfa in (1e-2, 1e-1):
-        eta = chi2_quantile(pfa)
+        eta = chi2_2_quantile(pfa)
         p_hat = float(exceedance(h1, eta))
         p_theory = theoretical_pd(lam, pfa)
         diffs[pfa] = (p_hat, p_theory, abs(p_hat - p_theory))
@@ -328,10 +327,12 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
         thresholds = ThresholdSet(bits=bits, interior=interior)
         sig = effective_signal(cfg)
         x = synthesize_observation(cfg, sig, Hypothesis.H1, stream_rng(SEED, k))
-        y = quantize(x, thresholds)
-        closed = rao_statistic(y, sig, thresholds, cfg.noise_power)
+        re0 = bin_indices(x.real, thresholds)
+        im0 = bin_indices(x.imag, thresholds)
+        table = bin_stats_table(thresholds, cfg.noise_power)
+        closed = rao_statistic_batch(re0, im0, sig, table)
         ref = oracles.score_fi_statistic(
-            y.re_bins, y.im_bins, thresholds.interior, cfg.noise_power, sig.g, sig.h
+            re0, im0, thresholds.interior, cfg.noise_power, sig.g, sig.h
         )
         smallest_stat = min(smallest_stat, abs(ref))
         worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-12))
@@ -350,22 +351,20 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
 def test_criterion_7_score_covariance_is_fisher(scene, signal, cli_designs):
     thresholds = cli_designs[2]["thresholds"]
     table = bin_stats_table(thresholds, scene.noise_power)
-    info = fisher_information(signal, thresholds, scene.noise_power).diagonal
+    info = fisher_information(signal, thresholds, scene.noise_power)
     n_trials = 100_000
     chunk = 5_000
     seed = subseed(SEED, 11)
-    n = len(signal)
     sq_r = np.empty(n_trials)
     cross = np.empty(n_trials)
     for start in range(0, n_trials, chunk):
         stop = min(start + chunk, n_trials)
-        re0 = np.empty((stop - start, n), dtype=np.int64)
-        im0 = np.empty((stop - start, n), dtype=np.int64)
-        for j in range(stop - start):
-            rng = stream_rng(seed, trial_counter(Hypothesis.H0, start + j))
-            x = synthesize_observation(scene, signal, Hypothesis.H0, rng)
-            re0[j] = bin_indices(x.real, thresholds)
-            im0[j] = bin_indices(x.imag, thresholds)
+        # H0 observations of trials [start, stop), scaled as
+        # synthesize_observation scales each trial's own stream
+        w = noise_block(seed, Hypothesis.H0, start, stop, len(signal))
+        w *= np.sqrt(scene.noise_power / 2.0)
+        re0 = bin_indices(w[:, 0], thresholds)
+        im0 = bin_indices(w[:, 1], thresholds)
         s_r, s_i = _score_sums(re0, im0, signal, table)
         sq_r[start:stop] = s_r * s_r
         cross[start:stop] = s_r * s_i
@@ -392,7 +391,7 @@ def test_criterion_8_noncentral_cdf_matches_quadrature():
     worst = 0.0
     for lam in (0.1, 1.0, 10.0, 50.0):
         for x in (1.0, 5.0, 20.0):
-            got = noncentral_chi2_2_cdf(x, lam)
+            got = 1.0 - marcum_q1(np.sqrt(lam), np.sqrt(x))
             ref = 1.0 - oracles.ncx2_2_sf_quadrature(x, lam)
             worst = max(worst, abs(got - ref))
     ok = worst <= 1e-8

@@ -248,6 +248,30 @@ def test_config_file_missing_exits_one(tmp_path):
     assert run(["roc", "--config", str(tmp_path / "ghost.cfg"), "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--snr-grid=-3"],
+        ["selftest", "--q", "2"],
+        ["theory", "--trials", "5"],
+        ["theory", "--workers", "2"],
+        ["thresholds", "--q", "1", "--seed", "1", "--trials", "5"],
+        ["thresholds", "--q", "1", "--seed", "1", "--thresholds", "q1.txt"],
+        ["roc", "--q", "1", "--seed", "1", "--pfa", "0.1"],
+        ["pd-eta", "--q", "1", "--seed", "1", "--snr-grid=-3"],
+        ["pd-snr", "--q", "1", "--seed", "1", "--pfa-grid", "0.1"],
+        ["pd-snr", "--q", "1", "--seed", "1", "--eta-grid", "4"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch):
+    # each subcommand registers only the flags it reads, so a flag meant
+    # for another one is a usage error before anything runs
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_grid_needs_equals_syntax(tmp_path):
     # "--snr-grid -10,-2" is eaten by argparse as a missing argument;
     # the documented form is --snr-grid=-10,-2 (covered above)

@@ -6,22 +6,13 @@ import pytest
 import oracles
 from quantdet.detectors import (
     ZeroSignalError,
-    decide,
-    glrt_unquantized,
+    _score_sums,
     glrt_unquantized_batch,
-    rao_statistic,
     rao_statistic_batch,
-    run_detector,
-    score_components,
 )
-from quantdet.quantizer import (
-    QuantizedObservation,
-    ThresholdSet,
-    bin_indices,
-    bin_stats_table,
-    quantize,
-)
+from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
 from quantdet.signal_model import (
+    EffectiveSignal,
     Hypothesis,
     SceneConfig,
     effective_signal,
@@ -45,6 +36,14 @@ def _unit_signal():
     return effective_signal(SceneConfig(n_tx=1, n_rx=1, snapshots=1))
 
 
+def _rao(x, thresholds, signal, noise_power):
+    """Rao statistic of a complex row or block quantized by ``thresholds``."""
+    table = bin_stats_table(thresholds, noise_power)
+    re0 = bin_indices(x.real, thresholds)
+    im0 = bin_indices(x.imag, thresholds)
+    return rao_statistic_batch(re0, im0, signal, table)
+
+
 # -------------------------------------------------------------- hand examples
 
 def test_single_sample_sign_quantizer_statistic_is_two(q1):
@@ -52,12 +51,10 @@ def test_single_sample_sign_quantizer_statistic_is_two(q1):
     # ratios are +/- sqrt(2/pi), so (S_R^2 + S_I^2)/(E*J1)
     # = (2/pi + 2/pi)/(2/pi) = 2 regardless of which bins come up
     sig = _unit_signal()
-    for re_bin in (1, 2):
-        for im_bin in (1, 2):
-            y = QuantizedObservation(
-                re_bins=np.array([re_bin]), im_bins=np.array([im_bin])
-            )
-            t = rao_statistic(y, sig, q1, noise_power=2.0)
+    table = bin_stats_table(q1, noise_power=2.0)
+    for re_bin in (0, 1):
+        for im_bin in (0, 1):
+            t = rao_statistic_batch(np.array([re_bin]), np.array([im_bin]), sig, table)
             assert t == pytest.approx(2.0, rel=1e-12), (re_bin, im_bin)
 
 
@@ -68,8 +65,7 @@ def test_one_bit_statistic_equals_sign_correlator(q1):
     sig = effective_signal(cfg)
     for counter in range(5):
         x = synthesize_observation(cfg, sig, Hypothesis.H1, stream_rng(77, counter))
-        y = quantize(x, q1)
-        got = rao_statistic(y, sig, q1, noise_power=cfg.noise_power)
+        got = _rao(x, q1, sig, cfg.noise_power)
         s = np.sign(x.real) + 1j * np.sign(x.imag)
         want = np.abs(np.conj(sig.z) @ s) ** 2 / sig.energy
         assert got == pytest.approx(want, rel=1e-12)
@@ -82,10 +78,10 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
     cfg = SceneConfig(n_tx=2, n_rx=2, snapshots=2, angle=0.4)
     sig = effective_signal(cfg)
     x = synthesize_observation(cfg, sig, Hypothesis.H0, stream_rng(5, 3))
-    y = quantize(x, q2_ref)
-    got = rao_statistic(y, sig, q2_ref, noise_power=2.0)
+    got = _rao(x, q2_ref, sig, 2.0)
     want = oracles.score_fi_statistic(
-        y.re_bins, y.im_bins, q2_ref.interior, 2.0, sig.g, sig.h
+        bin_indices(x.real, q2_ref), bin_indices(x.imag, q2_ref),
+        q2_ref.interior, 2.0, sig.g, sig.h,
     )
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -96,48 +92,50 @@ def test_statistic_invariant_under_template_phase_rotation(q2_ref):
     cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=4, angle=0.3)
     sig = effective_signal(cfg)
     x = synthesize_observation(cfg, sig, Hypothesis.H1, stream_rng(9, 0))
-    y = quantize(x, q2_ref)
-    base = rao_statistic(y, sig, q2_ref, noise_power=2.0)
+    base = _rao(x, q2_ref, sig, 2.0)
     for phase in (0.3, 1.1, -2.0):
         rot = sig.z * np.exp(1j * phase)
         rotated = type(sig)(g=rot.real, h=rot.imag)
-        assert rao_statistic(y, rotated, q2_ref, noise_power=2.0) == pytest.approx(
-            base, rel=1e-12
-        )
+        assert _rao(x, q2_ref, rotated, 2.0) == pytest.approx(base, rel=1e-12)
 
 
 def test_statistic_nonnegative_on_noise(q2_ref, scene, signal):
-    table = bin_stats_table(q2_ref, scene.noise_power)
     for counter in range(20):
         x = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(31, counter))
-        y = quantize(x, q2_ref)
-        t = rao_statistic(y, signal, q2_ref, scene.noise_power, table=table)
-        assert t >= 0.0
+        assert _rao(x, q2_ref, signal, scene.noise_power) >= 0.0
 
 
-def test_batch_matches_scalar_loop(q2_ref, scene, signal):
-    table = bin_stats_table(q2_ref, scene.noise_power)
-    n = len(signal)
-    batch = 16
-    x = np.empty((batch, n), dtype=complex)
-    for j in range(batch):
-        x[j] = synthesize_observation(scene, signal, Hypothesis.H1, stream_rng(12, j))
-    re0 = bin_indices(x.real, q2_ref)
-    im0 = bin_indices(x.imag, q2_ref)
-    vec = rao_statistic_batch(re0, im0, signal, table)
-    for j in range(batch):
-        y = QuantizedObservation(re_bins=re0[j] + 1, im_bins=im0[j] + 1)
-        assert vec[j] == rao_statistic(y, signal, q2_ref, scene.noise_power, table=table)
+def test_batch_matches_scalar_loop(q2_ref):
+    # row j of a block must equal the kernel on that row alone, passed as
+    # (n,) and as (1, n), bit for bit: a statistic may not depend on the
+    # batch around it (numpy's matmul reduces a lone row with another
+    # kernel than a block, so a naive GLRT fails this)
+    table = bin_stats_table(q2_ref, 2.0)
+    rng = np.random.default_rng(12)
+    for n in (3, 128, 2048):
+        signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
+        x = rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))
+        re0 = bin_indices(x.real, q2_ref)
+        im0 = bin_indices(x.imag, q2_ref)
+        rao = rao_statistic_batch(re0, im0, signal, table)
+        glrt = glrt_unquantized_batch(x, signal, 2.0)
+        assert rao.shape == glrt.shape == (16,)
+        for j in range(16):
+            assert rao[j] == rao_statistic_batch(re0[j], im0[j], signal, table), (n, j)
+            assert rao[j] == rao_statistic_batch(re0[j : j + 1], im0[j : j + 1], signal, table)[0]
+            assert glrt[j] == glrt_unquantized_batch(x[j], signal, 2.0), (n, j)
+            assert glrt[j] == glrt_unquantized_batch(x[j : j + 1], signal, 2.0)[0], (n, j)
 
 
 def test_score_components_match_sums(q2_ref, scene, signal):
     table = bin_stats_table(q2_ref, scene.noise_power)
     x = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(2, 2))
-    y = quantize(x, q2_ref)
-    s_r, s_i = score_components(y, signal, table)
+    re0 = bin_indices(x.real, q2_ref)
+    im0 = bin_indices(x.imag, q2_ref)
+    s_r, s_i = _score_sums(re0, im0, signal, table)
     ratio = table.score_ratio
-    r1 = ratio[y.re_bins - 1]
-    r2 = ratio[y.im_bins - 1]
+    r1 = ratio[re0]
+    r2 = ratio[im0]
     assert s_r == pytest.approx(float(np.sum(signal.g * r1 + signal.h * r2)), rel=1e-14)
     assert s_i == pytest.approx(float(np.sum(signal.g * r2 - signal.h * r1)), rel=1e-14)
 
@@ -149,41 +147,25 @@ def test_glrt_matched_and_orthogonal_inputs():
     sig = effective_signal(cfg)  # energy 128
     assert sig.energy == pytest.approx(128.0, rel=1e-12)
     # x = z: |z^H z|^2 / (E * 1) = E
-    assert glrt_unquantized(sig.z, sig, 2.0) == pytest.approx(sig.energy, rel=1e-12)
+    assert glrt_unquantized_batch(sig.z, sig, 2.0) == pytest.approx(sig.energy, rel=1e-12)
     # x = 0.1 z: scales by |0.1|^2 -> 1.28
-    assert glrt_unquantized(0.1 * sig.z, sig, 2.0) == pytest.approx(1.28, rel=1e-12)
+    assert glrt_unquantized_batch(0.1 * sig.z, sig, 2.0) == pytest.approx(1.28, rel=1e-12)
     # orthogonal input scores zero
     v = np.zeros(len(sig), dtype=complex)
     v[0], v[1] = sig.z[1].conj(), -sig.z[0].conj()
     assert abs(np.vdot(sig.z, v)) < 1e-12
-    assert glrt_unquantized(v, sig, 2.0) == pytest.approx(0.0, abs=1e-20)
+    assert glrt_unquantized_batch(v, sig, 2.0) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_glrt_scaling_and_batch(scene, signal):
     x = synthesize_observation(scene, signal, Hypothesis.H1, stream_rng(8, 0))
-    base = glrt_unquantized(x, signal, scene.noise_power)
-    assert glrt_unquantized(3.0 * x, signal, scene.noise_power) == pytest.approx(
+    base = glrt_unquantized_batch(x, signal, scene.noise_power)
+    assert glrt_unquantized_batch(3.0 * x, signal, scene.noise_power) == pytest.approx(
         9.0 * base, rel=1e-12
     )
-    stack = np.vstack([x, 2.0 * x])
-    got = glrt_unquantized_batch(stack, signal, scene.noise_power)
-    assert got[0] == pytest.approx(base, rel=1e-14)
+    got = glrt_unquantized_batch(np.vstack([x, 2.0 * x]), signal, scene.noise_power)
+    assert got[0] == base
     assert got[1] == pytest.approx(4.0 * base, rel=1e-14)
-
-
-# ------------------------------------------------------------------ decisions
-
-def test_decide_strict_exceedance():
-    assert decide(2.0, 4.6052) is Hypothesis.H0
-    assert decide(9.3, 9.2103) is Hypothesis.H1
-    assert decide(5.0, 5.0) is Hypothesis.H0  # tie -> no detection
-
-
-def test_run_detector_bundles_fields():
-    out = run_detector(9.3, 9.2103)
-    assert out.statistic == 9.3
-    assert out.threshold == 9.2103
-    assert out.decision is Hypothesis.H1
 
 
 # --------------------------------------------------------------------- errors
@@ -198,23 +180,47 @@ def test_zero_energy_template_raises(q1):
         def __len__(self):
             return 4
 
-    y = QuantizedObservation(re_bins=np.ones(4, dtype=int), im_bins=np.ones(4, dtype=int))
+    table = bin_stats_table(q1, 2.0)
+    zeros = np.zeros(4, dtype=int)
     with pytest.raises(ZeroSignalError):
-        rao_statistic(y, _Fake(), q1, noise_power=2.0)
+        rao_statistic_batch(zeros, zeros, _Fake(), table)
     with pytest.raises(ZeroSignalError):
-        glrt_unquantized(np.zeros(4, dtype=complex), _Fake(), 2.0)
+        rao_statistic_batch(zeros[None], zeros[None], _Fake(), table)
+    with pytest.raises(ZeroSignalError):
+        glrt_unquantized_batch(np.zeros(4, dtype=complex), _Fake(), 2.0)
+    with pytest.raises(ZeroSignalError):
+        glrt_unquantized_batch(np.zeros((3, 4), dtype=complex), _Fake(), 2.0)
 
 
 def test_length_mismatch_raises(q1, signal):
-    y = QuantizedObservation(re_bins=np.ones(3, dtype=int), im_bins=np.ones(3, dtype=int))
+    table = bin_stats_table(q1, 2.0)
+    short = np.zeros(3, dtype=int)
     with pytest.raises(ValueError):
-        rao_statistic(y, signal, q1, noise_power=2.0)
+        rao_statistic_batch(short, short, signal, table)
     with pytest.raises(ValueError):
-        glrt_unquantized(np.zeros(3, dtype=complex), signal, 2.0)
+        rao_statistic_batch(np.zeros((5, 3), dtype=int), np.zeros((5, 3), dtype=int), signal, table)
+    full = np.zeros(len(signal), dtype=int)
+    with pytest.raises(ValueError):  # real and imaginary parts disagree
+        rao_statistic_batch(full, np.zeros((2, len(signal)), dtype=int), signal, table)
+    with pytest.raises(ValueError):
+        glrt_unquantized_batch(np.zeros(3, dtype=complex), signal, 2.0)
+    with pytest.raises(ValueError):
+        glrt_unquantized_batch(np.zeros((5, 3), dtype=complex), signal, 2.0)
 
 
-def test_bin_index_beyond_quantizer_raises(q1):
-    sig = _unit_signal()
-    y = QuantizedObservation(re_bins=np.array([3]), im_bins=np.array([1]))
-    with pytest.raises(ValueError):
-        rao_statistic(y, sig, q1, noise_power=2.0)
+def test_bin_index_beyond_quantizer_raises(q1, q2_ref, signal):
+    # indices are 0-based, in 0..2^q - 1; -1 must not wrap to the top bin
+    n = len(signal)
+    for thresholds in (q1, q2_ref):
+        table = bin_stats_table(thresholds, 2.0)
+        for bad in (-1, thresholds.n_bins):
+            row = np.zeros(n, dtype=int)
+            row[n // 2] = bad
+            block = np.zeros((3, n), dtype=int)
+            block[2, -1] = bad
+            zeros = np.zeros_like(block)
+            for re0, im0 in ((row, row * 0), (row * 0, row), (block, zeros), (zeros, block)):
+                with pytest.raises(ValueError):
+                    rao_statistic_batch(re0, im0, signal, table)
+        top = np.full(n, thresholds.n_bins - 1)
+        assert np.isfinite(rao_statistic_batch(top, top * 0, signal, table))

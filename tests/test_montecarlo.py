@@ -16,10 +16,10 @@ from quantdet.montecarlo import (
     run_trials,
     subseed,
 )
-from quantdet.perf_theory import chi2_quantile, noncentrality_unquantized
+from quantdet.perf_theory import noncentrality_unquantized
 from quantdet.quantizer import ThresholdSet
 from quantdet.signal_model import SceneConfig
-from quantdet.special import chi2_2_sf
+from quantdet.special import chi2_2_quantile, chi2_2_sf
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +243,7 @@ def test_pd_vs_snr_rows_and_monotonicity(small_scene, rao2):
     pts = pd_vs_snr(small_scene, [rao2, GlrtDetector()], grid, 0.1, 2000, seed=31)
     assert len(pts) == 6
     assert [p.q for p in pts] == ["2", "2", "2", "inf", "inf", "inf"]
-    assert all(p.eta_asymptotic == pytest.approx(chi2_quantile(0.1)) for p in pts)
+    assert all(p.eta_asymptotic == pytest.approx(chi2_2_quantile(0.1)) for p in pts)
     for i in (0, 3):  # each detector's rates climb with SNR (3 sigma slack)
         rates = [pts[i + k].p_d_at_empirical_eta for k in range(3)]
         slack = 3.0 * np.sqrt(0.25 / 2000)

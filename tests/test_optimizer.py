@@ -32,7 +32,7 @@ def test_pso_config_validation():
 def test_objective_equals_fisher_diagonal(signal, reference_q2):
     t = ThresholdSet(bits=2, interior=reference_q2)
     obj = objective(t, signal, 2.0)
-    diag = fisher_information(signal, t, 2.0).diagonal
+    diag = fisher_information(signal, t, 2.0)
     assert obj == pytest.approx(diag, rel=1e-14)
 
 

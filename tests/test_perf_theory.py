@@ -5,16 +5,14 @@ import pytest
 
 import oracles
 from quantdet.perf_theory import (
-    FisherInfo,
-    chi2_quantile,
     fisher_information,
     noncentrality,
     noncentrality_unquantized,
     theoretical_pd,
 )
-from quantdet.quantizer import ThresholdSet
+from quantdet.quantizer import ThresholdSet, bin_stats_table
 from quantdet.signal_model import SceneConfig, effective_signal
-from quantdet.special import noncentral_chi2_2_sf
+from quantdet.special import chi2_2_quantile, marcum_q1
 
 
 @pytest.fixture
@@ -27,31 +25,20 @@ def q2_ref(reference_q2):
     return ThresholdSet(bits=2, interior=reference_q2)
 
 
-def test_fisher_info_validation():
-    with pytest.raises(ValueError):
-        FisherInfo(matrix=np.array([[1.0, 0.1], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        FisherInfo(matrix=np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        FisherInfo(matrix=np.array([[0.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        FisherInfo(matrix=np.eye(3))
-    ok = FisherInfo(matrix=np.diag([3.0, 3.0]))
-    assert ok.diagonal == 3.0
-
-
 def test_fisher_info_unit_energy_sign_quantizer(q1):
     sig = effective_signal(SceneConfig(n_tx=1, n_rx=1, snapshots=1))
     info = fisher_information(sig, q1, noise_power=2.0)
-    assert info.diagonal == pytest.approx(2.0 / np.pi, rel=1e-12)
-    assert info.matrix[0, 1] == 0.0 and info.matrix[1, 0] == 0.0
+    assert type(info) is float
+    assert info == pytest.approx(2.0 / np.pi, rel=1e-12)
+    # exactly E * J1, the diagonal entry of the (c * I) information matrix
+    assert info == sig.energy * bin_stats_table(q1, 2.0).info_per_energy
 
 
 def test_fisher_info_scales_with_energy(q2_ref):
     small = effective_signal(SceneConfig(n_tx=1, n_rx=4, snapshots=8))
     big = effective_signal(SceneConfig(n_tx=1, n_rx=8, snapshots=8))
-    i_small = fisher_information(small, q2_ref, 2.0).diagonal
-    i_big = fisher_information(big, q2_ref, 2.0).diagonal
+    i_small = fisher_information(small, q2_ref, 2.0)
+    i_big = fisher_information(big, q2_ref, 2.0)
     assert i_big == pytest.approx(2.0 * i_small, rel=1e-12)
 
 
@@ -120,10 +107,10 @@ def test_refinement_cannot_lose_information(signal, reference_q2):
 
 
 def test_chi2_quantile_examples():
-    assert chi2_quantile(0.1) == pytest.approx(4.60517, abs=5e-6)
-    assert chi2_quantile(0.01) == pytest.approx(9.21034, abs=5e-6)
-    assert chi2_quantile(1e-4) == pytest.approx(18.42068, abs=5e-6)
-    assert np.exp(-chi2_quantile(0.037) / 2.0) == pytest.approx(0.037, rel=1e-13)
+    assert chi2_2_quantile(0.1) == pytest.approx(4.60517, abs=5e-6)
+    assert chi2_2_quantile(0.01) == pytest.approx(9.21034, abs=5e-6)
+    assert chi2_2_quantile(1e-4) == pytest.approx(18.42068, abs=5e-6)
+    assert np.exp(-chi2_2_quantile(0.037) / 2.0) == pytest.approx(0.037, rel=1e-13)
 
 
 def test_theoretical_pd_limits_and_monotonicity():
@@ -147,7 +134,7 @@ def test_theoretical_pd_limits_and_monotonicity():
 def test_theoretical_pd_is_noncentral_tail(frozen):
     lam = frozen["lambda_q2_m14db"]
     eta = frozen["eta_1e2"]
-    want = noncentral_chi2_2_sf(eta, lam)
+    want = marcum_q1(np.sqrt(lam), np.sqrt(eta))
     assert theoretical_pd(lam, 0.01) == pytest.approx(want, rel=1e-13)
     # and both agree with direct quadrature
     ref = oracles.ncx2_2_sf_quadrature(eta, lam)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from quantdet.quantizer import (
     DegenerateBinError,
     ThresholdSet,
-    bin_derivatives,
     bin_indices,
     bin_probability,
     bin_stats_table,
-    quantize,
 )
 
 
@@ -77,14 +76,15 @@ def test_bin_boundary_goes_to_lower_cell(q1):
 
 
 def test_quantize_examples(q1, q2_ref, q3_ref):
-    y = quantize(np.array([0.5 + 0.5j]), q1)
-    assert y.re_bins[0] == 2 and y.im_bins[0] == 2
-    y = quantize(np.array([0.5 - 3.0j]), q2_ref)
-    assert y.re_bins[0] == 3        # (-0.008, 0.967] holds 0.5
-    assert y.im_bins[0] == 1
-    y = quantize(np.array([-2.0 + 0.0j]), q3_ref)
-    assert y.re_bins[0] == 1        # below the lowest threshold -1.630
-    assert y.im_bins[0] == 4        # (-0.460, 0.067] holds 0.0
+    # a complex sample is quantized as its real and its imaginary part
+    x = np.array([0.5 + 0.5j])
+    assert bin_indices(x.real, q1)[0] == 1 and bin_indices(x.imag, q1)[0] == 1
+    x = np.array([0.5 - 3.0j])
+    assert bin_indices(x.real, q2_ref)[0] == 2   # (-0.008, 0.967] holds 0.5
+    assert bin_indices(x.imag, q2_ref)[0] == 0
+    x = np.array([-2.0 + 0.0j])
+    assert bin_indices(x.real, q3_ref)[0] == 0   # below the lowest threshold -1.630
+    assert bin_indices(x.imag, q3_ref)[0] == 3   # (-0.460, 0.067] holds 0.0
 
 
 def test_quantize_monotone(q3_ref):
@@ -92,12 +92,6 @@ def test_quantize_monotone(q3_ref):
     x = np.sort(rng.normal(size=200))
     idx = bin_indices(x, q3_ref)
     assert np.all(np.diff(idx) >= 0)
-
-
-def test_quantize_output_read_only(q2_ref):
-    y = quantize(np.array([0.1 + 0.2j]), q2_ref)
-    with pytest.raises(ValueError):
-        y.re_bins[0] = 0
 
 
 def test_bin_indices_cover_full_range(q2_ref):
@@ -109,30 +103,32 @@ def test_bin_indices_cover_full_range(q2_ref):
 def test_quantize_matches_loop_reference(q3_ref):
     rng = np.random.default_rng(4)
     x = rng.normal(scale=1.4, size=500) + 1j * rng.normal(scale=1.4, size=500)
-    y = quantize(x, q3_ref)
-    ref_re = oracles.quantize_ref(x.real, q3_ref.interior)  # 1-based
+    ref_re = oracles.quantize_ref(x.real, q3_ref.interior)
     ref_im = oracles.quantize_ref(x.imag, q3_ref.interior)
-    assert np.array_equal(y.re_bins, ref_re)
-    assert np.array_equal(y.im_bins, ref_im)
+    assert np.array_equal(bin_indices(x.real, q3_ref), ref_re)
+    assert np.array_equal(bin_indices(x.imag, q3_ref), ref_im)
 
 
 # ----------------------------------------------------------- cell probability
 
 def test_bin_probability_symmetric_half(q1):
+    assert bin_probability(0.0, 0, q1, noise_power=2.0) == pytest.approx(0.5, abs=1e-15)
     assert bin_probability(0.0, 1, q1, noise_power=2.0) == pytest.approx(0.5, abs=1e-15)
-    assert bin_probability(0.0, 2, q1, noise_power=2.0) == pytest.approx(0.5, abs=1e-15)
+    for outside in (-1, 2):  # bins are 0-based: 0..2^q - 1
+        with pytest.raises(ValueError):
+            bin_probability(0.0, outside, q1, noise_power=2.0)
 
 
 def test_bin_probability_against_mpmath(q2_ref, reference_q2):
     # middle cell mass at mean zero is Phi(b) - Phi(a) with unit sigma
-    got = bin_probability(0.0, 2, q2_ref, noise_power=2.0)
+    got = bin_probability(0.0, 1, q2_ref, noise_power=2.0)
     ref = oracles.normal_cdf_mp(reference_q2[1]) - oracles.normal_cdf_mp(reference_q2[0])
     assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_bin_probability_sums_to_one(q3_ref):
     for u in (-2.3, -0.4, 0.0, 1.7, 5.0):
-        total = sum(bin_probability(u, i, q3_ref, 2.0) for i in range(1, 9))
+        total = sum(bin_probability(u, i, q3_ref, 2.0) for i in range(8))
         assert total == pytest.approx(1.0, abs=1e-14)
 
 
@@ -142,7 +138,7 @@ def test_bin_probability_mc_frequency(q2_ref):
     x = rng.normal(loc=u, scale=1.0, size=100_000)
     idx = bin_indices(x, q2_ref)
     for i in range(4):
-        p = bin_probability(u, i + 1, q2_ref, noise_power=2.0)
+        p = bin_probability(u, i, q2_ref, noise_power=2.0)
         freq = np.mean(idx == i)
         se = np.sqrt(p * (1 - p) / x.size)
         assert abs(freq - p) <= 3 * se, i
@@ -150,11 +146,18 @@ def test_bin_probability_mc_frequency(q2_ref):
 
 # ------------------------------------------------------------ cell derivatives
 
+def _derivatives_at(u, thresholds, noise_power):
+    """(F', F'') of every bin at mean u: F at mean u with thresholds tau
+    equals F at mean 0 with thresholds tau - u."""
+    shifted = ThresholdSet(bits=thresholds.bits, interior=thresholds.interior - u)
+    table = bin_stats_table(shifted, noise_power)
+    return table.f1, table.f2
+
+
 def test_bin_derivatives_one_bit_values(q1):
     # density difference across a single threshold at the mean:
     # +/- phi(0) = 1/sqrt(2*pi); curvature term cancels exactly
-    f1_lo, f2_lo = bin_derivatives(0.0, 1, q1, 2.0)
-    f1_hi, f2_hi = bin_derivatives(0.0, 2, q1, 2.0)
+    (f1_lo, f1_hi), (f2_lo, f2_hi) = _derivatives_at(0.0, q1, 2.0)
     phi0 = 1.0 / np.sqrt(2 * np.pi)
     assert f1_lo == pytest.approx(-phi0, rel=1e-14)
     assert f1_hi == pytest.approx(phi0, rel=1e-14)
@@ -165,19 +168,19 @@ def test_bin_derivatives_one_bit_values(q1):
 def test_bin_derivatives_match_finite_differences(q3_ref):
     eps = 1e-5
     for u in (-1.2, -0.3, 0.0, 0.8, 2.1):
-        for i in range(1, 9):
+        d1s, d2s = _derivatives_at(u, q3_ref, 2.0)
+        for i in range(8):
             f_plus = bin_probability(u + eps, i, q3_ref, 2.0)
             f_minus = bin_probability(u - eps, i, q3_ref, 2.0)
             f_mid = bin_probability(u, i, q3_ref, 2.0)
             d1_num = (f_plus - f_minus) / (2 * eps)
             d2_num = (f_plus - 2 * f_mid + f_minus) / eps**2
-            d1, d2 = bin_derivatives(u, i, q3_ref, 2.0)
-            assert d1 == pytest.approx(d1_num, abs=5e-9)
-            assert d2 == pytest.approx(d2_num, abs=5e-5)
+            assert d1s[i] == pytest.approx(d1_num, abs=5e-9)
+            assert d2s[i] == pytest.approx(d2_num, abs=5e-5)
 
 
 def test_bin_derivatives_telescope_to_zero(q3_ref):
-    d1s, d2s = zip(*(bin_derivatives(0.3, i, q3_ref, 2.0) for i in range(1, 9)))
+    d1s, d2s = _derivatives_at(0.3, q3_ref, 2.0)
     assert abs(sum(d1s)) <= 1e-14
     assert abs(sum(d2s)) <= 1e-14
 
@@ -205,12 +208,17 @@ def test_stats_table_partition_identities(q3_ref):
 
 
 def test_stats_table_matches_scalar_api(q2_ref):
+    # masses against the scalar bin_probability, derivatives against the
+    # closed forms phi(e_i) - phi(e_i+1) and e_i phi(e_i) - e_i+1 phi(e_i+1)
+    # (unit sigma at noise_power 2) with scipy's normal density
     t = bin_stats_table(q2_ref, noise_power=2.0)
-    for i in range(1, 5):
-        assert t.f[i - 1] == pytest.approx(bin_probability(0.0, i, q2_ref, 2.0), rel=1e-14)
-        d1, d2 = bin_derivatives(0.0, i, q2_ref, 2.0)
-        assert t.f1[i - 1] == pytest.approx(d1, rel=1e-14)
-        assert t.f2[i - 1] == pytest.approx(d2, rel=1e-13, abs=1e-16)
+    e = q2_ref.edges()
+    dens = stats.norm.pdf(e)
+    tdens = np.where(np.isfinite(e), e, 0.0) * dens
+    for i in range(4):
+        assert t.f[i] == pytest.approx(bin_probability(0.0, i, q2_ref, 2.0), rel=1e-14)
+        assert t.f1[i] == pytest.approx(dens[i] - dens[i + 1], rel=1e-14)
+        assert t.f2[i] == pytest.approx(tdens[i] - tdens[i + 1], rel=1e-13, abs=1e-16)
 
 
 def test_stats_table_score_ratio(q2_ref):
