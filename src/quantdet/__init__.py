@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`quantdet.signal_model`  -- scenes, steering/waveform structure, synthesis
 * :mod:`quantdet.quantizer`     -- threshold sets, 0-based binning, Gaussian bin statistics
-* :mod:`quantdet.detectors`     -- batch-first Rao test and unquantized GLRT
-* :mod:`quantdet.perf_theory`   -- Fisher information and asymptotic ROC theory
+* :mod:`quantdet.detectors`     -- batch-first Rao test and unquantized GLRT, detector classes
+* :mod:`quantdet.perf_theory`   -- Fisher information and asymptotic detection rates
 * :mod:`quantdet.optimizer`     -- swarm design of detection-optimal thresholds
 * :mod:`quantdet.montecarlo`    -- reproducible trial engine, ROC / SNR sweeps
 * :mod:`quantdet.experiment`    -- flat config files
@@ -13,11 +13,15 @@ Library layout:
 * :mod:`quantdet.cli`           -- the ``quantdet`` command
 """
 
-from .detectors import ZeroSignalError, glrt_unquantized_batch, rao_statistic_batch
-from .experiment import ConfigError, ExperimentSpec, load_config, parse_config, save_config, serialize_config
-from .montecarlo import (
+from .detectors import (
     GlrtDetector,
     RaoDetector,
+    ZeroSignalError,
+    glrt_unquantized_batch,
+    rao_statistic_batch,
+)
+from .experiment import ConfigError, ExperimentSpec, load_config, parse_config, save_config, serialize_config
+from .montecarlo import (
     RocCurve,
     SweepPoint,
     TrialConfig,
@@ -31,17 +35,11 @@ from .optimizer import (
     PsoConfig,
     PsoResult,
     canonical_grid,
-    objective,
     optimize_thresholds,
     read_checkpoint,
     write_checkpoint,
 )
-from .perf_theory import (
-    fisher_information,
-    noncentrality,
-    noncentrality_unquantized,
-    theoretical_pd,
-)
+from .perf_theory import fisher_information, theoretical_pd
 from .quantizer import BinStats, DegenerateBinError, ThresholdSet, bin_probability, bin_stats_table
 from .selftest import CheckResult, run_selftest
 from .signal_model import (
@@ -88,9 +86,6 @@ __all__ = [
     "lfm_waveform",
     "load_config",
     "marcum_q1",
-    "noncentrality",
-    "noncentrality_unquantized",
-    "objective",
     "optimize_thresholds",
     "parse_config",
     "pd_vs_snr",

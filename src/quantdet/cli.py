@@ -29,18 +29,11 @@ import sys
 
 import numpy as np
 
+from .detectors import GlrtDetector, RaoDetector
 from .experiment import COMMANDS, ConfigError, ExperimentSpec, load_config
-from .montecarlo import (
-    GlrtDetector,
-    RaoDetector,
-    TrialConfig,
-    estimate_roc,
-    pd_vs_snr,
-    run_trials,
-    subseed,
-)
+from .montecarlo import TrialConfig, estimate_roc, pd_vs_snr, run_trials, subseed
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
-from .perf_theory import noncentrality, noncentrality_unquantized, theoretical_pd
+from .perf_theory import theoretical_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
@@ -186,26 +179,16 @@ def _resolve_thresholds(spec, scene, signal, bits: int):
 def _resolve_detectors(spec, scene, signal) -> list:
     """(detector, threshold origin) for ``--q``, else for each ``--detectors`` token.
 
-    Every token is checked before any threshold is designed.
+    :class:`ExperimentSpec` has checked every token before this designs
+    any threshold.
     """
     tokens = (str(spec.q),) if spec.q is not None else spec.detectors
-    if not tokens:
-        raise ConfigError("detector list is empty")
-    depths = []
-    for tok in tokens:
-        try:
-            bits = None if tok == "inf" else int(tok)
-        except ValueError:
-            raise ConfigError(f"bad detector token {tok!r}: expected a bit depth or 'inf'")
-        if bits is not None and bits < 1:
-            raise ConfigError(f"bit depth must be >= 1, got {bits}")
-        depths.append(bits)
     out = []
-    for bits in depths:
-        if bits is None:
+    for tok in tokens:
+        if tok == "inf":
             out.append((GlrtDetector(), "exact"))
             continue
-        ts, origin = _resolve_thresholds(spec, scene, signal, bits)
+        ts, origin = _resolve_thresholds(spec, scene, signal, int(tok))
         out.append((RaoDetector(ts), origin))
     return out
 
@@ -239,8 +222,6 @@ def _codeword_lines(thresholds: ThresholdSet) -> list:
 def cmd_thresholds(spec: ExperimentSpec) -> int:
     if spec.q is None:
         raise ConfigError("thresholds: --q is required")
-    if not 1 <= spec.q <= 8:
-        raise ConfigError(f"thresholds: q must be in 1..8, got {spec.q}")
     seed = _require_seed(spec)
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
@@ -281,12 +262,7 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
             eta_grid = tuple(np.linspace(0.0, 30.0, 31))
     rows = []
     for d_idx, (detector, origin) in enumerate(_resolve_detectors(spec, scene, signal)):
-        if isinstance(detector, GlrtDetector):
-            lam = noncentrality_unquantized(scene.beta_complex, signal, scene.noise_power)
-        else:
-            lam = noncentrality(
-                scene.beta_complex, signal, detector.thresholds, scene.noise_power
-            )
+        lam = detector.noncentrality(scene, signal)
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
               f"lambda_f={lam:.6g}, trials={trials} per hypothesis")
         cfg = TrialConfig(
@@ -353,17 +329,15 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
 def cmd_theory(spec: ExperimentSpec) -> int:
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
-    if spec.thresholds_path is not None:
-        ts, _meta = read_checkpoint(spec.thresholds_path)
-        lam = noncentrality(scene.beta_complex, signal, ts, scene.noise_power)
-        what = f"rao q={ts.bits}"
-    elif spec.q is not None:
+    # --q designs (or reuses a matching file) as roc does; else the file; else GLRT
+    if spec.q is not None:
         ts, origin = _resolve_thresholds(spec, scene, signal, spec.q)
-        lam = noncentrality(scene.beta_complex, signal, ts, scene.noise_power)
-        what = f"rao q={spec.q} (thresholds {origin})"
+        detector, note = RaoDetector(ts), f" (thresholds {origin})"
+    elif spec.thresholds_path is not None:
+        detector, note = RaoDetector(read_checkpoint(spec.thresholds_path)[0]), ""
     else:
-        lam = noncentrality_unquantized(scene.beta_complex, signal, scene.noise_power)
-        what = "glrt q=inf"
+        detector, note = GlrtDetector(), ""
+    lam = detector.noncentrality(scene, signal)
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
     rows = []
     for p in pfa_grid:
@@ -371,7 +345,7 @@ def cmd_theory(spec: ExperimentSpec) -> int:
         rows.append((float(p), eta, lam, theoretical_pd(lam, p)))
     out = spec.out or "theory.csv"
     count = _write_csv(out, _THEORY_HEADER, rows)
-    print(f"theory curve for {what}, lambda_f={lam:.6g}")
+    print(f"theory curve for {detector.label} q={detector.q_label}{note}, lambda_f={lam:.6g}")
     print(f"wrote {count} rows to {out}")
     return 0
 

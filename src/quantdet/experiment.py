@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 COMMANDS = ("thresholds", "roc", "pd-eta", "pd-snr", "theory", "selftest")
 
+# largest bit depth any command accepts: the swarm searches 2^q - 1 thresholds
+# per particle, so a larger q would mean a huge design (q = 30: ~430 GB)
+MAX_BITS = 8
+
 
 class ConfigError(ValueError):
     """Malformed experiment configuration (file or merged flags)."""
@@ -79,12 +83,23 @@ class ExperimentSpec:
             raise ConfigError("workers must be >= 1")
         if not 0.0 < self.pfa < 1.0:
             raise ConfigError("pfa must lie in (0, 1)")
-        if self.q is not None and self.q < 1:
-            raise ConfigError("q must be >= 1")
+        if self.q is not None and not 1 <= self.q <= MAX_BITS:
+            raise ConfigError(f"q must be in 1..{MAX_BITS}, got {self.q}")
         for name in ("pfa_grid", "eta_grid", "snr_grid_db", "detectors"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, tuple(v))
+        if not self.detectors:
+            raise ConfigError("detector list is empty")
+        for tok in self.detectors:
+            try:
+                ok = tok == "inf" or 1 <= int(tok) <= MAX_BITS
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(
+                    f"bad detector token {tok!r}: expected a bit depth in 1..{MAX_BITS} or 'inf'"
+                )
 
 
 def _parse_str(s: str) -> str:

@@ -14,7 +14,10 @@ in index order.
 A chunk draws its noise through one Philox bit generator, re-keyed for
 each trial (:func:`quantdet.signal_model.noise_block`): trial i's draws
 equal ``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))``
-bit for bit, without a generator built per trial.
+bit for bit, without a generator built per trial.  The detector reads
+the chunk's Re/Im planes (``observe``: bin indices for the Rao test, the
+block itself as complex rows for the GLRT) before the planes are freed,
+then turns what it read into statistics (``statistic``).
 
 Sub-experiments (one per detector / SNR point in a sweep) draw their
 master seeds from a SeedSequence spawned off the experiment seed, so
@@ -31,8 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .detectors import glrt_unquantized_batch, rao_statistic_batch
-from .quantizer import ThresholdSet, bin_indices, bin_stats_table
+from .detectors import GlrtDetector, RaoDetector
 from .signal_model import (
     Hypothesis,
     SceneConfig,
@@ -41,34 +43,6 @@ from .signal_model import (
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
 from .special import chi2_2_quantile, chi2_2_sf, marcum_q1
-
-
-@dataclass(frozen=True)
-class RaoDetector:
-    """Quantized Rao detector with a fixed threshold design."""
-
-    thresholds: ThresholdSet
-
-    @property
-    def label(self) -> str:
-        return "rao"
-
-    @property
-    def q_label(self) -> str:
-        return str(self.thresholds.bits)
-
-
-@dataclass(frozen=True)
-class GlrtDetector:
-    """Unquantized matched-filter GLRT (infinite-resolution benchmark)."""
-
-    @property
-    def label(self) -> str:
-        return "glrt"
-
-    @property
-    def q_label(self) -> str:
-        return "inf"
 
 
 @dataclass(frozen=True)
@@ -111,20 +85,9 @@ def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int
         mean = scene.beta_complex * signal.z
         w[:, 0] += mean.real
         w[:, 1] += mean.imag
-    det = cfg.detector
-    if isinstance(det, RaoDetector):
-        table = bin_stats_table(det.thresholds, scene.noise_power)
-        re0 = bin_indices(w[:, 0], det.thresholds)
-        im0 = bin_indices(w[:, 1], det.thresholds)
-        del w  # free the planes before the score sums, which set the peak
-        return rao_statistic_batch(re0, im0, signal, table)
-    # interleave each trial's two planes in place, so the block itself holds
-    # the complex observations; 64 trials at a time keep the temporary small
-    for a in range(0, len(w), 64):
-        rows = w[a : a + 64]
-        rows.reshape(len(rows), -1)[:] = rows.transpose(0, 2, 1).reshape(len(rows), -1)
-    x = w.reshape(len(w), -1).view(complex)
-    return glrt_unquantized_batch(x, signal, scene.noise_power)
+    observed = cfg.detector.observe(w)
+    del w  # free the planes before the score sums, which set the peak
+    return cfg.detector.statistic(observed, signal, scene.noise_power)
 
 
 def _run_hypothesis(cfg: TrialConfig, hypothesis: Hypothesis, n_trials: int) -> np.ndarray:

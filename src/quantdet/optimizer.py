@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import ThresholdSet, _stats_from_edges, bin_stats_table, DegenerateBinError
+from .quantizer import ThresholdSet, _stats_from_edges
 from .signal_model import EffectiveSignal
 
 # Minimum post-repair gap between neighbouring thresholds.  Large enough
@@ -76,30 +76,17 @@ class PsoResult:
     converged: bool
 
 
-def objective(
-    thresholds: ThresholdSet, signal: EffectiveSignal, noise_power: float
-) -> float:
-    """Fisher-information diagonal E * J1 for one candidate.
-
-    Degenerate candidates (a bin with vanishing mass) score -inf so the
-    swarm can fly through infeasible territory and recover.
-    """
-    try:
-        table = bin_stats_table(thresholds, noise_power, floor=_MASS_FLOOR)
-    except DegenerateBinError:
-        return -math.inf
-    return signal.energy * table.info_per_energy
-
-
 def _objective_rows(positions: np.ndarray, energy: float, noise_power: float) -> np.ndarray:
-    """Vectorized :func:`objective` over a (swarm, dim) block of candidates.
+    """Objective E * J1 of each row of a (swarm, dim) block of candidates.
 
     Rows must already be strictly increasing (run through :func:`_repair`).
+    Degenerate candidates (a bin with vanishing mass) score -inf so the
+    swarm can fly through infeasible territory and recover.
     """
     swarm = positions.shape[0]
     inf_col = np.full((swarm, 1), np.inf)
     edges = np.concatenate((-inf_col, positions, inf_col), axis=1)
-    f, f1, f2 = _stats_from_edges(edges, 0.0, noise_power)
+    f, f1, f2 = _stats_from_edges(edges, noise_power)
     feasible = f.min(axis=1) >= _MASS_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         info = ((f1 ** 2 - f2 * f) / f).sum(axis=1)

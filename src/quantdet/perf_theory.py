@@ -1,6 +1,6 @@
-"""Asymptotic performance theory for the quantized Rao detector.
+"""Fisher information and asymptotic detection rates.
 
-Key facts wrapped here:
+Key facts behind them:
 
 * The per-amplitude Fisher information matrix at beta = 0 is diagonal
   with equal entries E * J1 (template energy times information per unit
@@ -18,7 +18,9 @@ Key facts wrapped here:
 
 The unquantized matched filter obeys the same formulas with J1 replaced
 by its infinite-resolution limit 2 / noise_power, which upper-bounds
-every quantized J1.
+every quantized J1.  Each detector class computes its own lambda_F
+(``noncentrality`` in :mod:`quantdet.detectors`), the quantized one from
+:func:`fisher_information`.
 """
 
 from __future__ import annotations
@@ -36,26 +38,6 @@ def fisher_information(
     """Diagonal entry E * J1 of the Fisher information at beta = 0."""
     table = bin_stats_table(thresholds, noise_power)
     return float(signal.energy * table.info_per_energy)
-
-
-def noncentrality(
-    beta: complex,
-    signal: EffectiveSignal,
-    thresholds: ThresholdSet,
-    noise_power: float,
-) -> float:
-    """Asymptotic noncentrality lambda_F = |beta|^2 * E * J1 (quantized)."""
-    info = fisher_information(signal, thresholds, noise_power)
-    return float(abs(beta) ** 2 * info)
-
-
-def noncentrality_unquantized(
-    beta: complex, signal: EffectiveSignal, noise_power: float
-) -> float:
-    """Noncentrality of the unquantized matched filter: 2 |beta|^2 E / noise_power."""
-    if not noise_power > 0.0:
-        raise ValueError("noise_power must be positive")
-    return float(abs(beta) ** 2 * signal.energy * 2.0 / noise_power)
 
 
 def theoretical_pd(lambda_f: float, p_fa: float) -> float:

@@ -101,29 +101,28 @@ def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
     return np.searchsorted(thresholds.interior, values, side="left")
 
 
-def _edge_terms(edges: np.ndarray, u, s: float):
-    """(Q values, densities, t*density) at shifted edges, inf-safe.
+def _edge_terms(edges: np.ndarray, s: float):
+    """(Q values, densities, t*density) at the edges, inf-safe.
 
-    Returns arrays shaped like ``edges - u`` broadcast: ``qfunc((e-u)/s)``,
-    ``phi_s(e-u)`` and ``(e-u) * phi_s(e-u)``, the last two forced to an
-    exact 0.0 at infinite edges.
+    Returns arrays shaped like ``edges``: ``qfunc(e/s)``, ``phi_s(e)`` and
+    ``e * phi_s(e)``, the last two forced to an exact 0.0 at infinite edges.
     """
-    t = (edges - u) / s
+    t = edges / s
     finite = np.isfinite(t)
     tf = np.where(finite, t, 0.0)
     dens = np.where(finite, gauss_density(tf * s, sigma=s), 0.0)
     return qfunc(t), dens, tf * s * dens
 
 
-def _stats_from_edges(edges: np.ndarray, u, noise_power: float):
-    """Core (F, F', F'') evaluation shared by the table builder and optimizer.
+def _stats_from_edges(edges: np.ndarray, noise_power: float):
+    """Core (F, F', F'') at u = 0, shared by the table builder and optimizer.
 
     ``edges`` has the framing infinities along its last axis; broadcasting
     over leading axes lets one call score a whole swarm of candidate
     threshold vectors.
     """
     s = math.sqrt(noise_power / 2.0)
-    qv, dens, tdens = _edge_terms(edges, u, s)
+    qv, dens, tdens = _edge_terms(edges, s)
     lo = slice(None, -1)
     hi = slice(1, None)
     f = qv[..., lo] - qv[..., hi]
@@ -187,7 +186,7 @@ def bin_stats_table(
     """
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
-    f, f1, f2 = _stats_from_edges(thresholds.edges(), 0.0, noise_power)
+    f, f1, f2 = _stats_from_edges(thresholds.edges(), noise_power)
     if f.min() < floor:
         worst = int(np.argmin(f))
         raise DegenerateBinError(

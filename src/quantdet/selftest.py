@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import _score_sums, rao_statistic_batch
-from .montecarlo import RaoDetector, TrialConfig, run_trials, subseed
+from .detectors import RaoDetector, _score_sums, rao_statistic_batch
+from .montecarlo import TrialConfig, run_trials, subseed
 from .optimizer import PsoConfig, optimize_thresholds
 from .perf_theory import fisher_information
 from .quantizer import ThresholdSet, bin_indices, bin_probability, bin_stats_table

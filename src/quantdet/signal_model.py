@@ -265,7 +265,6 @@ def synthesize_observation(
     signal: EffectiveSignal,
     hypothesis: Hypothesis,
     rng,
-    noise_free: bool = False,
 ) -> np.ndarray:
     """One complex observation vector under the requested hypothesis.
 
@@ -279,9 +278,6 @@ def synthesize_observation(
         H0 draws pure noise; H1 adds ``beta * z``.
     rng : numpy.random.Generator or int
         Noise source.  An int is shorthand for ``stream_rng(rng)``.
-    noise_free : bool
-        If True, skip the noise draw entirely (useful for oracles);
-        the rng is not consumed.
 
     Notes
     -----
@@ -297,8 +293,6 @@ def synthesize_observation(
     if isinstance(rng, (int, np.integer)):
         rng = stream_rng(int(rng))
     mean = cfg.beta_complex * signal.z if hypothesis is Hypothesis.H1 else 0.0
-    if noise_free:
-        return np.asarray(mean if hypothesis is Hypothesis.H1 else np.zeros(len(signal), dtype=complex))
     comp_std = math.sqrt(cfg.noise_power / 2.0)
     w = rng.standard_normal((2, len(signal)))
     return mean + comp_std * (w[0] + 1j * w[1])

@@ -14,10 +14,8 @@ import pytest
 import oracles
 from conftest import FROZEN, REFERENCE_Q1, REFERENCE_Q2, REFERENCE_Q3
 from quantdet import cli
-from quantdet.detectors import _score_sums, rao_statistic_batch
+from quantdet.detectors import GlrtDetector, RaoDetector, _score_sums, rao_statistic_batch
 from quantdet.montecarlo import (
-    GlrtDetector,
-    RaoDetector,
     TrialConfig,
     empirical_threshold,
     exceedance,
@@ -25,13 +23,8 @@ from quantdet.montecarlo import (
     run_trials,
     subseed,
 )
-from quantdet.optimizer import objective, read_checkpoint
-from quantdet.perf_theory import (
-    fisher_information,
-    noncentrality,
-    noncentrality_unquantized,
-    theoretical_pd,
-)
+from quantdet.optimizer import read_checkpoint
+from quantdet.perf_theory import fisher_information, theoretical_pd
 from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
 from quantdet.signal_model import (
     Hypothesis,
@@ -101,16 +94,8 @@ def mc14(scene, cli_designs):
         h0, _ = run_trials(TrialConfig(n_trials_h0=100_000, n_trials_h1=0, **common))
         elapsed_h0 = time.perf_counter() - t0
         _, h1 = run_trials(TrialConfig(n_trials_h0=0, n_trials_h1=100_000, **common))
-        runs[key] = {"h0": h0, "h1": h1, "elapsed_h0": elapsed_h0}
+        runs[key] = {"detector": det, "h0": h0, "h1": h1, "elapsed_h0": elapsed_h0}
     return runs
-
-
-def _lambda_at(scene, signal, cli_designs, key):
-    if key == "inf":
-        return noncentrality_unquantized(scene.beta_complex, signal, scene.noise_power)
-    return noncentrality(
-        scene.beta_complex, signal, cli_designs[key]["thresholds"], scene.noise_power
-    )
 
 
 # --------------------------------------------------------------- criterion 1
@@ -123,7 +108,7 @@ def test_criterion_1_reference_threshold_recovery(q, cli_designs, signal):
     reference = np.asarray(REFERENCE[q])
     worst = float(np.abs(ts.interior - optimum).max())
     off_reference = float(np.abs(ts.interior - reference).max())
-    ref_obj = objective(ThresholdSet(bits=q, interior=reference), signal, 2.0)
+    ref_obj = fisher_information(signal, ThresholdSet(bits=q, interior=reference), 2.0)
     ratio = design["objective"] / ref_obj
     elapsed = design["elapsed"]
     ok = worst <= TAU_TOL[q] and ratio >= 0.999 and elapsed <= 120.0
@@ -157,7 +142,8 @@ def test_criterion_1_expected_values_are_stationary(signal):
 
     def grad_j1(interior, h=1e-5):
         def j1(x):
-            return objective(ThresholdSet(bits=3, interior=x), signal, 2.0) / signal.energy
+            ts = ThresholdSet(bits=3, interior=x)
+            return fisher_information(signal, ts, 2.0) / signal.energy
 
         steps = h * np.eye(len(interior))
         return np.array([(j1(interior + e) - j1(interior - e)) / (2.0 * h) for e in steps])
@@ -198,8 +184,8 @@ def test_criterion_2_null_calibration(mc14):
 # --------------------------------------------------------------- criterion 3
 
 @pytest.mark.parametrize("q", (1, 2, 3))
-def test_criterion_3_theory_matches_simulation(q, mc14, scene, signal, cli_designs):
-    lam = _lambda_at(scene, signal, cli_designs, q)
+def test_criterion_3_theory_matches_simulation(q, mc14, scene, signal):
+    lam = mc14[q]["detector"].noncentrality(scene, signal)
     h1 = mc14[q]["h1"]
     diffs = {}
     for pfa in (1e-2, 1e-1):
@@ -267,12 +253,8 @@ def test_criterion_5_one_bit_penalty(scene, cli_designs):
             beta=(float(rng.normal()) or 0.3, float(rng.normal())),
         )
         sig = effective_signal(random_scene)
-        lam_1 = noncentrality(
-            random_scene.beta_complex, sig, sign_q, random_scene.noise_power
-        )
-        lam_inf = noncentrality_unquantized(
-            random_scene.beta_complex, sig, random_scene.noise_power
-        )
+        lam_1 = RaoDetector(sign_q).noncentrality(random_scene, sig)
+        lam_inf = GlrtDetector().noncentrality(random_scene, sig)
         worst = max(worst, abs(lam_1 / lam_inf - 2.0 / np.pi))
     analytic_ok = worst <= 1e-12
 
@@ -408,5 +390,5 @@ def test_criterion_8_noncentral_cdf_matches_quadrature():
 # this file matches the value frozen before the package was written
 def test_frozen_lambda_is_consistent(scene, signal):
     t_opt = ThresholdSet(bits=2, interior=FROZEN["opt_tau_q2"])
-    lam = noncentrality(scene.beta_complex, signal, t_opt, scene.noise_power)
+    lam = RaoDetector(t_opt).noncentrality(scene, signal)
     assert lam == pytest.approx(FROZEN["lambda_q2_m14db"], rel=1e-10)

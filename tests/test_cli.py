@@ -192,13 +192,28 @@ def test_theory_from_checkpoint_matches_direct_noncentrality(tmp_path, capsys):
     assert run(["theory", "--thresholds", str(ts_file), "--snr-db=-14",
                 "--out", str(out), "--pfa-grid", "0.01"]) == 0
     lam_col = float(_read(out).strip().split("\n")[1].split(",")[2])
-    from quantdet.perf_theory import noncentrality
+    from quantdet.detectors import RaoDetector
     from quantdet.signal_model import SceneConfig, effective_signal
 
     scene = SceneConfig(n_tx=2, n_rx=16, snapshots=8).with_snr_db(-14.0)
     ts, _ = read_checkpoint(ts_file)
-    want = noncentrality(scene.beta_complex, effective_signal(scene), ts, 2.0)
+    want = RaoDetector(ts).noncentrality(scene, effective_signal(scene))
     assert lam_col == pytest.approx(want, rel=1e-12)
+
+
+def test_theory_q_designs_when_the_file_has_other_bits(tmp_path, capsys):
+    # --q wins over a threshold file of another depth, as in roc: the
+    # curve is for a fresh q=3 design, not for the q=2 file
+    ts_file = tmp_path / "q2.txt"
+    assert run(["thresholds", "--q", "2", "--seed", "1", "--out", str(ts_file)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    assert run(["theory", "--q", "3", "--thresholds", str(ts_file), "--seed", "1",
+                "--out", str(out)]) == 0
+    assert "theory curve for rao q=3 (thresholds swarm)" in capsys.readouterr().out
+    direct = tmp_path / "direct.csv"
+    assert run(["theory", "--q", "3", "--seed", "1", "--out", str(direct)]) == 0
+    assert _read(out) == _read(direct)
 
 
 # ------------------------------------------------------------------- selftest
@@ -242,6 +257,31 @@ def test_usage_errors_exit_one():
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "thresholds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["roc", "--q", "9", "--seed", "1"], None),
+        (["pd-snr", "--detectors", "1,9", "--seed", "1"], None),
+        (["theory", "--q", "9", "--seed", "1"], None),
+        (["pd-eta", "--seed", "1"], "detectors = 2,x\n"),
+    ],
+    ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x"],
+)
+def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch):
+    # q and every detector token must be 'inf' or 1..8; a bad one fails
+    # before any threshold is designed and before anything is written
+    def no_design(*args, **kwargs):
+        raise AssertionError("optimize_thresholds was called")
+
+    monkeypatch.setattr(cli, "optimize_thresholds", no_design)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", "exp.cfg"]
+    assert run(argv) == 1
+    assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config else [])
 
 
 def test_config_file_missing_exits_one(tmp_path):

@@ -86,6 +86,12 @@ def test_spec_validation():
         ExperimentSpec(q=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(workers=0)
+    # bit depths: q and every detector token in 1..8 (or 'inf'), a non-empty list
+    for fields in (dict(q=9), dict(detectors=("1", "9")), dict(detectors=("0",)),
+                   dict(detectors=("2", "x")), dict(detectors=())):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(**fields)
+    assert ExperimentSpec(q=8, detectors=("1", "8", "inf")).q == 8
 
 
 def test_file_round_trip(tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from quantdet.optimizer import (
     PsoConfig,
     canonical_grid,
-    objective,
     optimize_thresholds,
     read_checkpoint,
     write_checkpoint,
+    _objective_rows,
     _repair,
 )
 from quantdet.perf_theory import fisher_information
@@ -30,28 +30,31 @@ def test_pso_config_validation():
 
 
 def test_objective_equals_fisher_diagonal(signal, reference_q2):
+    # the swarm's vectorized score of a candidate is the Fisher diagonal E * J1
     t = ThresholdSet(bits=2, interior=reference_q2)
-    obj = objective(t, signal, 2.0)
+    obj = _objective_rows(t.interior[None, :], signal.energy, 2.0)[0]
     diag = fisher_information(signal, t, 2.0)
     assert obj == pytest.approx(diag, rel=1e-14)
 
 
 def test_objective_frozen_reference_value(signal, frozen):
     t = ThresholdSet(bits=2, interior=frozen["opt_tau_q2"])
-    assert objective(t, signal, 2.0) == pytest.approx(
+    assert fisher_information(signal, t, 2.0) == pytest.approx(
         signal.energy * frozen["opt_info_q2"], rel=1e-10
     )
 
 
 def test_objective_degenerate_candidate_is_minus_inf(signal):
-    t = ThresholdSet(bits=2, interior=(40.0, 41.0, 42.0))
-    assert objective(t, signal, 2.0) == -np.inf
+    rows = np.array([[40.0, 41.0, 42.0], [-1.0, 0.0, 1.0]])
+    obj = _objective_rows(rows, signal.energy, 2.0)
+    assert obj[0] == -np.inf
+    assert np.isfinite(obj[1])
 
 
 def test_objective_prefers_reference_over_shifted(signal, reference_q2):
     good = ThresholdSet(bits=2, interior=reference_q2)
     shifted = ThresholdSet(bits=2, interior=tuple(v + 0.5 for v in reference_q2))
-    assert objective(good, signal, 2.0) > objective(shifted, signal, 2.0)
+    assert fisher_information(signal, good, 2.0) > fisher_information(signal, shifted, 2.0)
 
 
 def test_repair_enforces_strict_increase():
@@ -109,7 +112,7 @@ def test_design_objectives_hit_frozen_info(designs, signal, frozen):
 def test_design_beats_canonical_grid(designs, signal):
     for q in (1, 2, 3):
         grid = ThresholdSet(bits=q, interior=canonical_grid(q, 2.0, 5.0))
-        assert designs[q].achieved_objective >= objective(grid, signal, 2.0) - 1e-12
+        assert designs[q].achieved_objective >= fisher_information(signal, grid, 2.0) - 1e-12
 
 
 def test_designs_nearly_antisymmetric(designs):

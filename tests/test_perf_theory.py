@@ -1,18 +1,20 @@
-"""Information matrix, noncentrality, and the asymptotic ROC formulas."""
+"""Information matrix, the detectors' noncentrality, and the asymptotic ROC formulas."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import oracles
-from quantdet.perf_theory import (
-    fisher_information,
-    noncentrality,
-    noncentrality_unquantized,
-    theoretical_pd,
-)
+from quantdet.detectors import GlrtDetector, RaoDetector
+from quantdet.perf_theory import fisher_information, theoretical_pd
 from quantdet.quantizer import ThresholdSet, bin_stats_table
 from quantdet.signal_model import SceneConfig, effective_signal
 from quantdet.special import chi2_2_quantile, marcum_q1
+
+
+def _with_beta(scene, beta):
+    return dataclasses.replace(scene, beta=(beta.real, beta.imag))
 
 
 @pytest.fixture
@@ -43,34 +45,38 @@ def test_fisher_info_scales_with_energy(q2_ref):
 
 
 def test_noncentrality_values(scene, signal, q2_ref, frozen):
-    lam = noncentrality(scene.beta_complex, signal, q2_ref, scene.noise_power)
+    rao = RaoDetector(q2_ref)
+    lam = rao.noncentrality(scene, signal)
+    assert type(lam) is float
     # reference design sits a hair below the frozen optimal-design value
     assert lam == pytest.approx(
         abs(scene.beta_complex) ** 2 * signal.energy * frozen["ref_info_q2"], rel=1e-10
     )
-    assert noncentrality(0.0, signal, q2_ref, scene.noise_power) == 0.0
+    assert rao.noncentrality(_with_beta(scene, 0j), signal) == 0.0
     # quadratic in the amplitude
-    lam3 = noncentrality(3.0 * scene.beta_complex, signal, q2_ref, scene.noise_power)
+    lam3 = rao.noncentrality(_with_beta(scene, 3.0 * scene.beta_complex), signal)
     assert lam3 == pytest.approx(9.0 * lam, rel=1e-12)
 
 
 def test_noncentrality_optimal_design_frozen_value(scene, signal, frozen):
     t_opt = ThresholdSet(bits=2, interior=frozen["opt_tau_q2"])
-    lam = noncentrality(scene.beta_complex, signal, t_opt, scene.noise_power)
+    lam = RaoDetector(t_opt).noncentrality(scene, signal)
     assert lam == pytest.approx(frozen["lambda_q2_m14db"], rel=1e-10)
 
 
-def test_unquantized_bound_dominates_every_quantizer(signal):
+def test_unquantized_bound_dominates_every_quantizer(scene, signal):
     rng = np.random.default_rng(3)
     beta = 0.2 + 0.1j
-    lam_inf = noncentrality_unquantized(beta, signal, 2.0)
+    target = _with_beta(scene, beta)  # noise_power 2
+    lam_inf = GlrtDetector().noncentrality(target, signal)
+    assert type(lam_inf) is float
     assert lam_inf == pytest.approx(abs(beta) ** 2 * signal.energy, rel=1e-12)
     for bits in (1, 2, 3):
         for _ in range(5):
             interior = np.sort(rng.uniform(-2.5, 2.5, size=2**bits - 1))
             interior += np.arange(interior.size) * 1e-6  # enforce strict increase
             t = ThresholdSet(bits=bits, interior=interior)
-            lam = noncentrality(beta, signal, t, 2.0)
+            lam = RaoDetector(t).noncentrality(target, signal)
             assert 0.0 < lam < lam_inf
 
 
@@ -83,26 +89,24 @@ def test_one_bit_ratio_is_two_over_pi(q1):
             snapshots=int(rng.integers(2, 16)),
             angle=float(rng.uniform(-1.0, 1.0)),
             noise_power=float(rng.uniform(0.5, 4.0)),
-            beta=(float(rng.normal()), float(rng.normal())),
+            beta=(float(rng.normal()) or 0.1, float(rng.normal())),
         )
         sig = effective_signal(cfg)
-        beta = cfg.beta_complex
-        if beta == 0:
-            beta = 0.1
-        lam_q = noncentrality(beta, sig, q1, cfg.noise_power)
-        lam_inf = noncentrality_unquantized(beta, sig, cfg.noise_power)
+        lam_q = RaoDetector(q1).noncentrality(cfg, sig)
+        lam_inf = GlrtDetector().noncentrality(cfg, sig)
         assert lam_q / lam_inf == pytest.approx(2.0 / np.pi, abs=1e-12)
 
 
-def test_refinement_cannot_lose_information(signal, reference_q2):
+def test_refinement_cannot_lose_information(scene, signal, reference_q2):
     # a 3-bit quantizer whose thresholds include the 2-bit set can only
     # split bins, never merge them, so its information must not drop
     coarse = ThresholdSet(bits=2, interior=reference_q2)
     extra = (-1.7, -0.5, 0.45, 1.8)
     fine_interior = tuple(sorted(reference_q2 + extra))
     fine = ThresholdSet(bits=3, interior=fine_interior)
-    lam_c = noncentrality(0.2, signal, coarse, 2.0)
-    lam_f = noncentrality(0.2, signal, fine, 2.0)
+    target = _with_beta(scene, 0.2 + 0j)
+    lam_c = RaoDetector(coarse).noncentrality(target, signal)
+    lam_f = RaoDetector(fine).noncentrality(target, signal)
     assert lam_f > lam_c
 
 

@@ -31,9 +31,6 @@ PUBLIC = [
     "lfm_waveform",
     "load_config",
     "marcum_q1",
-    "noncentrality",
-    "noncentrality_unquantized",
-    "objective",
     "optimize_thresholds",
     "parse_config",
     "pd_vs_snr",

@@ -212,13 +212,6 @@ def test_synthesize_deterministic_and_stream_keyed(scene, signal):
     assert np.array_equal(x4, x5)
 
 
-def test_synthesize_noise_free_target_is_scaled_signal(scene, signal):
-    x = synthesize_observation(scene, signal, Hypothesis.H1, 0, noise_free=True)
-    assert np.allclose(x, scene.beta_complex * signal.z, atol=1e-14)
-    x0 = synthesize_observation(scene, signal, Hypothesis.H0, 0, noise_free=True)
-    assert np.all(x0 == 0)
-
-
 def test_synthesize_null_noise_moments():
     # one large draw: per-component variance sigma^2/2 and no Re/Im
     # correlation, each within 3 standard errors
