@@ -48,9 +48,9 @@ from .signal_model import (
     SceneConfig,
     effective_signal,
     lfm_waveform,
+    observation_planes,
     steering_matrix,
     stream_rng,
-    synthesize_observation,
     trial_counter,
 )
 from .special import marcum_q1, qfunc
@@ -86,6 +86,7 @@ __all__ = [
     "lfm_waveform",
     "load_config",
     "marcum_q1",
+    "observation_planes",
     "optimize_thresholds",
     "parse_config",
     "pd_vs_snr",
@@ -99,7 +100,6 @@ __all__ = [
     "steering_matrix",
     "stream_rng",
     "subseed",
-    "synthesize_observation",
     "theoretical_pd",
     "trial_counter",
     "write_checkpoint",

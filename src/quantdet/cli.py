@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -138,6 +139,8 @@ def _scene_from_spec(spec: ExperimentSpec) -> SceneConfig:
     )
     if spec.snr_db is not None:
         scene = scene.with_snr_db(spec.snr_db)
+    for snr_db in spec.snr_grid_db or ():
+        scene.with_snr_db(snr_db)  # an SNR whose amplitude overflows fails here, before any design
     return scene
 
 
@@ -299,6 +302,10 @@ def cmd_pd_eta(spec: ExperimentSpec) -> int:
     return _roc_like(spec, default_grid="eta")
 
 
+def _print_warning(message, *_args, **_kwargs) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_pd_snr(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
     scene = _scene_from_spec(spec)
@@ -307,12 +314,15 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     detectors = []
     for detector, origin in _resolve_detectors(spec, scene, signal):
-        if isinstance(detector, RaoDetector):
-            print(f"detector rao q={detector.q_label}: thresholds {origin}")
+        print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}")
         detectors.append(detector)
-    points = pd_vs_snr(
-        scene, detectors, snr_grid, spec.pfa, trials, seed, workers=spec.workers
-    )
+    with warnings.catch_warnings():
+        # a library warning (thin false-alarm tail) becomes one plain stderr line
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        points = pd_vs_snr(
+            scene, detectors, snr_grid, spec.pfa, trials, seed, workers=spec.workers
+        )
     rows = [
         (
             p.detector, p.q, p.snr_db, p.p_fa_target, p.eta_asymptotic,

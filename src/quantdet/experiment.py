@@ -13,6 +13,7 @@ are written with round-trip float ``repr`` and tuples as comma lists.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 COMMANDS = ("thresholds", "roc", "pd-eta", "pd-snr", "theory", "selftest")
@@ -89,6 +90,15 @@ class ExperimentSpec:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, tuple(v))
+        if not all(0.0 < p < 1.0 for p in self.pfa_grid or ()):
+            raise ConfigError(f"every pfa_grid entry must lie in (0, 1), got {self.pfa_grid}")
+        # statistics are >= 0, and the theory column takes sqrt(eta)
+        if not all(0.0 <= e < math.inf for e in self.eta_grid or ()):
+            raise ConfigError(f"every eta_grid entry must be finite and >= 0, got {self.eta_grid}")
+        if not all(math.isfinite(s) for s in self.snr_grid_db or ()):
+            raise ConfigError(f"every snr_grid_db entry must be finite, got {self.snr_grid_db}")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if not self.detectors:
             raise ConfigError("detector list is empty")
         for tok in self.detectors:

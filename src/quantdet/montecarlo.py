@@ -11,13 +11,15 @@ for bit.  Work is split into fixed-size index ranges; with
 ``workers > 1`` the ranges are farmed out to processes and re-assembled
 in index order.
 
-A chunk draws its noise through one Philox bit generator, re-keyed for
-each trial (:func:`quantdet.signal_model.noise_block`): trial i's draws
-equal ``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))``
-bit for bit, without a generator built per trial.  The detector reads
-the chunk's Re/Im planes (``observe``: bin indices for the Rao test, the
-block itself as complex rows for the GLRT) before the planes are freed,
-then turns what it read into statistics (``statistic``).
+A chunk's observations come from
+:func:`quantdet.signal_model.observation_planes`, which draws their
+noise through one Philox bit generator re-keyed for each trial: trial
+i's draws equal ``stream_rng(seed, trial_counter(h, i))
+.standard_normal((2, n))`` bit for bit, without a generator built per
+trial.  The detector reads the chunk's Re/Im planes (``observe``: bin
+indices for the Rao test, the block itself as complex rows for the
+GLRT) before the planes are freed, then turns what it read into
+statistics (``statistic``).
 
 Sub-experiments (one per detector / SNR point in a sweep) draw their
 master seeds from a SeedSequence spawned off the experiment seed, so
@@ -39,7 +41,7 @@ from .signal_model import (
     Hypothesis,
     SceneConfig,
     effective_signal,
-    noise_block,
+    observation_planes,
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
 from .special import chi2_2_quantile, chi2_2_sf, marcum_q1
@@ -69,25 +71,12 @@ class TrialConfig:
 
 
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
-    """Statistics for trials [start, stop); the parallel unit of work.
-
-    The observations are built as real/imaginary planes with the same
-    float operations as :func:`~quantdet.signal_model.synthesize_observation`
-    (noise times sqrt(noise_power / 2), plus Re/Im of beta * z under H1),
-    so every trial's statistic is bit-identical to one computed from its
-    own synthesised observation.
-    """
-    scene = cfg.scene
-    signal = effective_signal(scene)
-    w = noise_block(cfg.seed, hypothesis, start, stop, len(signal))
-    w *= math.sqrt(scene.noise_power / 2.0)
-    if hypothesis is Hypothesis.H1:
-        mean = scene.beta_complex * signal.z
-        w[:, 0] += mean.real
-        w[:, 1] += mean.imag
-    observed = cfg.detector.observe(w)
-    del w  # free the planes before the score sums, which set the peak
-    return cfg.detector.statistic(observed, signal, scene.noise_power)
+    """Statistics for trials [start, stop); the parallel unit of work."""
+    signal = effective_signal(cfg.scene)
+    planes = observation_planes(cfg.scene, signal, hypothesis, cfg.seed, start, stop)
+    observed = cfg.detector.observe(planes)
+    del planes  # free the planes before the score sums, which set the peak
+    return cfg.detector.statistic(observed, signal, cfg.scene.noise_power)
 
 
 def _run_hypothesis(cfg: TrialConfig, hypothesis: Hypothesis, n_trials: int) -> np.ndarray:

@@ -41,9 +41,7 @@ from .signal_model import (
     Hypothesis,
     SceneConfig,
     effective_signal,
-    noise_block,
-    stream_rng,
-    synthesize_observation,
+    observation_planes,
 )
 from .special import chi2_2_quantile
 
@@ -107,13 +105,11 @@ def _check_one_bit(seed: int) -> CheckResult:
         ratio = table.info_per_energy * scene.noise_power / 2.0
         worst_ratio = max(worst_ratio, abs(ratio - 2.0 / math.pi))
         # statistic against the direct sign-correlation form
-        x = synthesize_observation(
-            scene, signal, Hypothesis.H0, stream_rng(subseed(seed, 4), 0)
-        )
+        x_re, x_im = observation_planes(scene, signal, Hypothesis.H0, subseed(seed, 4), 0, 1)[0]
         stat = rao_statistic_batch(
-            bin_indices(x.real, sign_q), bin_indices(x.imag, sign_q), signal, table
+            bin_indices(x_re, sign_q), bin_indices(x_im, sign_q), signal, table
         )
-        signs = np.sign(x.real) + 1j * np.sign(x.imag)
+        signs = np.sign(x_re) + 1j * np.sign(x_im)
         direct = abs(np.conj(signal.z) @ signs) ** 2 / signal.energy
         worst_stat = max(worst_stat, abs(stat - direct) / direct)
     ok = worst_ratio <= 1e-12 and worst_stat <= 1e-12
@@ -130,12 +126,9 @@ def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     thresholds = design.thresholds
     table = bin_stats_table(thresholds, scene.noise_power)
     info = fisher_information(signal, thresholds, scene.noise_power)
-    # H0 observations: the noise scaled as synthesize_observation scales it
-    w = noise_block(subseed(seed, 6), Hypothesis.H0, 0, trials, len(signal))
-    w *= math.sqrt(scene.noise_power / 2.0)
-    re0 = bin_indices(w[:, 0], thresholds)
-    im0 = bin_indices(w[:, 1], thresholds)
-    del w  # free the planes before the score sums, which set the peak
+    planes = observation_planes(scene, signal, Hypothesis.H0, subseed(seed, 6), 0, trials)
+    re0, im0 = RaoDetector(thresholds).observe(planes)
+    del planes  # free the planes before the score sums, which set the peak
     s_r, s_i = _score_sums(re0, im0, signal, table)
     # var(S_R) estimates the diagonal with SE ~ diag * sqrt(2/n);
     # E[S_R S_I] estimates 0 with SE ~ diag / sqrt(n)

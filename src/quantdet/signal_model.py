@@ -22,8 +22,8 @@ Reproducibility: all randomness flows through counter-based Philox
 streams keyed by (master seed, counter), as built by :func:`stream_rng`.
 A pair names a stream independently of how work is batched or
 distributed, so serial and parallel runs of the same experiment produce
-identical draws.  :func:`noise_block` draws many trials' streams into one
-array with a single re-keyed generator.
+identical draws.  :func:`observation_planes` synthesises a range of
+trials as Re/Im planes, drawing their streams with one re-keyed generator.
 """
 
 from __future__ import annotations
@@ -115,7 +115,12 @@ class SceneConfig:
         """
         if not math.isfinite(snr_db):
             raise ValueError("snr_db must be finite")
-        target_mag = math.sqrt(self.noise_power * 10.0 ** (snr_db / 10.0))
+        try:
+            target_mag = math.sqrt(self.noise_power * 10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            target_mag = math.inf
+        if not math.isfinite(target_mag):
+            raise ValueError(f"snr_db = {snr_db!r} overflows the amplitude |beta|")
         old_mag = math.hypot(*self.beta)
         if old_mag == 0.0:
             new_beta = (target_mag, 0.0)
@@ -238,61 +243,50 @@ def trial_counter(hypothesis: Hypothesis, trial_index: int) -> int:
     return (hyp_bit << 63) | trial_index
 
 
-def noise_block(
-    master_seed: int, hypothesis: Hypothesis, start: int, stop: int, n: int
+def observation_planes(
+    scene: SceneConfig,
+    signal: EffectiveSignal,
+    hypothesis: Hypothesis,
+    seed: int,
+    start: int,
+    stop: int,
 ) -> np.ndarray:
-    """Standard normal noise of trials [start, stop), shape (stop - start, 2, n).
+    """Re/Im planes of trials [start, stop), shape (stop - start, 2, n).
 
-    Row j holds, bit for bit, ``stream_rng(master_seed, trial_counter(
-    hypothesis, start + j)).standard_normal((2, n))``: the draw that
-    :func:`synthesize_observation` scales for that trial.  A Philox
+    Row j is trial ``start + j``: ``sqrt(noise_power / 2)`` times the
+    draw ``stream_rng(seed, trial_counter(hypothesis, start + j))
+    .standard_normal((2, n))``, plus Re/Im of ``beta * z`` under H1.
+    Plane 0 is the real part, plane 1 the imaginary part.  A Philox
     stream depends only on its key, so one bit generator re-keyed per
     trial (counter zeroed, buffer emptied) replays every trial's stream
     without building a generator per trial.
     """
-    block = np.empty((stop - start, 2, n))
-    rng = stream_rng(master_seed)
+    n = len(signal)
+    if n != scene.n_samples:
+        raise ValueError(f"template length {n} != n_rx * snapshots = {scene.n_samples}")
+    planes = np.empty((stop - start, 2, n))
+    rng = stream_rng(seed)
     fresh = rng.bit_generator.state  # just built: counter zero, buffer empty
     for j in range(stop - start):
-        fresh["state"]["key"] = _philox_key(master_seed, trial_counter(hypothesis, start + j))
+        fresh["state"]["key"] = _philox_key(seed, trial_counter(hypothesis, start + j))
         rng.bit_generator.state = fresh
-        rng.standard_normal(out=block[j])
-    return block
+        rng.standard_normal(out=planes[j])
+    planes *= math.sqrt(scene.noise_power / 2.0)
+    if hypothesis is Hypothesis.H1:
+        mean = scene.beta_complex * signal.z
+        planes[:, 0] += mean.real
+        planes[:, 1] += mean.imag
+    return planes
 
 
 def synthesize_observation(
-    cfg: SceneConfig,
-    signal: EffectiveSignal,
-    hypothesis: Hypothesis,
-    rng,
+    scene: SceneConfig, signal: EffectiveSignal, hypothesis: Hypothesis, seed: int, trial: int
 ) -> np.ndarray:
-    """One complex observation vector under the requested hypothesis.
+    """Trial ``trial``'s observation as one complex vector.
 
-    Parameters
-    ----------
-    cfg : SceneConfig
-        Supplies beta and the noise power.
-    signal : EffectiveSignal
-        Template z; its length must equal ``cfg.n_samples``.
-    hypothesis : Hypothesis
-        H0 draws pure noise; H1 adds ``beta * z``.
-    rng : numpy.random.Generator or int
-        Noise source.  An int is shorthand for ``stream_rng(rng)``.
-
-    Notes
-    -----
-    The noise is drawn as one ``standard_normal((2, n))`` block -- row 0
-    scaled into the real part, row 1 into the imaginary part -- so a
-    given stream always yields the same observation regardless of
-    surrounding code.
+    Row ``trial`` of :func:`observation_planes`, read as Re + j Im.  The
+    per-layer metrics of ``BENCHMARK.json`` still name this function, so
+    it stays until they are pointed at :func:`observation_planes`.
     """
-    if len(signal) != cfg.n_samples:
-        raise ValueError(
-            f"template length {len(signal)} != n_rx * snapshots = {cfg.n_samples}"
-        )
-    if isinstance(rng, (int, np.integer)):
-        rng = stream_rng(int(rng))
-    mean = cfg.beta_complex * signal.z if hypothesis is Hypothesis.H1 else 0.0
-    comp_std = math.sqrt(cfg.noise_power / 2.0)
-    w = rng.standard_normal((2, len(signal)))
-    return mean + comp_std * (w[0] + 1j * w[1])
+    re, im = observation_planes(scene, signal, hypothesis, seed, trial, trial + 1)[0]
+    return re + 1j * im

@@ -25,15 +25,8 @@ from quantdet.montecarlo import (
 )
 from quantdet.optimizer import read_checkpoint
 from quantdet.perf_theory import fisher_information, theoretical_pd
-from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
-from quantdet.signal_model import (
-    Hypothesis,
-    SceneConfig,
-    effective_signal,
-    noise_block,
-    stream_rng,
-    synthesize_observation,
-)
+from quantdet.quantizer import ThresholdSet, bin_stats_table
+from quantdet.signal_model import Hypothesis, SceneConfig, effective_signal, observation_planes
 from quantdet.special import chi2_2_quantile, marcum_q1
 
 SEED = 20260819
@@ -308,9 +301,8 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
         interior += np.arange(interior.size) * 1e-6
         thresholds = ThresholdSet(bits=bits, interior=interior)
         sig = effective_signal(cfg)
-        x = synthesize_observation(cfg, sig, Hypothesis.H1, stream_rng(SEED, k))
-        re0 = bin_indices(x.real, thresholds)
-        im0 = bin_indices(x.imag, thresholds)
+        planes = observation_planes(cfg, sig, Hypothesis.H1, SEED, k, k + 1)
+        (re0,), (im0,) = RaoDetector(thresholds).observe(planes)
         table = bin_stats_table(thresholds, cfg.noise_power)
         closed = rao_statistic_batch(re0, im0, sig, table)
         ref = oracles.score_fi_statistic(
@@ -341,13 +333,8 @@ def test_criterion_7_score_covariance_is_fisher(scene, signal, cli_designs):
     cross = np.empty(n_trials)
     for start in range(0, n_trials, chunk):
         stop = min(start + chunk, n_trials)
-        # H0 observations of trials [start, stop), scaled as
-        # synthesize_observation scales each trial's own stream
-        w = noise_block(seed, Hypothesis.H0, start, stop, len(signal))
-        w *= np.sqrt(scene.noise_power / 2.0)
-        re0 = bin_indices(w[:, 0], thresholds)
-        im0 = bin_indices(w[:, 1], thresholds)
-        s_r, s_i = _score_sums(re0, im0, signal, table)
+        planes = observation_planes(scene, signal, Hypothesis.H0, seed, start, stop)
+        s_r, s_i = _score_sums(*RaoDetector(thresholds).observe(planes), signal, table)
         sq_r[start:stop] = s_r * s_r
         cross[start:stop] = s_r * s_i
     # empirical standard errors of the two moment estimates

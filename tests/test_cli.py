@@ -145,13 +145,29 @@ def test_pd_snr_rows_and_header(tmp_path):
     assert lines[1].split(",")[2] == "-10.0"
 
 
-def test_pd_snr_multiple_detectors(tmp_path):
+def test_pd_snr_multiple_detectors(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run(["pd-snr", "--detectors", "1,inf", "--trials", "400", "--seed", "17",
                 "--pfa", "0.25", "--snr-grid=-6", "--out", str(out)])
     assert code == 0
     lines = _read(out).strip().split("\n")[1:]
     assert [l.split(",")[1] for l in lines] == ["1", "inf"]
+    # one threshold-origin line per detector, as roc prints them
+    assert capsys.readouterr().out == (
+        "detector rao q=1: thresholds swarm\n"
+        "detector glrt q=inf: thresholds exact\n"
+        f"wrote 2 rows to {out}\n"
+    )
+
+
+def test_pd_snr_thin_tail_warns_in_one_plain_line(tmp_path, capsys):
+    code = run(["pd-snr", "--q", "1", "--trials", "2000", "--pfa", "0.01", "--seed", "3",
+                "--snr-grid=-6", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: p_fa * trials = 20 < 100: false-alarm tail is thinly sampled "
+        "and the empirical threshold will be noisy\n"
+    )
 
 
 # --------------------------------------------------------------------- theory
@@ -266,12 +282,23 @@ def test_help_exits_zero(capsys):
         (["pd-snr", "--detectors", "1,9", "--seed", "1"], None),
         (["theory", "--q", "9", "--seed", "1"], None),
         (["pd-eta", "--seed", "1"], "detectors = 2,x\n"),
+        (["roc", "--pfa-grid=0.1,nan", "--seed", "1"], None),
+        (["pd-snr", "--snr-grid=-6,nan", "--trials", "20000", "--seed", "1"], None),
+        (["pd-eta", "--eta-grid=1,nan", "--seed", "1"], None),
+        (["pd-eta", "--eta-grid=-5,1", "--seed", "1"], None),
+        (["theory", "--snr-db=4000"], None),
+        (["pd-snr", "--snr-grid=4000", "--seed", "1"], None),
+        (["roc", "--seed", "1"], "pfa_grid = 0.5,1.0\n"),
     ],
-    ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x"],
+    ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
+         "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
+         "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
+         "config pfa_grid = 0.5,1.0"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch):
-    # q and every detector token must be 'inf' or 1..8; a bad one fails
-    # before any threshold is designed and before anything is written
+    # q and every detector token must be 'inf' or 1..8, every grid value
+    # and SNR usable; a bad one fails before any threshold is designed and
+    # before anything is written
     def no_design(*args, **kwargs):
         raise AssertionError("optimize_thresholds was called")
 

@@ -16,7 +16,6 @@ from quantdet.signal_model import (
     Hypothesis,
     SceneConfig,
     effective_signal,
-    stream_rng,
     synthesize_observation,
 )
 
@@ -64,7 +63,7 @@ def test_one_bit_statistic_equals_sign_correlator(q1):
     cfg = SceneConfig(n_tx=2, n_rx=8, snapshots=4, angle=0.2).with_snr_db(-10.0)
     sig = effective_signal(cfg)
     for counter in range(5):
-        x = synthesize_observation(cfg, sig, Hypothesis.H1, stream_rng(77, counter))
+        x = synthesize_observation(cfg, sig, Hypothesis.H1, 77, counter)
         got = _rao(x, q1, sig, cfg.noise_power)
         s = np.sign(x.real) + 1j * np.sign(x.imag)
         want = np.abs(np.conj(sig.z) @ s) ** 2 / sig.energy
@@ -77,7 +76,7 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
     # acceptance suite; this is the smoke version)
     cfg = SceneConfig(n_tx=2, n_rx=2, snapshots=2, angle=0.4)
     sig = effective_signal(cfg)
-    x = synthesize_observation(cfg, sig, Hypothesis.H0, stream_rng(5, 3))
+    x = synthesize_observation(cfg, sig, Hypothesis.H0, 5, 3)
     got = _rao(x, q2_ref, sig, 2.0)
     want = oracles.score_fi_statistic(
         bin_indices(x.real, q2_ref), bin_indices(x.imag, q2_ref),
@@ -91,7 +90,7 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
 def test_statistic_invariant_under_template_phase_rotation(q2_ref):
     cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=4, angle=0.3)
     sig = effective_signal(cfg)
-    x = synthesize_observation(cfg, sig, Hypothesis.H1, stream_rng(9, 0))
+    x = synthesize_observation(cfg, sig, Hypothesis.H1, 9, 0)
     base = _rao(x, q2_ref, sig, 2.0)
     for phase in (0.3, 1.1, -2.0):
         rot = sig.z * np.exp(1j * phase)
@@ -101,7 +100,7 @@ def test_statistic_invariant_under_template_phase_rotation(q2_ref):
 
 def test_statistic_nonnegative_on_noise(q2_ref, scene, signal):
     for counter in range(20):
-        x = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(31, counter))
+        x = synthesize_observation(scene, signal, Hypothesis.H0, 31, counter)
         assert _rao(x, q2_ref, signal, scene.noise_power) >= 0.0
 
 
@@ -129,7 +128,7 @@ def test_batch_matches_scalar_loop(q2_ref):
 
 def test_score_components_match_sums(q2_ref, scene, signal):
     table = bin_stats_table(q2_ref, scene.noise_power)
-    x = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(2, 2))
+    x = synthesize_observation(scene, signal, Hypothesis.H0, 2, 2)
     re0 = bin_indices(x.real, q2_ref)
     im0 = bin_indices(x.imag, q2_ref)
     s_r, s_i = _score_sums(re0, im0, signal, table)
@@ -158,7 +157,7 @@ def test_glrt_matched_and_orthogonal_inputs():
 
 
 def test_glrt_scaling_and_batch(scene, signal):
-    x = synthesize_observation(scene, signal, Hypothesis.H1, stream_rng(8, 0))
+    x = synthesize_observation(scene, signal, Hypothesis.H1, 8, 0)
     base = glrt_unquantized_batch(x, signal, scene.noise_power)
     assert glrt_unquantized_batch(3.0 * x, signal, scene.noise_power) == pytest.approx(
         9.0 * base, rel=1e-12

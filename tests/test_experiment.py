@@ -92,6 +92,15 @@ def test_spec_validation():
         with pytest.raises(ConfigError):
             ExperimentSpec(**fields)
     assert ExperimentSpec(q=8, detectors=("1", "8", "inf")).q == 8
+    # grids and SNRs: p_fa values in (0, 1), every eta finite and >= 0, every SNR finite
+    nan, inf = float("nan"), float("inf")
+    for fields in (dict(pfa_grid=(0.1, nan)), dict(pfa_grid=(0.0,)), dict(pfa_grid=(1.0,)),
+                   dict(eta_grid=(1.0, nan)), dict(eta_grid=(inf,)), dict(eta_grid=(-5.0, 1.0)),
+                   dict(snr_grid_db=(-6.0, nan)), dict(snr_grid_db=(-inf,)),
+                   dict(snr_db=nan), dict(snr_db=inf)):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(**fields)
+    assert ExperimentSpec(pfa_grid=(1e-4, 0.5), eta_grid=(0.0, 30.0), snr_db=-14.0).snr_db == -14.0
 
 
 def test_file_round_trip(tmp_path):

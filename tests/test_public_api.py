@@ -31,6 +31,7 @@ PUBLIC = [
     "lfm_waveform",
     "load_config",
     "marcum_q1",
+    "observation_planes",
     "optimize_thresholds",
     "parse_config",
     "pd_vs_snr",
@@ -44,7 +45,6 @@ PUBLIC = [
     "steering_matrix",
     "stream_rng",
     "subseed",
-    "synthesize_observation",
     "theoretical_pd",
     "trial_counter",
     "write_checkpoint",

@@ -9,7 +9,7 @@ from quantdet.signal_model import (
     SceneConfig,
     effective_signal,
     lfm_waveform,
-    noise_block,
+    observation_planes,
     steering_matrix,
     stream_rng,
     synthesize_observation,
@@ -45,6 +45,14 @@ def test_with_snr_db_preserves_phase():
     phase = np.angle(cfg.beta_complex)
     out = cfg.with_snr_db(-10.0)
     assert np.angle(out.beta_complex) == pytest.approx(phase, abs=1e-12)
+
+
+def test_with_snr_db_rejects_an_overflowing_amplitude():
+    cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=8)
+    # 10 ** 400 overflows in the power; 10 ** 308 fits, times noise_power it does not
+    for snr_db in (4000.0, 3080.0):
+        with pytest.raises(ValueError, match="overflows"):
+            cfg.with_snr_db(snr_db)
 
 
 def test_with_snr_db_from_zero_amplitude():
@@ -180,36 +188,53 @@ def test_trial_counter_separates_hypotheses():
 
 
 @pytest.mark.parametrize(
-    "seed, hypothesis, start, stop, n",
+    "seed, hypothesis, start, stop, n, noise_power",
     [
-        (7, Hypothesis.H0, 0, 4, 8),
-        (7, Hypothesis.H1, 5, 9, 8),
+        (7, Hypothesis.H0, 0, 4, 8, 2.0),
+        (7, Hypothesis.H1, 5, 9, 8, 2.0),
         # odd n leaves Philox output buffered after each trial; it must not
         # leak into the next one
-        (2**64 - 5, Hypothesis.H0, 3, 7, 3),
-        (-12345, Hypothesis.H1, 1, 5, 3),
-        (7, Hypothesis.H1, 2**63 - 3, 2**63, 5),
+        (2**64 - 5, Hypothesis.H0, 3, 7, 3, 2.0),
+        (-12345, Hypothesis.H1, 1, 5, 3, 2.0),
+        (7, Hypothesis.H1, 2**63 - 3, 2**63, 5, 2.0),
+        (11, Hypothesis.H1, 0, 3, 6, 0.7),
     ],
-    ids=["h0", "h1-offset", "seed-above-2^63", "negative-seed", "last-trial-index"],
+    ids=["h0", "h1-offset", "seed-above-2^63", "negative-seed", "last-trial-index",
+         "h1-noise-power"],
 )
-def test_noise_block_rows_replay_per_trial_streams(seed, hypothesis, start, stop, n):
-    block = noise_block(seed, hypothesis, start, stop, n)
-    assert block.shape == (stop - start, 2, n)
-    for j, row in enumerate(block):
-        ref = stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))
+def test_observation_planes_rows_replay_per_trial_streams(
+    seed, hypothesis, start, stop, n, noise_power
+):
+    scene = SceneConfig(n_tx=2, n_rx=n, snapshots=1, angle=0.3, noise_power=noise_power,
+                        beta=(0.4, -1.3))
+    signal = effective_signal(scene)
+    planes = observation_planes(scene, signal, hypothesis, seed, start, stop)
+    assert planes.shape == (stop - start, 2, n)
+    mean = scene.beta_complex * signal.z
+    for j, row in enumerate(planes):
+        w = stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))
+        ref = np.sqrt(noise_power / 2.0) * w
+        if hypothesis is Hypothesis.H1:
+            ref[0] += mean.real
+            ref[1] += mean.imag
         assert row.tobytes() == ref.tobytes()
 
 
+def test_observation_planes_check_template_length(scene):
+    short = effective_signal(SceneConfig(n_tx=1, n_rx=2, snapshots=3))
+    with pytest.raises(ValueError, match="template length"):
+        observation_planes(scene, short, Hypothesis.H0, 1, 0, 2)
+
+
 def test_synthesize_deterministic_and_stream_keyed(scene, signal):
-    x1 = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(3, 10))
-    x2 = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(3, 10))
-    x3 = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(3, 11))
+    x1 = synthesize_observation(scene, signal, Hypothesis.H0, 3, 10)
+    x2 = synthesize_observation(scene, signal, Hypothesis.H0, 3, 10)
+    x3 = synthesize_observation(scene, signal, Hypothesis.H0, 3, 11)
     assert np.array_equal(x1, x2)
     assert not np.array_equal(x1, x3)
-    # integer shorthand keys the master seed with counter zero
-    x4 = synthesize_observation(scene, signal, Hypothesis.H0, 3)
-    x5 = synthesize_observation(scene, signal, Hypothesis.H0, stream_rng(3, 0))
-    assert np.array_equal(x4, x5)
+    # the trial's row of planes, read as Re + j Im
+    x_re, x_im = observation_planes(scene, signal, Hypothesis.H0, 3, 9, 12)[1]
+    assert x1.real.tobytes() == x_re.tobytes() and x1.imag.tobytes() == x_im.tobytes()
 
 
 def test_synthesize_null_noise_moments():
@@ -217,18 +242,10 @@ def test_synthesize_null_noise_moments():
     # correlation, each within 3 standard errors
     cfg = SceneConfig(n_tx=1, n_rx=500, snapshots=200, noise_power=2.0)
     sig = effective_signal(cfg)
-    x = synthesize_observation(cfg, sig, Hypothesis.H0, stream_rng(99, 0))
-    n = x.size
-    for part in (x.real, x.imag):
+    x_re, x_im = observation_planes(cfg, sig, Hypothesis.H0, 99, 0, 1)[0]
+    n = x_re.size
+    for part in (x_re, x_im):
         assert abs(part.mean()) <= 3.0 / np.sqrt(n)
         assert part.var() == pytest.approx(1.0, abs=3.0 * np.sqrt(2.0 / n))
-    cross = np.mean(x.real * x.imag)
+    cross = np.mean(x_re * x_im)
     assert abs(cross) <= 3.0 / np.sqrt(n)
-
-
-def test_synthesize_h1_adds_mean_shift(scene, signal):
-    rng_a = stream_rng(5, 42)
-    rng_b = stream_rng(5, 42)
-    x0 = synthesize_observation(scene, signal, Hypothesis.H0, rng_a)
-    x1 = synthesize_observation(scene, signal, Hypothesis.H1, rng_b)
-    assert np.allclose(x1 - x0, scene.beta_complex * signal.z, atol=1e-13)
