@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import warnings
 
@@ -38,7 +39,7 @@ from .perf_theory import theoretical_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
-from .special import chi2_2_quantile
+from .special import chi2_2_quantile, marcum_q1
 
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
@@ -263,9 +264,19 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
             pfa_grid = tuple(np.logspace(-4.0, np.log10(0.5), 16))
         else:
             eta_grid = tuple(np.linspace(0.0, 30.0, 31))
+    resolved = [
+        (detector, origin, detector.noncentrality(scene, signal))
+        for detector, origin in _resolve_detectors(spec, scene, signal)
+    ]
+    # the theory column must be computable before any trial runs: Marcum Q's
+    # domain limit binds at the largest eta; a pfa grid's empirical etas are
+    # not known yet, so only lambda is probed there
+    if eta_grid or pfa_grid:
+        b = math.sqrt(max(eta_grid)) if eta_grid else 0.0
+        for _, _, lam in resolved:
+            marcum_q1(math.sqrt(lam), b)
     rows = []
-    for d_idx, (detector, origin) in enumerate(_resolve_detectors(spec, scene, signal)):
-        lam = detector.noncentrality(scene, signal)
+    for d_idx, (detector, origin, lam) in enumerate(resolved):
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
               f"lambda_f={lam:.6g}, trials={trials} per hypothesis")
         cfg = TrialConfig(

@@ -63,8 +63,10 @@ def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats):
     information, the identity the self-test checks by Monte Carlo.
     """
     ratio = table.score_ratio
-    r1 = ratio[re_idx0]
-    r2 = ratio[im_idx0]
+    # take() gathers through small unsigned indices at intp speed; fancy
+    # indexing converts them to intp first
+    r1 = ratio.take(re_idx0)
+    r2 = ratio.take(im_idx0)
     s_r = (signal.g * r1 + signal.h * r2).sum(axis=-1)
     s_i = (signal.g * r2 - signal.h * r1).sum(axis=-1)
     return s_r, s_i
@@ -162,11 +164,11 @@ class GlrtDetector:
     def observe(self, planes: np.ndarray) -> np.ndarray:
         """The (batch, 2, n) block read in place as (batch, n) complex rows."""
         # interleave each trial's two planes in place, so the block itself holds
-        # the complex observations; 64 trials at a time keep the temporary small
-        for a in range(0, len(planes), 64):
-            rows = planes[a : a + 64]
-            rows.reshape(len(rows), -1)[:] = rows.transpose(0, 2, 1).reshape(len(rows), -1)
-        return planes.reshape(len(planes), -1).view(complex)
+        # the complex observations; the transposed copy is one block, which the
+        # engine keeps to one cache-sized tile
+        rows = planes.reshape(len(planes), -1)
+        rows[:] = planes.transpose(0, 2, 1).reshape(len(planes), -1)
+        return rows.view(complex)
 
     def statistic(self, observed, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
         return glrt_unquantized_batch(observed, signal, noise_power)

@@ -11,15 +11,18 @@ for bit.  Work is split into fixed-size index ranges; with
 ``workers > 1`` the ranges are farmed out to processes and re-assembled
 in index order.
 
-A chunk's observations come from
-:func:`quantdet.signal_model.observation_planes`, which draws their
-noise through one Philox bit generator re-keyed for each trial: trial
-i's draws equal ``stream_rng(seed, trial_counter(h, i))
-.standard_normal((2, n))`` bit for bit, without a generator built per
-trial.  The detector reads the chunk's Re/Im planes (``observe``: bin
-indices for the Rao test, the block itself as complex rows for the
-GLRT) before the planes are freed, then turns what it read into
-statistics (``statistic``).
+A chunk (``batch_size`` trials, the unit of parallel work) runs in
+tiles of ``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im
+planes, so a tile's planes, bin indices and score gathers stay in cache
+and a chunk's memory is one tile whatever its size.  A tile's
+observations come from :func:`quantdet.signal_model.observation_planes`,
+which draws their noise through one Philox bit generator re-keyed for
+each trial: trial i's draws equal ``stream_rng(seed, trial_counter(h, i))
+.standard_normal((2, n))`` bit for bit.  The detector reads the tile's
+planes (``observe``: bin indices for the Rao test, the block itself as
+complex rows for the GLRT) and turns that into statistics
+(``statistic``); a row's statistic does not depend on the rows around
+it, so neither tiles nor ``batch_size`` move a bit of the result.
 
 Sub-experiments (one per detector / SNR point in a sweep) draw their
 master seeds from a SeedSequence spawned off the experiment seed, so
@@ -49,7 +52,11 @@ from .special import chi2_2_quantile, chi2_2_sf, marcum_q1
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One Monte Carlo run: scene, detector, trial counts and seed."""
+    """One Monte Carlo run: scene, detector, trial counts and seed.
+
+    ``batch_size`` is the unit of parallel work (one chunk per worker
+    task); tiles inside a chunk are internal, and neither changes a result.
+    """
 
     scene: SceneConfig
     detector: object
@@ -70,13 +77,21 @@ class TrialConfig:
             raise ValueError(f"unsupported detector: {self.detector!r}")
 
 
+# values per Re/Im plane in one tile: 2^16 float64 per plane, 1 MiB of planes
+_TILE_VALUES = 1 << 16
+
+
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
     """Statistics for trials [start, stop); the parallel unit of work."""
-    signal = effective_signal(cfg.scene)
-    planes = observation_planes(cfg.scene, signal, hypothesis, cfg.seed, start, stop)
-    observed = cfg.detector.observe(planes)
-    del planes  # free the planes before the score sums, which set the peak
-    return cfg.detector.statistic(observed, signal, cfg.scene.noise_power)
+    scene, det = cfg.scene, cfg.detector
+    signal = effective_signal(scene)
+    tile = max(1, _TILE_VALUES // len(signal))
+    out = np.empty(stop - start)
+    for a in range(start, stop, tile):
+        b = min(a + tile, stop)
+        planes = observation_planes(scene, signal, hypothesis, cfg.seed, a, b)
+        out[a - start : b - start] = det.statistic(det.observe(planes), signal, scene.noise_power)
+    return out
 
 
 def _run_hypothesis(cfg: TrialConfig, hypothesis: Hypothesis, n_trials: int) -> np.ndarray:

@@ -7,7 +7,9 @@ interior thresholds; with the implicit -inf / +inf edges
 package: bin ``i`` in ``0..2^q - 1`` is ``e_i < x <= e_{i+1}`` --
 right-closed, so a sample exactly on a threshold belongs to the
 lower-indexed bin.  Real and imaginary parts are quantized
-independently by the same thresholds (:func:`bin_indices`).
+independently by the same thresholds (:func:`bin_indices`: one
+compare-and-count pass per threshold into uint8 indices up to 8 bits;
+NaN lands in the top bin).
 
 For a Gaussian component N(u, noise_power / 2) the per-bin probability
 mass F_i and its first two derivatives in u,
@@ -93,12 +95,21 @@ class ThresholdSet:
 def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
     """0-based bin index of each real value (vectorized hot path).
 
-    ``searchsorted(..., side="left")`` counts thresholds strictly below
-    the value, which lands x == e_{i+1} in bin i: exactly the
-    right-closed convention.  A complex observation is quantized as
-    ``bin_indices(x.real, ...)`` and ``bin_indices(x.imag, ...)``.
+    The index of x is ``K - #{t : x <= t}`` with ``K = 2^bits - 1`` the
+    top bin: the number of thresholds strictly below x, which lands
+    x == e_{i+1} in bin i -- exactly the right-closed convention.  -inf
+    lands in bin 0, +inf and NaN (false against every threshold) in bin
+    K.  The indices have ``values``' shape and dtype
+    ``np.min_scalar_type(K)`` (uint8 up to 8 bits).  A complex
+    observation is quantized as ``bin_indices(x.real, ...)`` and
+    ``bin_indices(x.imag, ...)``.
     """
-    return np.searchsorted(thresholds.interior, values, side="left")
+    values = np.asarray(values)
+    top = thresholds.n_bins - 1
+    out = np.full(values.shape, top, np.min_scalar_type(top))
+    for t in thresholds.interior:
+        out -= values <= t
+    return out
 
 
 def _edge_terms(edges: np.ndarray, s: float):

@@ -289,20 +289,28 @@ def test_help_exits_zero(capsys):
         (["theory", "--snr-db=4000"], None),
         (["pd-snr", "--snr-grid=4000", "--seed", "1"], None),
         (["roc", "--seed", "1"], "pfa_grid = 0.5,1.0\n"),
+        (["pd-eta", "--detectors", "inf", "--seed", "1", "--trials", "20000",
+          "--eta-grid=2000", "--snr-db=10"], None),
+        (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=20"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
          "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
-         "config pfa_grid = 0.5,1.0"],
+         "config pfa_grid = 0.5,1.0", "pd-eta --eta-grid=2000 --snr-db=10",
+         "roc --snr-db=20"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch):
     # q and every detector token must be 'inf' or 1..8, every grid value
-    # and SNR usable; a bad one fails before any threshold is designed and
-    # before anything is written
+    # and SNR usable, and the theory column computable; a bad one fails
+    # before any threshold is designed, any trial runs or anything is written
     def no_design(*args, **kwargs):
         raise AssertionError("optimize_thresholds was called")
 
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials was called")
+
     monkeypatch.setattr(cli, "optimize_thresholds", no_design)
+    monkeypatch.setattr(cli, "run_trials", no_trials)
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "exp.cfg").write_text(config)

@@ -18,7 +18,7 @@ from quantdet.montecarlo import (
     subseed,
 )
 from quantdet.quantizer import ThresholdSet
-from quantdet.signal_model import Hypothesis, SceneConfig
+from quantdet.signal_model import Hypothesis, SceneConfig, observation_planes
 from quantdet.special import chi2_2_quantile, chi2_2_sf
 
 
@@ -116,22 +116,46 @@ def test_zero_trial_runs_allowed(small_scene, rao2):
     assert h0.size == 0 and h1.size == 0
 
 
-def test_rao_chunk_frees_planes_before_score_sums(reference_q3):
-    # 1000 trials at n = 2048: the Re/Im planes take 31.25 MiB.  Planes and
-    # bin indices live together while quantising, the indices and the score
-    # gathers after it; freeing the planes first keeps the peak near 3x
-    # their size, holding them through the score sums reaches 4x.
-    scene = SceneConfig(n_tx=4, n_rx=64, snapshots=32, noise_power=2.0)
-    det = RaoDetector(ThresholdSet(bits=3, interior=reference_q3))
-    cfg = _cfg(scene, det, 1000, 0, seed=8, batch_size=1000)
-    planes = 1000 * 2 * scene.n_samples * 8
+@pytest.fixture(scope="module")
+def large_scene():
+    # n = 2048: one tile is 2^16 // 2048 = 32 trials
+    return SceneConfig(n_tx=4, n_rx=64, snapshots=32, noise_power=2.0).with_snr_db(-22.0)
+
+
+@pytest.fixture(scope="module")
+def rao3(reference_q3):
+    return RaoDetector(ThresholdSet(bits=3, interior=reference_q3))
+
+
+def test_tile_boundary_invariance(large_scene, rao3):
+    # 97 = 3 * 32 + 1 trials: one chunk of four tiles, the last holding one
+    # row (batch_size 200), chunks of 32 + 1 rows (33) and one-row chunks
+    # (1) must all give the untiled block's statistics byte for byte
+    signal = _signal_of(large_scene)
+    for det in (rao3, GlrtDetector()):
+        want = []
+        for h in (Hypothesis.H0, Hypothesis.H1):
+            planes = observation_planes(large_scene, signal, h, 12, 0, 97)
+            want.append(det.statistic(det.observe(planes), signal, large_scene.noise_power))
+        for batch_size in (200, 1, 33):
+            got = run_trials(_cfg(large_scene, det, 97, 97, seed=12, batch_size=batch_size))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (det.label, batch_size)
+
+
+@pytest.mark.parametrize("det", ["rao", "glrt"])
+@pytest.mark.parametrize("trials", [1000, 6000])
+def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
+    # the chunk's planes take 31.25 or 187.5 MiB, one tile's 1 MiB: the
+    # traced peak stays a few tiles whatever the chunk size
+    detector = rao3 if det == "rao" else GlrtDetector()
+    cfg = _cfg(large_scene, detector, trials, 0, seed=8, batch_size=trials)
     tracemalloc.start()
     try:
-        _chunk_stats(cfg, Hypothesis.H0, 0, 1000)
+        _chunk_stats(cfg, Hypothesis.H0, 0, trials)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * planes, f"peak {peak / planes:.2f}x the planes"
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------------------------------ detectors

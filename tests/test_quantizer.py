@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import oracles
@@ -107,6 +110,33 @@ def test_quantize_matches_loop_reference(q3_ref):
     ref_im = oracles.quantize_ref(x.imag, q3_ref.interior)
     assert np.array_equal(bin_indices(x.real, q3_ref), ref_re)
     assert np.array_equal(bin_indices(x.imag, q3_ref), ref_im)
+
+
+@st.composite
+def _thresholds_and_values(draw):
+    # strictly increasing thresholds with an exact 0.0 in the middle, so
+    # -0.0 and +0.0 both sit on a threshold; values mix exact thresholds,
+    # signed zeros, infinities, NaN and arbitrary floats
+    bits = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.cumsum(rng.exponential(size=2**bits - 1) + 1e-3)
+    ts = ThresholdSet(bits=bits, interior=t - t[t.size // 2])
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, *ts.interior]
+    elements = st.one_of(st.sampled_from(specials), st.floats(width=64))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5))
+    return ts, draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_thresholds_and_values())
+def test_bin_indices_match_searchsorted(case):
+    # counting thresholds at or above x gives searchsorted(side="left"):
+    # right-closed ties, -inf in bin 0, +inf and NaN in the top bin
+    ts, x = case
+    got = bin_indices(x, ts)
+    assert np.array_equal(got, np.searchsorted(ts.interior, x, side="left"))
+    assert got.shape == x.shape
+    assert got.dtype == np.min_scalar_type(2**ts.bits - 1)
 
 
 # ----------------------------------------------------------- cell probability
