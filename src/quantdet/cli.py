@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .detectors import GlrtDetector, RaoDetector
-from .experiment import COMMANDS, ConfigError, ExperimentSpec, load_config
+from .experiment import ConfigError, ExperimentSpec, _format_value, load_config, parse_value
 from .montecarlo import TrialConfig, estimate_roc, pd_vs_snr, run_trials, subseed
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
 from .perf_theory import theoretical_pd
@@ -56,50 +56,25 @@ _PSO_SEED_PATH = 101
 _DEFAULT_TRIALS = 10000
 
 
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
-
-
-def _str_list(text: str) -> tuple:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-# every flag any subcommand reads; each subcommand registers only its own
+# every flag any subcommand reads, as (config key, help); each subcommand
+# registers only its own, and a flag's text is read as its key's would be
 _FLAGS = {
-    "--config": dict(help="flat key = value experiment file"),
-    "--q": dict(type=int, help="quantizer bit depth"),
-    "--snr-db": dict(type=float, dest="snr_db", help="per-sample SNR in dB"),
-    "--pfa": dict(type=float, help="false-alarm budget"),
-    "--trials": dict(type=int, help="Monte Carlo trials per hypothesis"),
-    "--seed": dict(type=int, help="master seed (required for simulation)"),
-    "--out": dict(help="output file path"),
-    "--thresholds": dict(dest="thresholds_path", help="threshold checkpoint file to reuse"),
-    "--workers": dict(type=int, help="worker processes for trials"),
-    "--detectors": dict(type=_str_list,
-                        help="comma list of bit depths and/or 'inf' (default 1,2,3,inf)"),
-    "--pfa-grid": dict(type=_float_list, dest="pfa_grid",
-                       help="comma list of false-alarm rates"),
-    "--eta-grid": dict(type=_float_list, dest="eta_grid",
-                       help="comma list of statistic thresholds"),
-    "--snr-grid": dict(type=_float_list, dest="snr_grid_db",
-                       help="comma list of SNR points in dB"),
+    "--config": ("config", "flat key = value experiment file"),
+    "--q": ("q", "quantizer bit depth"),
+    "--snr-db": ("snr_db", "per-sample SNR in dB"),
+    "--pfa": ("pfa", "false-alarm budget"),
+    "--trials": ("trials", "Monte Carlo trials per hypothesis"),
+    "--seed": ("seed", "master seed (required for simulation)"),
+    "--out": ("out", "output file path"),
+    "--thresholds": ("thresholds_path", "threshold checkpoint file to reuse"),
+    "--workers": ("workers", "worker processes for trials"),
+    "--detectors": ("detectors", "comma list of bit depths and/or 'inf' (default 1,2,3,inf)"),
+    "--pfa-grid": ("pfa_grid", "comma list of false-alarm rates"),
+    "--eta-grid": ("eta_grid", "comma list of statistic thresholds"),
+    "--snr-grid": ("snr_grid_db", "comma list of SNR points in dB"),
 }
 _DESIGN = ("--config", "--q", "--snr-db", "--seed", "--out")
 _SIMULATE = _DESIGN + ("--trials", "--thresholds", "--workers", "--detectors")
-_SUBCOMMANDS = {
-    "thresholds": ("design quantizer thresholds by swarm search", _DESIGN),
-    "roc": ("simulate ROC curves and write CSV", _SIMULATE + ("--pfa-grid", "--eta-grid")),
-    "pd-eta": ("simulate rates on a threshold grid and write CSV",
-               _SIMULATE + ("--pfa-grid", "--eta-grid")),
-    "pd-snr": ("simulate detection probability vs SNR and write CSV",
-               _SIMULATE + ("--pfa", "--snr-grid")),
-    "theory": ("write the asymptotic operating curve (no simulation)",
-               _DESIGN + ("--thresholds", "--pfa-grid")),
-    "selftest": ("run the built-in sanity battery", ("--config", "--seed", "--trials")),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,36 +83,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantized weak-target detection: design, simulate, compare to theory.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         # no prefix matching: "roc --pfa" must not quietly become --pfa-grid
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            key, flag_help = _FLAGS[flag]
+            p.add_argument(flag, dest=key, help=flag_help,
+                           type=None if key == "config" else _flag_reader(key))
     return parser
+
+
+def _flag_reader(key: str):
+    def read(text: str):
+        try:
+            return parse_value(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from exc
+    return read
 
 
 def _merged_spec(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_config(args.config) if args.config else ExperimentSpec()
-    overrides = {"command": args.command}
-    for field in ("q", "snr_db", "pfa", "trials", "seed", "out", "thresholds_path",
-                  "workers", "detectors", "pfa_grid", "eta_grid", "snr_grid_db"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
+    overrides = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     return dataclasses.replace(spec, **overrides)
 
 
+def _same_named(spec: ExperimentSpec, cls, skip: str) -> dict:
+    """The spec's values of the fields of dataclass ``cls``, all but ``skip``."""
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(cls) if f.name != skip}
+
+
 def _scene_from_spec(spec: ExperimentSpec) -> SceneConfig:
-    scene = SceneConfig(
-        n_tx=spec.n_tx,
-        n_rx=spec.n_rx,
-        snapshots=spec.snapshots,
-        wavelength=spec.wavelength,
-        spacing=spec.spacing,
-        angle=spec.angle,
-        noise_power=spec.noise_power,
-        beta=(spec.beta_r, spec.beta_i),
-    )
+    scene = SceneConfig(beta=(spec.beta_r, spec.beta_i), **_same_named(spec, SceneConfig, "beta"))
     if spec.snr_db is not None:
         scene = scene.with_snr_db(spec.snr_db)
     for snr_db in spec.snr_grid_db or ():
@@ -146,17 +123,7 @@ def _scene_from_spec(spec: ExperimentSpec) -> SceneConfig:
 
 
 def _pso_config(spec: ExperimentSpec, seed: int) -> PsoConfig:
-    return PsoConfig(
-        seed=seed,
-        swarm_size=spec.swarm_size,
-        max_iters=spec.max_iters,
-        inertia=spec.inertia,
-        cognitive=spec.cognitive,
-        social=spec.social,
-        stall_tol=spec.stall_tol,
-        stall_iters=spec.stall_iters,
-        search_radius=spec.search_radius,
-    )
+    return PsoConfig(seed=seed, **_same_named(spec, PsoConfig, "seed"))
 
 
 def _require_seed(spec: ExperimentSpec) -> int:
@@ -197,19 +164,13 @@ def _resolve_detectors(spec, scene, signal) -> list:
     return out
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> int:
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([_format_value(v) for v in row])
             count += 1
     return count
 
@@ -386,16 +347,20 @@ def cmd_selftest(spec: ExperimentSpec) -> int:
     return 3
 
 
-_DISPATCH = {
-    "thresholds": cmd_thresholds,
-    "roc": cmd_roc,
-    "pd-eta": cmd_pd_eta,
-    "pd-snr": cmd_pd_snr,
-    "theory": cmd_theory,
-    "selftest": cmd_selftest,
+# name -> (handler, help, flags)
+_SUBCOMMANDS = {
+    "thresholds": (cmd_thresholds, "design quantizer thresholds by swarm search", _DESIGN),
+    "roc": (cmd_roc, "simulate ROC curves and write CSV",
+            _SIMULATE + ("--pfa-grid", "--eta-grid")),
+    "pd-eta": (cmd_pd_eta, "simulate rates on a threshold grid and write CSV",
+               _SIMULATE + ("--pfa-grid", "--eta-grid")),
+    "pd-snr": (cmd_pd_snr, "simulate detection probability vs SNR and write CSV",
+               _SIMULATE + ("--pfa", "--snr-grid")),
+    "theory": (cmd_theory, "write the asymptotic operating curve (no simulation)",
+               _DESIGN + ("--thresholds", "--pfa-grid")),
+    "selftest": (cmd_selftest, "run the built-in sanity battery",
+                 ("--config", "--seed", "--trials")),
 }
-
-assert set(_DISPATCH) == set(COMMANDS)
 
 
 def main(argv=None) -> int:
@@ -407,11 +372,8 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         spec = _merged_spec(args)
-        return _DISPATCH[args.command](spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return _SUBCOMMANDS[args.command][0](spec)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

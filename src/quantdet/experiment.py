@@ -6,15 +6,22 @@ emitted by shell scripts.  Every key maps 1:1 onto a field of
 :class:`ExperimentSpec`; unknown or duplicate keys are hard errors
 (silent typo-tolerance has burned enough experiments).
 
-``parse_config(serialize_config(spec)) == spec`` holds exactly: values
-are written with round-trip float ``repr`` and tuples as comma lists.
+Each key's type is the annotation of its field, and nothing else:
+:func:`parse_value` reads a value by it, for config files and CLI flags
+alike.  ``parse_config(serialize_config(spec)) == spec`` holds exactly:
+values are written with round-trip float ``repr`` and tuples as comma
+lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
+
+from .optimizer import PsoConfig
+from .signal_model import SceneConfig
 
 COMMANDS = ("thresholds", "roc", "pd-eta", "pd-snr", "theory", "selftest")
 
@@ -41,35 +48,35 @@ class ExperimentSpec:
     n_tx: int = 2
     n_rx: int = 16
     snapshots: int = 8
-    wavelength: float = 1.0
-    spacing: float = 0.5
-    angle: float = 0.0
-    noise_power: float = 2.0
-    beta_r: float = 1.0
-    beta_i: float = 0.0
+    wavelength: float = SceneConfig.wavelength
+    spacing: float = SceneConfig.spacing
+    angle: float = SceneConfig.angle
+    noise_power: float = SceneConfig.noise_power
+    beta_r: float = SceneConfig.beta[0]
+    beta_i: float = SceneConfig.beta[1]
     snr_db: float | None = None
     # detectors / quantization
     q: int | None = None
-    detectors: tuple = ("1", "2", "3", "inf")
+    detectors: tuple[str, ...] = ("1", "2", "3", "inf")
     thresholds_path: str | None = None
     # operating points
     pfa: float = 1e-2
-    pfa_grid: tuple | None = None
-    eta_grid: tuple | None = None
-    snr_grid_db: tuple | None = None
+    pfa_grid: tuple[float, ...] | None = None
+    eta_grid: tuple[float, ...] | None = None
+    snr_grid_db: tuple[float, ...] | None = None
     # monte carlo (trials = None lets each command pick its own default)
     trials: int | None = None
     seed: int | None = None
     workers: int = 1
     # swarm optimizer
-    swarm_size: int = 50
-    max_iters: int = 500
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    stall_tol: float = 1e-9
-    stall_iters: int = 50
-    search_radius: float | None = None
+    swarm_size: int = PsoConfig.swarm_size
+    max_iters: int = PsoConfig.max_iters
+    inertia: float = PsoConfig.inertia
+    cognitive: float = PsoConfig.cognitive
+    social: float = PsoConfig.social
+    stall_tol: float = PsoConfig.stall_tol
+    stall_iters: int = PsoConfig.stall_iters
+    search_radius: float | None = PsoConfig.search_radius
     # output
     out: str | None = None
 
@@ -80,6 +87,8 @@ class ExperimentSpec:
             )
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if not 0.0 < self.pfa < 1.0:
@@ -112,58 +121,18 @@ class ExperimentSpec:
                 )
 
 
-def _parse_str(s: str) -> str:
-    return s
+_TYPES = typing.get_type_hints(ExperimentSpec)
 
 
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_float_tuple(s: str) -> tuple:
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
-
-
-def _parse_str_tuple(s: str) -> tuple:
-    return tuple(tok.strip() for tok in s.split(",") if tok.strip())
-
-
-_PARSERS = {
-    "command": _parse_str,
-    "n_tx": _parse_int,
-    "n_rx": _parse_int,
-    "snapshots": _parse_int,
-    "wavelength": _parse_float,
-    "spacing": _parse_float,
-    "angle": _parse_float,
-    "noise_power": _parse_float,
-    "beta_r": _parse_float,
-    "beta_i": _parse_float,
-    "snr_db": _parse_float,
-    "q": _parse_int,
-    "detectors": _parse_str_tuple,
-    "thresholds_path": _parse_str,
-    "pfa": _parse_float,
-    "pfa_grid": _parse_float_tuple,
-    "eta_grid": _parse_float_tuple,
-    "snr_grid_db": _parse_float_tuple,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "swarm_size": _parse_int,
-    "max_iters": _parse_int,
-    "inertia": _parse_float,
-    "cognitive": _parse_float,
-    "social": _parse_float,
-    "stall_tol": _parse_float,
-    "stall_iters": _parse_int,
-    "search_radius": _parse_float,
-    "out": _parse_str,
-}
+def parse_value(key: str, text: str):
+    """Read ``text`` as a value of config key ``key``, typed by its annotation."""
+    kind = _TYPES[key]
+    if type(None) in typing.get_args(kind):  # "X | None" reads as X
+        kind, _ = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+    return kind(text)
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -178,12 +147,12 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = parse_value(key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return ExperimentSpec(**values)

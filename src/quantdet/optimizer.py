@@ -64,8 +64,12 @@ class PsoConfig:
             raise ValueError("max_iters must be positive")
         if self.stall_iters < 1:
             raise ValueError("stall_iters must be positive")
-        if self.search_radius is not None and not self.search_radius > 0.0:
-            raise ValueError("search_radius must be positive")
+        if not all(math.isfinite(c) for c in (self.inertia, self.cognitive, self.social)):
+            raise ValueError("inertia, cognitive and social must be finite")
+        if not 0.0 <= self.stall_tol < math.inf:
+            raise ValueError(f"stall_tol must be finite and >= 0, got {self.stall_tol}")
+        if self.search_radius is not None and not 0.0 < self.search_radius < math.inf:
+            raise ValueError("search_radius must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quantdet import cli
+from quantdet.experiment import COMMANDS, ConfigError, parse_config
 from quantdet.optimizer import read_checkpoint
 from quantdet.selftest import CheckResult
 
@@ -275,6 +276,48 @@ def test_help_exits_zero(capsys):
     assert "thresholds" in capsys.readouterr().out
 
 
+def test_subcommands_are_the_config_commands():
+    assert tuple(cli._SUBCOMMANDS) == COMMANDS
+
+
+# a text each flag reads, and one it rejects (None: any text is a valid string)
+_FLAG_TEXTS = {
+    "--q": ("3", "x"),
+    "--snr-db": ("-14.5", "loud"),
+    "--pfa": ("0.05", "1e"),
+    "--trials": ("12", "1.5"),
+    "--seed": ("7", "seven"),
+    "--out": ("o.csv", None),
+    "--thresholds": ("q2.txt", None),
+    "--workers": ("2", "two"),
+    "--detectors": ("2, inf", None),
+    "--pfa-grid": ("0.01,0.1", "0.1,x"),
+    "--eta-grid": ("0,4.5", "4;5"),
+    "--snr-grid": ("-16,-12.5", "-16,,x"),
+}
+
+
+def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
+    # a flag's value is read exactly as the same key in a config file; a text
+    # the config rejects, the flag rejects too, with a message naming the flag
+    assert set(_FLAG_TEXTS) == set(cli._FLAGS) - {"--config"}
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+    for flag, (good, bad) in _FLAG_TEXTS.items():
+        key = cli._FLAGS[flag][0]
+        command = next(c for c, (_, _, flags) in cli._SUBCOMMANDS.items() if flag in flags)
+        args = parser.parse_args([command, f"{flag}={good}"])
+        assert getattr(args, key) == getattr(parse_config(f"{key} = {good}"), key), flag
+        if bad is None:
+            continue
+        with pytest.raises(ConfigError):
+            parse_config(f"{key} = {bad}")
+        assert run([command, f"{flag}={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid value: {bad!r}" in err
+        assert "functools.partial" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -292,14 +335,19 @@ def test_help_exits_zero(capsys):
         (["pd-eta", "--detectors", "inf", "--seed", "1", "--trials", "20000",
           "--eta-grid=2000", "--snr-db=10"], None),
         (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=20"], None),
+        (["roc", "--detectors", "inf", "--seed", "-1"], None),
+        (["pd-snr", "--detectors", "inf", "--trials", "2000", "--seed", "-1"], None),
+        (["selftest", "--seed", "-1"], None),
+        (["thresholds", "--q", "2", "--seed", "1"], "inertia = nan\n"),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
          "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
          "config pfa_grid = 0.5,1.0", "pd-eta --eta-grid=2000 --snr-db=10",
-         "roc --snr-db=20"],
+         "roc --snr-db=20", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
+         "config inertia = nan"],
 )
-def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch):
+def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value
     # and SNR usable, and the theory column computable; a bad one fails
     # before any threshold is designed, any trial runs or anything is written
@@ -317,6 +365,7 @@ def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch
         argv = argv + ["--config", "exp.cfg"]
     assert run(argv) == 1
     assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config else [])
+    assert capsys.readouterr().out == ""  # not even a detector line
 
 
 def test_config_file_missing_exits_one(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from quantdet.experiment import (
@@ -18,18 +20,42 @@ def test_defaults():
 
 
 def test_round_trip_is_exact():
+    # every key set away from its default, so each annotation's parser runs
     spec = ExperimentSpec(
         command="roc",
-        q=2,
+        n_tx=3,
+        n_rx=5,
+        snapshots=4,
+        wavelength=0.3,
+        spacing=0.1,
+        angle=-0.25,
+        noise_power=1.5,
+        beta_r=0.7,
+        beta_i=-0.2,
         snr_db=-14.0,
+        q=2,
+        detectors=("2", "inf"),
+        thresholds_path="q2.txt",
         pfa=0.012345678901234567,
         pfa_grid=(1e-4, 0.1),
-        detectors=("2", "inf"),
+        eta_grid=(0.0, 13.815510557964274),
+        snr_grid_db=(-16.0, -12.5),
         trials=12345,
         seed=99,
-        out="roc.csv",
+        workers=2,
+        swarm_size=20,
+        max_iters=300,
+        inertia=0.6,
+        cognitive=1.2,
+        social=1.7,
         stall_tol=1.0000000000000002e-09,
+        stall_iters=25,
+        search_radius=4.5,
+        out="roc.csv",
     )
+    fields = dataclasses.fields(spec)
+    assert len(fields) == 30
+    assert all(getattr(spec, f.name) != f.default for f in fields)
     assert parse_config(serialize_config(spec)) == spec
 
 
@@ -76,6 +102,8 @@ def test_missing_equals_sign():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ExperimentSpec(command="explode")
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        ExperimentSpec(seed=-1)
     with pytest.raises(ConfigError):
         ExperimentSpec(trials=0)
     with pytest.raises(ConfigError):

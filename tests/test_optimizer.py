@@ -25,6 +25,15 @@ def test_pso_config_validation():
         PsoConfig(seed=1, stall_iters=0)
     with pytest.raises(ValueError):
         PsoConfig(seed=1, search_radius=-1.0)
+    # a non-finite coefficient freezes the swarm, which then reads as converged;
+    # a negative stall_tol can never be met; an infinite box cannot be sampled
+    nan, inf = float("nan"), float("inf")
+    for fields in (dict(inertia=nan), dict(cognitive=inf), dict(social=-inf),
+                   dict(stall_tol=-1.0), dict(stall_tol=nan), dict(stall_tol=inf),
+                   dict(search_radius=inf)):
+        with pytest.raises(ValueError):
+            PsoConfig(seed=1, **fields)
+    assert PsoConfig(seed=1, stall_tol=0.0).stall_tol == 0.0
     with pytest.raises(TypeError):
         PsoConfig()  # seed is mandatory: no silent nondeterminism
 
