@@ -20,7 +20,7 @@ from .detectors import (
     glrt_unquantized_batch,
     rao_statistic_batch,
 )
-from .experiment import ConfigError, ExperimentSpec, load_config, parse_config, save_config, serialize_config
+from .experiment import ConfigError, ExperimentSpec, load_config, parse_config, serialize_config
 from .montecarlo import (
     RocCurve,
     SweepPoint,
@@ -95,7 +95,6 @@ __all__ = [
     "read_checkpoint",
     "run_selftest",
     "run_trials",
-    "save_config",
     "serialize_config",
     "steering_matrix",
     "stream_rng",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 import warnings
 
@@ -39,7 +38,7 @@ from .perf_theory import theoretical_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
-from .special import chi2_2_quantile, marcum_q1
+from .special import chi2_2_quantile
 
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
@@ -104,7 +103,8 @@ def _flag_reader(key: str):
 
 def _merged_spec(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_config(args.config) if args.config else ExperimentSpec()
-    overrides = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    overrides = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("config", "command")}
     return dataclasses.replace(spec, **overrides)
 
 
@@ -138,6 +138,8 @@ def _resolve_thresholds(spec, scene, signal, bits: int):
         ts, _meta = read_checkpoint(spec.thresholds_path)
         if ts.bits == bits:
             return ts, f"file {spec.thresholds_path}"
+        print(f"warning: {spec.thresholds_path} holds a {ts.bits}-bit design; "
+              f"designing q={bits} by swarm", file=sys.stderr)
     seed = _require_seed(spec)
     result = optimize_thresholds(
         bits, signal, scene.noise_power,
@@ -229,13 +231,6 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
         (detector, origin, detector.noncentrality(scene, signal))
         for detector, origin in _resolve_detectors(spec, scene, signal)
     ]
-    # the theory column must be computable before any trial runs: Marcum Q's
-    # domain limit binds at the largest eta; a pfa grid's empirical etas are
-    # not known yet, so only lambda is probed there
-    if eta_grid or pfa_grid:
-        b = math.sqrt(max(eta_grid)) if eta_grid else 0.0
-        for _, _, lam in resolved:
-            marcum_q1(math.sqrt(lam), b)
     rows = []
     for d_idx, (detector, origin, lam) in enumerate(resolved):
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "

@@ -23,11 +23,12 @@ The unquantized benchmark is the matched-filter GLRT
 |z^H x|^2 / (||z||^2 * noise_power / 2), chi-square 2 dof under H0 at
 every sample size.
 
-The two detector classes own what differs between the tests: what a
-statistic reads from a chunk's Re/Im planes (:meth:`RaoDetector.observe`),
-the statistic itself (``statistic``) and its H1 noncentrality
-lambda_F = |beta|^2 * E * J, with J = J1 for the quantizer and
-2 / noise_power without it (``noncentrality``).
+The two detector classes own what differs between the tests: the
+statistics of a (batch, 2, n) block of Re/Im planes in one call
+(``statistic``: the Rao test bins both planes, the GLRT reads them as
+complex rows) and the H1 noncentrality lambda_F = |beta|^2 * E * J, with
+J = J1 for the quantizer and 2 / noise_power without it
+(``noncentrality``).
 """
 
 from __future__ import annotations
@@ -133,14 +134,11 @@ class RaoDetector:
     def q_label(self) -> str:
         return str(self.thresholds.bits)
 
-    def observe(self, planes: np.ndarray):
-        """Bin indices of the Re and Im planes of a (batch, 2, n) block."""
+    def statistic(self, planes, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
+        """Rao statistics of the binned Re and Im planes of a (batch, 2, n) block."""
         ts = self.thresholds
-        return bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
-
-    def statistic(self, observed, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
-        table = bin_stats_table(self.thresholds, noise_power)
-        return rao_statistic_batch(*observed, signal, table)
+        re0, im0 = bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
+        return rao_statistic_batch(re0, im0, signal, bin_stats_table(ts, noise_power))
 
     def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
         """lambda_F = |beta|^2 * E * J1 of this quantizer."""
@@ -161,17 +159,10 @@ class GlrtDetector:
     def q_label(self) -> str:
         return "inf"
 
-    def observe(self, planes: np.ndarray) -> np.ndarray:
-        """The (batch, 2, n) block read in place as (batch, n) complex rows."""
-        # interleave each trial's two planes in place, so the block itself holds
-        # the complex observations; the transposed copy is one block, which the
-        # engine keeps to one cache-sized tile
-        rows = planes.reshape(len(planes), -1)
-        rows[:] = planes.transpose(0, 2, 1).reshape(len(planes), -1)
-        return rows.view(complex)
-
-    def statistic(self, observed, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
-        return glrt_unquantized_batch(observed, signal, noise_power)
+    def statistic(self, planes, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
+        """GLRT statistics of a (batch, 2, n) block read as (batch, n) complex rows."""
+        rows = planes.transpose(0, 2, 1).copy().view(complex)[..., 0]
+        return glrt_unquantized_batch(rows, signal, noise_power)
 
     def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
         """lambda_F = |beta|^2 * E * 2 / noise_power: J1 without quantization."""

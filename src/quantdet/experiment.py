@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from .optimizer import PsoConfig
 from .signal_model import SceneConfig
 
-COMMANDS = ("thresholds", "roc", "pd-eta", "pd-snr", "theory", "selftest")
-
 # largest bit depth any command accepts: the swarm searches 2^q - 1 thresholds
 # per particle, so a larger q would mean a huge design (q = 30: ~430 GB)
 MAX_BITS = 8
@@ -43,7 +41,6 @@ class ExperimentSpec:
     Monte Carlo command).
     """
 
-    command: str | None = None
     # scene
     n_tx: int = 2
     n_rx: int = 16
@@ -81,10 +78,6 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        if self.command is not None and self.command not in COMMANDS:
-            raise ConfigError(
-                f"unknown command {self.command!r}; expected one of {', '.join(COMMANDS)}"
-            )
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.seed is not None and self.seed < 0:
@@ -180,8 +173,3 @@ def serialize_config(spec: ExperimentSpec) -> str:
 def load_config(path) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(spec: ExperimentSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(spec))

@@ -18,10 +18,9 @@ and a chunk's memory is one tile whatever its size.  A tile's
 observations come from :func:`quantdet.signal_model.observation_planes`,
 which draws their noise through one Philox bit generator re-keyed for
 each trial: trial i's draws equal ``stream_rng(seed, trial_counter(h, i))
-.standard_normal((2, n))`` bit for bit.  The detector reads the tile's
-planes (``observe``: bin indices for the Rao test, the block itself as
-complex rows for the GLRT) and turns that into statistics
-(``statistic``); a row's statistic does not depend on the rows around
+.standard_normal((2, n))`` bit for bit.  The detector scores the tile's
+planes in one call (``statistic``: bin indices for the Rao test, complex
+rows for the GLRT); a row's statistic does not depend on the rows around
 it, so neither tiles nor ``batch_size`` move a bit of the result.
 
 Sub-experiments (one per detector / SNR point in a sweep) draw their
@@ -90,7 +89,7 @@ def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int
     for a in range(start, stop, tile):
         b = min(a + tile, stop)
         planes = observation_planes(scene, signal, hypothesis, cfg.seed, a, b)
-        out[a - start : b - start] = det.statistic(det.observe(planes), signal, scene.noise_power)
+        out[a - start : b - start] = det.statistic(planes, signal, scene.noise_power)
     return out
 
 

@@ -26,15 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import ThresholdSet, _stats_from_edges
+from .quantizer import _MASS_FLOOR, ThresholdSet, _stats_from_edges
 from .signal_model import EffectiveSignal
 
 # Minimum post-repair gap between neighbouring thresholds.  Large enough
 # to keep bins numerically distinct, small enough never to move an
 # optimum that has genuinely separated thresholds.
 _SEPARATION = 1e-9
-
-_MASS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -205,18 +203,18 @@ def optimize_thresholds(
     )
 
 
-def write_checkpoint(path, result: PsoResult, seed: int | None = None, extra=None) -> None:
+def write_checkpoint(path, result: PsoResult, seed: int, extra=None) -> None:
     """Persist a design: ``# key = value`` metadata above the payload line.
 
     ``extra`` maps additional metadata keys to values.  Metadata is purely
     informational -- loading ignores everything but the payload line.
     """
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed = {seed}")
-    lines.append(f"# iterations = {result.iterations}")
-    lines.append(f"# converged = {result.converged}")
-    lines.append(f"# achieved_objective = {result.achieved_objective!r}")
+    lines = [
+        f"# seed = {seed}",
+        f"# iterations = {result.iterations}",
+        f"# converged = {result.converged}",
+        f"# achieved_objective = {result.achieved_objective!r}",
+    ]
     for key, value in (extra or {}).items():
         lines.append(f"# {key} = {value}")
     lines.append(result.thresholds.to_line())

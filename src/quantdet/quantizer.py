@@ -35,6 +35,10 @@ import numpy as np
 from .special import gauss_density, qfunc
 
 
+# smallest usable bin mass, for the table and for the swarm's candidates
+_MASS_FLOOR = 1e-300
+
+
 class DegenerateBinError(ArithmeticError):
     """A quantizer bin has (numerically) zero probability mass.
 
@@ -184,23 +188,21 @@ class BinStats:
         return float(np.sum((self.f1 ** 2 - self.f2 * self.f) / self.f))
 
 
-def bin_stats_table(
-    thresholds: ThresholdSet, noise_power: float, floor: float = 1e-300
-) -> BinStats:
+def bin_stats_table(thresholds: ThresholdSet, noise_power: float) -> BinStats:
     """Precompute (F, F', F'') for every bin at u = 0.
 
     Raises
     ------
     DegenerateBinError
-        If any bin mass falls below ``floor`` -- such a quantizer cannot
+        If any bin mass falls below ``_MASS_FLOOR`` -- such a quantizer cannot
         be scored or run without dividing by (near) zero.
     """
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
     f, f1, f2 = _stats_from_edges(thresholds.edges(), noise_power)
-    if f.min() < floor:
+    if f.min() < _MASS_FLOOR:
         worst = int(np.argmin(f))
         raise DegenerateBinError(
-            f"bin {worst} of 0..{thresholds.n_bins - 1} has mass {f[worst]:.3e} < {floor:g}"
+            f"bin {worst} of 0..{thresholds.n_bins - 1} has mass {f[worst]:.3e} < {_MASS_FLOOR:g}"
         )
     return BinStats(f=f, f1=f1, f2=f2)

@@ -127,7 +127,7 @@ def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     table = bin_stats_table(thresholds, scene.noise_power)
     info = fisher_information(signal, thresholds, scene.noise_power)
     planes = observation_planes(scene, signal, Hypothesis.H0, subseed(seed, 6), 0, trials)
-    re0, im0 = RaoDetector(thresholds).observe(planes)
+    re0, im0 = bin_indices(planes[:, 0], thresholds), bin_indices(planes[:, 1], thresholds)
     del planes  # free the planes before the score sums, which set the peak
     s_r, s_i = _score_sums(re0, im0, signal, table)
     # var(S_R) estimates the diagonal with SE ~ diag * sqrt(2/n);

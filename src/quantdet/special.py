@@ -6,8 +6,8 @@ accuracy is pinned here once:
 
 * :func:`qfunc` -- Gaussian right-tail probability, relative error <= 1e-12
   over the IEEE double range where the result is normal.
-* :func:`marcum_q1` -- first-order Marcum Q function, absolute truncation
-  error <= ``atol`` (default 1e-12) by a rigorous tail bound.
+* :func:`marcum_q1` -- first-order Marcum Q function over its whole domain,
+  absolute error <= 1e-12 (a rigorous tail bound where its series runs).
 * chi-square (2 dof) tail helpers, exact closed forms.
 """
 
@@ -22,8 +22,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # exp(-x) underflows to 0 below roughly -745; the series in marcum_q1 is
-# anchored at exp(-lam) and exp(-x), so keep both exponents clear of that.
+# anchored at exp(-lam) and exp(-x), so it runs only while both stay clear
 _MAX_HALF_EXPONENT = 700.0
+_MARCUM_ATOL = 1e-12  # the series stops once its remaining Poisson mass is below this
 
 
 def qfunc(x):
@@ -54,7 +55,7 @@ def chi2_2_quantile(p_right: float) -> float:
     return -2.0 * math.log(p_right)
 
 
-def marcum_q1(a: float, b: float, atol: float = 1e-12) -> float:
+def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q function Q_1(a, b).
 
     Equals the right tail P(X > b^2) of a noncentral chi-square X with
@@ -67,26 +68,27 @@ def marcum_q1(a: float, b: float, atol: float = 1e-12) -> float:
     with both factors advanced by multiplicative recurrences.  Since
     G_k <= 1, the truncated tail is bounded by the remaining Poisson
     mass, which past the mode is itself bounded geometrically; the loop
-    stops once that bound drops below ``atol``, so the absolute error is
-    at most ``atol`` plus float rounding (a few ulp per term).
+    stops once that bound drops below 1e-12, so the absolute error is
+    at most 1e-12 plus float rounding (a few ulp per term).
 
-    Supported domain: a^2/2 and b^2/2 below ~700 so that the anchoring
-    exponentials stay normal; in detection terms that covers any
-    noncentrality or threshold of practical interest.
+    The series needs a^2/2 and b^2/2 below 700 so that the anchoring
+    exponentials stay normal; past that, the tail is scipy's noncentral
+    chi-square survival function (scipy.stats, slow to import, loads there).
     """
     if a < 0.0 or b < 0.0:
         raise ValueError("marcum_q1 arguments must be non-negative")
     lam = 0.5 * a * a  # Poisson intensity of the mixture
     x = 0.5 * b * b
-    if lam > _MAX_HALF_EXPONENT or x > _MAX_HALF_EXPONENT:
-        raise ValueError(
-            "marcum_q1 series anchor would underflow: need a^2/2 and b^2/2 "
-            f"below {_MAX_HALF_EXPONENT:g}, got a^2/2={lam:g}, b^2/2={x:g}"
-        )
     if b == 0.0:
         return 1.0
     if a == 0.0:
         return math.exp(-x)
+    if lam > _MAX_HALF_EXPONENT or x > _MAX_HALF_EXPONENT:
+        from scipy.stats import ncx2
+        p = float(ncx2.sf(b * b, 2, a * a))
+        if math.isnan(p):  # scipy gives up from about a^2 = 1e20
+            raise ValueError(f"marcum_q1 has no value at a^2={a * a:g}, b^2={b * b:g}")
+        return p
 
     pois = math.exp(-lam)        # Poisson pmf at k = 0
     chi_term = math.exp(-x)      # e^{-x} x^k / k! at k = 0
@@ -104,6 +106,6 @@ def marcum_q1(a: float, b: float, atol: float = 1e-12) -> float:
             # with ratio r = lam/(k+1) < 1, so the untouched tail mass is
             # under pois * r / (1 - r); G_k <= 1 makes it an error bound.
             r = lam / (k + 1)
-            if pois * r / (1.0 - r) <= atol:
+            if pois * r / (1.0 - r) <= _MARCUM_ATOL:
                 break
     return min(total, 1.0)

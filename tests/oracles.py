@@ -113,6 +113,25 @@ def ncx2_2_sf_quadrature(x: float, lam: float) -> float:
     return float(val)
 
 
+def marcum_q1_mp(a: float, b: float) -> float:
+    """Q_1(a, b) by 40-digit mpmath quadrature of the noncentral chi-square density.
+
+    Integrates 0.5 exp(-(t + a^2)/2) I0(a sqrt(t)) from b^2 to infinity,
+    split around the mean a^2 + 2 so that the quadrature sees the peak;
+    mpmath's arbitrary exponent range keeps exp and I0 finite at any a.
+    """
+    lam = mpmath.mpf(a) ** 2
+    eta = mpmath.mpf(b) ** 2
+    mean, sd = lam + 2, mpmath.sqrt(4 * lam + 8)
+    cuts = [mean + k * sd for k in (-20, -5, 0, 5, 20, 60)]
+    points = [eta] + [c for c in cuts if c > eta] + [mpmath.inf]
+
+    def dens(t):
+        return mpmath.exp(-(t + lam) / 2) * mpmath.besseli(0, mpmath.sqrt(lam * t)) / 2
+
+    return float(mpmath.quad(dens, points))
+
+
 def steering_entry(i_r, i_t, spacing, wavelength, angle) -> complex:
     """Array response phase term computed with mpmath trig."""
     phase = -2.0 * mpmath.pi * (i_r + i_t) * spacing * mpmath.sin(angle) / wavelength

@@ -25,7 +25,7 @@ from quantdet.montecarlo import (
 )
 from quantdet.optimizer import read_checkpoint
 from quantdet.perf_theory import fisher_information, theoretical_pd
-from quantdet.quantizer import ThresholdSet, bin_stats_table
+from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
 from quantdet.signal_model import Hypothesis, SceneConfig, effective_signal, observation_planes
 from quantdet.special import chi2_2_quantile, marcum_q1
 
@@ -302,7 +302,7 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
         thresholds = ThresholdSet(bits=bits, interior=interior)
         sig = effective_signal(cfg)
         planes = observation_planes(cfg, sig, Hypothesis.H1, SEED, k, k + 1)
-        (re0,), (im0,) = RaoDetector(thresholds).observe(planes)
+        re0, im0 = bin_indices(planes[0], thresholds)
         table = bin_stats_table(thresholds, cfg.noise_power)
         closed = rao_statistic_batch(re0, im0, sig, table)
         ref = oracles.score_fi_statistic(
@@ -334,7 +334,8 @@ def test_criterion_7_score_covariance_is_fisher(scene, signal, cli_designs):
     for start in range(0, n_trials, chunk):
         stop = min(start + chunk, n_trials)
         planes = observation_planes(scene, signal, Hypothesis.H0, seed, start, stop)
-        s_r, s_i = _score_sums(*RaoDetector(thresholds).observe(planes), signal, table)
+        re0, im0 = bin_indices(planes[:, 0], thresholds), bin_indices(planes[:, 1], thresholds)
+        s_r, s_i = _score_sums(re0, im0, signal, table)
         sq_r[start:stop] = s_r * s_r
         cross[start:stop] = s_r * s_i
     # empirical standard errors of the two moment estimates

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
 from quantdet import cli
-from quantdet.experiment import COMMANDS, ConfigError, parse_config
+from quantdet.experiment import ConfigError, parse_config
 from quantdet.optimizer import read_checkpoint
 from quantdet.selftest import CheckResult
 
@@ -92,7 +93,17 @@ def test_roc_reuses_threshold_file(tmp_path, capsys):
                 "--thresholds", str(ts_file), "--eta-grid", "2,6",
                 "--out", str(out)])
     assert code == 0
-    assert f"thresholds file {ts_file}" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert f"thresholds file {ts_file}" in captured.out
+    assert captured.err == ""
+    # a depth the file does not hold is designed, and stderr says so
+    code = run(["roc", "--detectors", "1,2", "--trials", "200", "--seed", "6",
+                "--thresholds", str(ts_file), "--eta-grid", "2,6", "--out", str(out)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {ts_file} holds a 2-bit design; designing q=1 by swarm\n"
+    assert "detector rao q=1: thresholds swarm," in captured.out
+    assert f"detector rao q=2: thresholds file {ts_file}," in captured.out
 
 
 def test_roc_degenerate_threshold_file_exits_2(tmp_path):
@@ -227,7 +238,9 @@ def test_theory_q_designs_when_the_file_has_other_bits(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run(["theory", "--q", "3", "--thresholds", str(ts_file), "--seed", "1",
                 "--out", str(out)]) == 0
-    assert "theory curve for rao q=3 (thresholds swarm)" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "theory curve for rao q=3 (thresholds swarm)" in captured.out
+    assert captured.err == f"warning: {ts_file} holds a 2-bit design; designing q=3 by swarm\n"
     direct = tmp_path / "direct.csv"
     assert run(["theory", "--q", "3", "--seed", "1", "--out", str(direct)]) == 0
     assert _read(out) == _read(direct)
@@ -274,10 +287,6 @@ def test_usage_errors_exit_one():
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "thresholds" in capsys.readouterr().out
-
-
-def test_subcommands_are_the_config_commands():
-    assert tuple(cli._SUBCOMMANDS) == COMMANDS
 
 
 # a text each flag reads, and one it rejects (None: any text is a valid string)
@@ -332,9 +341,8 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["theory", "--snr-db=4000"], None),
         (["pd-snr", "--snr-grid=4000", "--seed", "1"], None),
         (["roc", "--seed", "1"], "pfa_grid = 0.5,1.0\n"),
-        (["pd-eta", "--detectors", "inf", "--seed", "1", "--trials", "20000",
-          "--eta-grid=2000", "--snr-db=10"], None),
-        (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=20"], None),
+        (["theory", "--snr-db=200"], None),
+        (["pd-snr", "--seed", "1"], "command = roc\n"),
         (["roc", "--detectors", "inf", "--seed", "-1"], None),
         (["pd-snr", "--detectors", "inf", "--trials", "2000", "--seed", "-1"], None),
         (["selftest", "--seed", "-1"], None),
@@ -343,8 +351,8 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
          "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
-         "config pfa_grid = 0.5,1.0", "pd-eta --eta-grid=2000 --snr-db=10",
-         "roc --snr-db=20", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
+         "config pfa_grid = 0.5,1.0", "theory --snr-db=200",
+         "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
          "config inertia = nan"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
@@ -366,6 +374,41 @@ def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch
     assert run(argv) == 1
     assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config else [])
     assert capsys.readouterr().out == ""  # not even a detector line
+
+
+_BIG_SCENE = "n_tx = 4\nn_rx = 64\nsnapshots = 64\n"  # n = 16384: lambda_f = 2048 at 0 dB
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["pd-eta", "--detectors", "inf", "--seed", "1", "--trials", "20000",
+          "--eta-grid=2000", "--snr-db=10"], None),
+        (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=20"], None),
+        (["theory", "--snr-db=0"], _BIG_SCENE),
+        (["roc", "--detectors", "inf", "--snr-db=0", "--trials", "200", "--seed", "1"],
+         _BIG_SCENE),
+    ],
+    ids=["pd-eta --eta-grid=2000 --snr-db=10", "roc --snr-db=20",
+         "theory 4x64x64 at 0 dB", "roc 4x64x64 at 0 dB"],
+)
+def test_theory_column_beyond_the_marcum_series_range(argv, config, tmp_path, monkeypatch):
+    # an eta or a noncentrality past the Marcum series' reach (a^2/2 or
+    # b^2/2 above 700) still gets its theory column, from the ncx2 tail
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", "exp.cfg"]
+    assert run(argv + ["--out", "o.csv"]) == 0
+    header, *rows = _read(tmp_path / "o.csv").strip().split("\n")
+    col = header.split(",").index("p_d_theory")
+    p_d_theory = [float(row.split(",")[col]) for row in rows]
+    if "--eta-grid=2000" in argv:
+        # lambda_f = 1280: the threshold sits ten deviations above the mean
+        assert p_d_theory == [pytest.approx(ncx2.sf(2000.0, 2, 1280.0), rel=1e-9)]
+        assert 0.0 < p_d_theory[0] < 1e-18
+    else:
+        assert p_d_theory == [1.0] * len(rows)
 
 
 def test_config_file_missing_exits_one(tmp_path):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import REFERENCE_Q2
 from quantdet.detectors import (
+    GlrtDetector,
+    RaoDetector,
     ZeroSignalError,
     _score_sums,
     glrt_unquantized_batch,
@@ -124,6 +129,34 @@ def test_batch_matches_scalar_loop(q2_ref):
             assert rao[j] == rao_statistic_batch(re0[j : j + 1], im0[j : j + 1], signal, table)[0]
             assert glrt[j] == glrt_unquantized_batch(x[j], signal, 2.0), (n, j)
             assert glrt[j] == glrt_unquantized_batch(x[j : j + 1], signal, 2.0)[0], (n, j)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 70), n=st.sampled_from([3, 128]), seed=st.integers(0, 2**32 - 1))
+def test_detector_statistic_is_its_kernel_on_the_planes(rows, n, seed):
+    # a detector scores a (rows, 2, n) tile of Re/Im planes in one call:
+    # byte for byte its kernel on the binned planes (Rao) or on the complex
+    # rows (GLRT), row j equal to the score of planes[j:j+1] alone, and the
+    # planes left as they were
+    rng = np.random.default_rng(seed)
+    signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
+    planes = rng.normal(size=(rows, 2, n))
+    before = planes.copy()
+    ts = ThresholdSet(bits=2, interior=REFERENCE_Q2)
+    rao, glrt = RaoDetector(ts), GlrtDetector()
+    t_rao = rao.statistic(planes, signal, 2.0)
+    t_glrt = glrt.statistic(planes, signal, 2.0)
+    assert np.array_equal(planes, before)
+    want = rao_statistic_batch(bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts),
+                               signal, bin_stats_table(ts, 2.0))
+    assert t_rao.tobytes() == want.tobytes()
+    x = np.empty((rows, n), dtype=complex)
+    x.real = planes[:, 0]
+    x.imag = planes[:, 1]
+    assert t_glrt.tobytes() == glrt_unquantized_batch(x, signal, 2.0).tobytes()
+    for j in range(rows):
+        assert rao.statistic(planes[j : j + 1], signal, 2.0).tobytes() == t_rao[j].tobytes()
+        assert glrt.statistic(planes[j : j + 1], signal, 2.0).tobytes() == t_glrt[j].tobytes()
 
 
 def test_score_components_match_sums(q2_ref, scene, signal):

@@ -14,6 +14,7 @@ from quantdet.optimizer import (
 )
 from quantdet.perf_theory import fisher_information
 from quantdet.quantizer import ThresholdSet
+from quantdet.signal_model import EffectiveSignal
 
 
 def test_pso_config_validation():
@@ -92,6 +93,18 @@ def test_same_seed_same_design(signal):
     assert np.array_equal(a.thresholds.interior, b.thresholds.interior)
     assert a.achieved_objective == b.achieved_objective
     assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_design_depends_on_the_template_only_through_its_energy(signal, designs, q):
+    # j * z (g, h -> -h, g) and -z have z's energy, so the swarm, which reads
+    # the template only through it, returns the same design bit for bit
+    want = designs[q]
+    for g, h in ((-signal.h, signal.g), (-signal.g, -signal.h)):
+        got = optimize_thresholds(q, EffectiveSignal(g=g, h=h), 2.0, PsoConfig(seed=1000 + q))
+        assert got.thresholds.interior.tobytes() == want.thresholds.interior.tobytes()
+        assert (got.achieved_objective, got.iterations, got.converged) == (
+            want.achieved_objective, want.iterations, want.converged)
 
 
 def test_different_seeds_reach_same_optimum(signal, frozen):

@@ -1,6 +1,10 @@
-"""The package's public names, pinned so that any change shows in review."""
+"""The package's public names and knobs, pinned so that any change shows in review."""
+
+import dataclasses
 
 import quantdet
+from quantdet import cli
+from quantdet.experiment import ExperimentSpec
 
 PUBLIC = [
     "BinStats",
@@ -40,7 +44,6 @@ PUBLIC = [
     "read_checkpoint",
     "run_selftest",
     "run_trials",
-    "save_config",
     "serialize_config",
     "steering_matrix",
     "stream_rng",
@@ -59,3 +62,11 @@ def test_all_is_the_pinned_sorted_list():
 def test_every_public_name_resolves():
     for name in quantdet.__all__:
         assert getattr(quantdet, name) is not None, name
+
+
+def test_config_keys_and_flags_are_pinned():
+    # adding a knob, or orphaning one that nothing reads, means editing this
+    assert len(dataclasses.fields(ExperimentSpec)) == 29
+    assert sum(len(flags) for _, _, flags in cli._SUBCOMMANDS.values()) == 48
+    keys = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    assert all(key == "config" or key in keys for key, _ in cli._FLAGS.values())

@@ -98,7 +98,19 @@ def test_marcum_monotone_in_each_argument():
 def test_marcum_large_noncentrality_supported():
     # lam/2 = 500 keeps the series anchor normal; result is essentially 1
     assert marcum_q1(math.sqrt(1000.0), math.sqrt(9.21)) >= 1.0 - 1e-12
-    # clearly outside the documented domain -> loud failure, not garbage
+    # past the series' range (lam/2 = 1000) the ncx2 tail answers instead
+    assert 1.0 - 1e-12 <= marcum_q1(math.sqrt(2000.0), 1.0) <= 1.0
+    # past scipy's range too (lam = 1e20 gives NaN there) -> loud failure, not NaN
     with pytest.raises(ValueError):
-        marcum_q1(math.sqrt(2000.0), 1.0)
+        marcum_q1(1e10, 1.0)
+
+
+@pytest.mark.parametrize("lam, eta", [(1500.0, 1400.0), (3000.0, 2900.0),
+                                      (5000.0, 5200.0), (2048.0, 18.4)])
+def test_marcum_beyond_series_range_against_mpmath(lam, eta):
+    # a^2/2 or b^2/2 above 700, where the series anchor would underflow;
+    # background on large-argument Marcum Q: Gil, Segura & Temme, ACM TOMS
+    # Alg. 939 (2014)
+    a, b = math.sqrt(lam), math.sqrt(eta)
+    assert abs(marcum_q1(a, b) - oracles.marcum_q1_mp(a, b)) <= 1e-14
 
