@@ -3,8 +3,8 @@
 Subcommands
 -----------
 thresholds  design a q-bit quantizer for the configured scene and save it
-roc         Monte Carlo ROC (+ asymptotic theory columns) to CSV
-pd-eta      detection/false-alarm rates on a threshold grid to CSV
+roc         Monte Carlo ROC on a false-alarm-rate grid (+ asymptotic theory) to CSV
+pd-eta      detection/false-alarm rates on a threshold (eta) grid to CSV
 pd-snr      detection probability vs SNR at fixed false-alarm rate to CSV
 theory      asymptotic-only operating curve to CSV (no simulation)
 selftest    built-in sanity battery
@@ -38,7 +38,7 @@ from .perf_theory import theoretical_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
-from .special import chi2_2_quantile
+from .special import chi2_2_quantile, marcum_q1
 
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
@@ -72,7 +72,7 @@ _FLAGS = {
     "--eta-grid": ("eta_grid", "comma list of statistic thresholds"),
     "--snr-grid": ("snr_grid_db", "comma list of SNR points in dB"),
 }
-_DESIGN = ("--config", "--q", "--snr-db", "--seed", "--out")
+_DESIGN = ("--config", "--q", "--seed", "--out")
 _SIMULATE = _DESIGN + ("--trials", "--thresholds", "--workers", "--detectors")
 
 
@@ -196,10 +196,7 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
         spec.q, signal, scene.noise_power, _pso_config(spec, seed)
     )
     out = spec.out or f"thresholds_q{spec.q}.txt"
-    # the design itself is SNR-independent; record any requested SNR as
-    # context metadata only
-    extra = {"snr_db": spec.snr_db} if spec.snr_db is not None else None
-    write_checkpoint(out, result, seed=seed, extra=extra)
+    write_checkpoint(out, result, seed=seed)
     print(
         f"designed q={spec.q} quantizer: objective={result.achieved_objective!r} "
         f"iterations={result.iterations} converged={result.converged}"
@@ -215,22 +212,18 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
     return 0
 
 
-def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
+def _roc_like(spec: ExperimentSpec, default_out: str, **grid) -> int:
+    # grid: the one estimate_roc keyword the command reads, pfa_grid or eta_grid
     seed = _require_seed(spec)
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     trials = spec.trials if spec.trials is not None else _DEFAULT_TRIALS
-    eta_grid = spec.eta_grid
-    pfa_grid = spec.pfa_grid
-    if eta_grid is None and pfa_grid is None:
-        if default_grid == "pfa":
-            pfa_grid = tuple(np.logspace(-4.0, np.log10(0.5), 16))
-        else:
-            eta_grid = tuple(np.linspace(0.0, 30.0, 31))
     resolved = [
         (detector, origin, detector.noncentrality(scene, signal))
         for detector, origin in _resolve_detectors(spec, scene, signal)
     ]
+    for _, _, lam in resolved:
+        marcum_q1(np.sqrt(lam), 1.0)  # a lambda_f with no theory column fails before any trial
     rows = []
     for d_idx, (detector, origin, lam) in enumerate(resolved):
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
@@ -244,7 +237,7 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
             workers=spec.workers,
         )
         h0, h1 = run_trials(cfg)
-        curve = estimate_roc(h0, h1, lam, eta_grid=eta_grid, pfa_grid=pfa_grid)
+        curve = estimate_roc(h0, h1, lam, **grid)
         for j in range(curve.eta.shape[0]):
             rows.append(
                 (
@@ -255,18 +248,20 @@ def _roc_like(spec: ExperimentSpec, default_grid: str) -> int:
                     curve.n_h0, curve.n_h1,
                 )
             )
-    out = spec.out or ("roc.csv" if default_grid == "pfa" else "pd_eta.csv")
+    out = spec.out or default_out
     count = _write_csv(out, _ROC_HEADER, rows)
     print(f"wrote {count} rows to {out}")
     return 0
 
 
 def cmd_roc(spec: ExperimentSpec) -> int:
-    return _roc_like(spec, default_grid="pfa")
+    grid = spec.pfa_grid if spec.pfa_grid is not None else np.logspace(-4.0, np.log10(0.5), 16)
+    return _roc_like(spec, "roc.csv", pfa_grid=grid)
 
 
 def cmd_pd_eta(spec: ExperimentSpec) -> int:
-    return _roc_like(spec, default_grid="eta")
+    grid = spec.eta_grid if spec.eta_grid is not None else np.linspace(0.0, 30.0, 31)
+    return _roc_like(spec, "pd_eta.csv", eta_grid=grid)
 
 
 def _print_warning(message, *_args, **_kwargs) -> None:
@@ -345,14 +340,14 @@ def cmd_selftest(spec: ExperimentSpec) -> int:
 # name -> (handler, help, flags)
 _SUBCOMMANDS = {
     "thresholds": (cmd_thresholds, "design quantizer thresholds by swarm search", _DESIGN),
-    "roc": (cmd_roc, "simulate ROC curves and write CSV",
-            _SIMULATE + ("--pfa-grid", "--eta-grid")),
+    "roc": (cmd_roc, "simulate ROC curves on a false-alarm grid and write CSV",
+            _SIMULATE + ("--snr-db", "--pfa-grid")),
     "pd-eta": (cmd_pd_eta, "simulate rates on a threshold grid and write CSV",
-               _SIMULATE + ("--pfa-grid", "--eta-grid")),
+               _SIMULATE + ("--snr-db", "--eta-grid")),
     "pd-snr": (cmd_pd_snr, "simulate detection probability vs SNR and write CSV",
                _SIMULATE + ("--pfa", "--snr-grid")),
     "theory": (cmd_theory, "write the asymptotic operating curve (no simulation)",
-               _DESIGN + ("--thresholds", "--pfa-grid")),
+               _DESIGN + ("--snr-db", "--thresholds", "--pfa-grid")),
     "selftest": (cmd_selftest, "run the built-in sanity battery",
                  ("--config", "--seed", "--trials")),
 }

@@ -45,7 +45,6 @@ class ExperimentSpec:
     n_tx: int = 2
     n_rx: int = 16
     snapshots: int = 8
-    wavelength: float = SceneConfig.wavelength
     spacing: float = SceneConfig.spacing
     angle: float = SceneConfig.angle
     noise_power: float = SceneConfig.noise_power

@@ -113,21 +113,23 @@ def run_trials(cfg: TrialConfig):
     return h0, h1
 
 
-def empirical_threshold(h0_stats: np.ndarray, p_fa: float) -> float:
+def empirical_threshold(h0_stats: np.ndarray, p_fa):
     """Order-statistic threshold with empirical exceedance closest below p_fa.
 
     Returns the (n - k)-th order statistic with k = floor(p_fa * n), so
     with distinct statistics exactly k of n exceed it: the realized rate
-    differs from the request by at most 1/n.
+    differs from the request by at most 1/n.  A scalar ``p_fa`` gives a
+    float; a grid gives an array of thresholds from one sort.
     """
-    if not 0.0 < p_fa < 1.0:
+    p_fa = np.asarray(p_fa, dtype=float)
+    if not np.all((p_fa > 0.0) & (p_fa < 1.0)):
         raise ValueError("p_fa must lie in (0, 1)")
     n = h0_stats.shape[0]
     if n == 0:
         raise ValueError("cannot set an empirical threshold from zero trials")
-    k = int(math.floor(p_fa * n))
-    srt = np.sort(h0_stats)
-    return float(srt[n - k - 1])
+    k = np.floor(p_fa * n).astype(np.intp)
+    eta = np.sort(h0_stats)[n - k - 1]
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def exceedance(stats: np.ndarray, eta) -> np.ndarray:
@@ -176,7 +178,7 @@ def estimate_roc(
     if h0_stats.shape[0] == 0 or h1_stats.shape[0] == 0:
         raise ValueError("estimate_roc needs non-empty statistic samples")
     if pfa_grid is not None:
-        eta = np.array([empirical_threshold(h0_stats, p) for p in np.atleast_1d(pfa_grid)])
+        eta = empirical_threshold(h0_stats, np.atleast_1d(pfa_grid))
     else:
         eta = np.sort(np.asarray(eta_grid, dtype=float))
     p_fa_hat = exceedance(h0_stats, eta)

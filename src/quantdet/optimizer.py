@@ -203,11 +203,10 @@ def optimize_thresholds(
     )
 
 
-def write_checkpoint(path, result: PsoResult, seed: int, extra=None) -> None:
+def write_checkpoint(path, result: PsoResult, seed: int) -> None:
     """Persist a design: ``# key = value`` metadata above the payload line.
 
-    ``extra`` maps additional metadata keys to values.  Metadata is purely
-    informational -- loading ignores everything but the payload line.
+    Metadata is purely informational -- loading ignores all but the payload.
     """
     lines = [
         f"# seed = {seed}",
@@ -215,8 +214,6 @@ def write_checkpoint(path, result: PsoResult, seed: int, extra=None) -> None:
         f"# converged = {result.converged}",
         f"# achieved_objective = {result.achieved_objective!r}",
     ]
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key} = {value}")
     lines.append(result.thresholds.to_line())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

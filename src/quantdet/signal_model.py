@@ -53,11 +53,8 @@ class SceneConfig:
         Number of transmit / receive elements (>= 1).
     snapshots : int
         Temporal samples per receiver after matched filtering (>= 1).
-    wavelength : float
-        Carrier wavelength; only the ratio ``spacing / wavelength``
-        matters for the steering structure.
     spacing : float
-        Inter-element spacing, shared by both arrays.
+        Inter-element spacing in carrier lambdas, shared by both arrays.
     angle : float
         Target direction in radians, 0 = broadside.
     noise_power : float
@@ -69,7 +66,6 @@ class SceneConfig:
     n_tx: int
     n_rx: int
     snapshots: int
-    wavelength: float = 1.0
     spacing: float = 0.5
     angle: float = 0.0
     noise_power: float = 2.0
@@ -80,7 +76,7 @@ class SceneConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("wavelength", "spacing", "noise_power"):
+        for name in ("spacing", "noise_power"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
@@ -99,19 +95,11 @@ class SceneConfig:
     def beta_complex(self) -> complex:
         return complex(self.beta[0], self.beta[1])
 
-    def snr_db(self) -> float:
-        """Per-sample SNR in dB: 10 log10(|beta|^2 / noise_power)."""
-        mag2 = self.beta[0] ** 2 + self.beta[1] ** 2
-        if mag2 == 0.0:
-            return -math.inf
-        return 10.0 * math.log10(mag2 / self.noise_power)
-
     def with_snr_db(self, snr_db: float) -> "SceneConfig":
         """Copy of the scene with |beta| rescaled to hit ``snr_db``.
 
-        The phase of beta is preserved (a zero beta is rescaled along
-        the real axis).  Round-trips: ``c.with_snr_db(s).snr_db() == s``
-        up to float rounding.
+        The per-sample SNR is 10 log10(|beta|^2 / noise_power).  The phase
+        of beta is preserved (a zero beta is rescaled along the real axis).
         """
         if not math.isfinite(snr_db):
             raise ValueError("snr_db must be finite")
@@ -133,12 +121,12 @@ class SceneConfig:
 def steering_matrix(cfg: SceneConfig) -> np.ndarray:
     """Joint receive/transmit steering matrix of shape (n_rx, n_tx).
 
-    Entry (i, k) is exp(-j * 2 pi * (i + k) * spacing * sin(angle) /
-    wavelength) with zero-based element indices -- the outer product of
-    the receive and transmit steering vectors, hence rank one with every
-    entry on the unit circle.
+    Entry (i, k) is exp(-j * 2 pi * (i + k) * spacing * sin(angle)) with
+    ``spacing`` in carrier lambdas and zero-based element indices -- the outer
+    product of the receive and transmit steering vectors, hence rank one
+    with every entry on the unit circle.
     """
-    phase_step = 2.0 * math.pi * cfg.spacing * math.sin(cfg.angle) / cfg.wavelength
+    phase_step = 2.0 * math.pi * cfg.spacing * math.sin(cfg.angle)
     rx = np.arange(cfg.n_rx)[:, None]
     tx = np.arange(cfg.n_tx)[None, :]
     return np.exp(-1j * phase_step * (rx + tx))

@@ -75,8 +75,8 @@ def marcum_q1(a: float, b: float) -> float:
     exponentials stay normal; past that, the tail is scipy's noncentral
     chi-square survival function (scipy.stats, slow to import, loads there).
     """
-    if a < 0.0 or b < 0.0:
-        raise ValueError("marcum_q1 arguments must be non-negative")
+    if not (a >= 0.0 and b >= 0.0):  # NaN fails too: it would never stop the series
+        raise ValueError(f"marcum_q1 arguments must be non-negative, got a={a!r}, b={b!r}")
     lam = 0.5 * a * a  # Poisson intensity of the mixture
     x = 0.5 * b * b
     if b == 0.0:

@@ -132,7 +132,7 @@ def marcum_q1_mp(a: float, b: float) -> float:
     return float(mpmath.quad(dens, points))
 
 
-def steering_entry(i_r, i_t, spacing, wavelength, angle) -> complex:
-    """Array response phase term computed with mpmath trig."""
-    phase = -2.0 * mpmath.pi * (i_r + i_t) * spacing * mpmath.sin(angle) / wavelength
+def steering_entry(i_r, i_t, spacing, angle) -> complex:
+    """Array response phase term computed with mpmath trig (spacing in carrier lambdas)."""
+    phase = -2.0 * mpmath.pi * (i_r + i_t) * spacing * mpmath.sin(angle)
     return complex(mpmath.cos(phase) + 1j * mpmath.sin(phase))

@@ -88,8 +88,8 @@ def test_roc_reuses_threshold_file(tmp_path, capsys):
     ts_file = tmp_path / "q2.txt"
     assert run(["thresholds", "--q", "2", "--seed", "5", "--out", str(ts_file)]) == 0
     capsys.readouterr()
-    out = tmp_path / "roc.csv"
-    code = run(["roc", "--q", "2", "--trials", "200", "--seed", "6",
+    out = tmp_path / "pd_eta.csv"
+    code = run(["pd-eta", "--q", "2", "--trials", "200", "--seed", "6",
                 "--thresholds", str(ts_file), "--eta-grid", "2,6",
                 "--out", str(out)])
     assert code == 0
@@ -97,7 +97,7 @@ def test_roc_reuses_threshold_file(tmp_path, capsys):
     assert f"thresholds file {ts_file}" in captured.out
     assert captured.err == ""
     # a depth the file does not hold is designed, and stderr says so
-    code = run(["roc", "--detectors", "1,2", "--trials", "200", "--seed", "6",
+    code = run(["pd-eta", "--detectors", "1,2", "--trials", "200", "--seed", "6",
                 "--thresholds", str(ts_file), "--eta-grid", "2,6", "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr()
@@ -117,7 +117,7 @@ def test_roc_degenerate_threshold_file_exits_2(tmp_path):
 
 def test_roc_flag_overrides_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("trials = 300\nseed = 8\nq = 1\neta_grid = 4.0\n")
+    cfg.write_text("trials = 300\nseed = 8\nq = 1\npfa_grid = 0.1\n")
     out = tmp_path / "roc.csv"
     assert run(["roc", "--config", str(cfg), "--trials", "150",
                 "--out", str(out)]) == 0
@@ -347,13 +347,14 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["pd-snr", "--detectors", "inf", "--trials", "2000", "--seed", "-1"], None),
         (["selftest", "--seed", "-1"], None),
         (["thresholds", "--q", "2", "--seed", "1"], "inertia = nan\n"),
+        (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=200"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
          "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
          "config pfa_grid = 0.5,1.0", "theory --snr-db=200",
          "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
-         "config inertia = nan"],
+         "config inertia = nan", "roc --snr-db=200"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value
@@ -428,6 +429,10 @@ def test_config_file_missing_exits_one(tmp_path):
         ["pd-eta", "--q", "1", "--seed", "1", "--snr-grid=-3"],
         ["pd-snr", "--q", "1", "--seed", "1", "--pfa-grid", "0.1"],
         ["pd-snr", "--q", "1", "--seed", "1", "--eta-grid", "4"],
+        ["roc", "--q", "1", "--seed", "1", "--eta-grid", "4"],
+        ["pd-eta", "--q", "1", "--seed", "1", "--pfa-grid", "0.1"],
+        ["pd-snr", "--q", "1", "--seed", "1", "--snr-db=-3"],
+        ["thresholds", "--q", "1", "--seed", "1", "--snr-db=-3"],
     ],
     ids=lambda argv: " ".join(argv),
 )

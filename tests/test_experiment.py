@@ -24,7 +24,6 @@ def test_round_trip_is_exact():
         n_tx=3,
         n_rx=5,
         snapshots=4,
-        wavelength=0.3,
         spacing=0.1,
         angle=-0.25,
         noise_power=1.5,
@@ -52,7 +51,7 @@ def test_round_trip_is_exact():
         out="roc.csv",
     )
     fields = dataclasses.fields(spec)
-    assert len(fields) == 29
+    assert len(fields) == 28
     assert all(getattr(spec, f.name) != f.default for f in fields)
     assert parse_config(serialize_config(spec)) == spec
 

@@ -188,10 +188,15 @@ def _signal_of(scene):
 def test_empirical_threshold_realizes_rate():
     rng = np.random.default_rng(0)
     x = rng.exponential(size=5000)
-    for pfa in (0.01, 0.1, 0.37):
+    grid = (0.01, 0.1, 0.37)
+    for pfa in grid:
         eta = empirical_threshold(x, pfa)
         realized = float(np.mean(x > eta))
         assert abs(realized - pfa) <= 1.0 / x.size + 1e-12
+    # a grid sorts once and gives each rate's scalar threshold, bit for bit
+    etas = empirical_threshold(x, np.array(grid))
+    assert etas.shape == (3,)
+    assert etas.tolist() == [empirical_threshold(x, p) for p in grid]
 
 
 def test_empirical_threshold_validation():
@@ -201,6 +206,10 @@ def test_empirical_threshold_validation():
         empirical_threshold(np.arange(5.0), 1.0)
     with pytest.raises(ValueError):
         empirical_threshold(np.empty(0), 0.1)
+    # one rate outside (0, 1) fails the whole grid
+    for bad in ((0.1, 1.0), (0.0, 0.5), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            empirical_threshold(np.arange(5.0), np.array(bad))
 
 
 def test_exceedance_counts_strictly_above():

@@ -181,13 +181,12 @@ def test_optimize_input_validation(signal):
 def test_checkpoint_round_trip(tmp_path, designs):
     path = tmp_path / "design_q2.txt"
     res = designs[2]
-    write_checkpoint(path, res, seed=1002, extra={"note": "session"})
+    write_checkpoint(path, res, seed=1002)
     ts, meta = read_checkpoint(path)
     assert ts.bits == 2
     assert np.array_equal(ts.interior, res.thresholds.interior)  # exact, via repr
     assert meta["seed"] == "1002"
     assert meta["converged"] == str(res.converged)
-    assert meta["note"] == "session"
     assert float(meta["achieved_objective"]) == res.achieved_objective
 
 

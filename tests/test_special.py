@@ -66,6 +66,11 @@ def test_marcum_degenerate_arguments():
         marcum_q1(-1.0, 1.0)
     with pytest.raises(ValueError):
         marcum_q1(1.0, -1.0)
+    # a NaN a would never stop the series, and a NaN b would return NaN
+    with pytest.raises(ValueError, match="a=nan, b=1.0"):
+        marcum_q1(math.nan, 1.0)
+    with pytest.raises(ValueError, match="a=1.0, b=nan"):
+        marcum_q1(1.0, math.nan)
 
 
 def test_marcum_against_quadrature_oracle():
