@@ -32,7 +32,9 @@ import numpy as np
 
 from .detectors import GlrtDetector, RaoDetector
 from .experiment import ConfigError, ExperimentSpec, _format_value, load_config, parse_value
-from .montecarlo import TrialConfig, estimate_roc, pd_vs_snr, run_trials, subseed
+from .montecarlo import (
+    SweepPoint, TrialConfig, empirical_threshold, estimate_roc, pd_vs_snr, run_trials, subseed,
+)
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
 from .perf_theory import theoretical_pd
 from .quantizer import ThresholdSet
@@ -43,10 +45,7 @@ from .special import chi2_2_quantile, marcum_q1
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
 )
-_SWEEP_HEADER = (
-    "detector", "q", "snr_db", "p_fa_target", "eta_asymptotic",
-    "p_d_at_asymptotic_eta", "p_d_at_empirical_eta", "trials",
-)
+_SWEEP_HEADER = tuple(f.name for f in dataclasses.fields(SweepPoint))
 _THEORY_HEADER = ("p_fa", "eta", "lambda_f", "p_d_theory")
 
 # sub-seed namespace for per-q threshold design inside simulation commands
@@ -212,12 +211,12 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
     return 0
 
 
-def _roc_like(spec: ExperimentSpec, default_out: str, **grid) -> int:
-    # grid: the one estimate_roc keyword the command reads, pfa_grid or eta_grid
+def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
+    """Each detector's curve at the thresholds ``thresholds(h0)`` picks from its H0 sample."""
     seed = _require_seed(spec)
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
-    trials = spec.trials if spec.trials is not None else _DEFAULT_TRIALS
+    trials = spec.trials or _DEFAULT_TRIALS
     resolved = [
         (detector, origin, detector.noncentrality(scene, signal))
         for detector, origin in _resolve_detectors(spec, scene, signal)
@@ -237,17 +236,10 @@ def _roc_like(spec: ExperimentSpec, default_out: str, **grid) -> int:
             workers=spec.workers,
         )
         h0, h1 = run_trials(cfg)
-        curve = estimate_roc(h0, h1, lam, **grid)
-        for j in range(curve.eta.shape[0]):
-            rows.append(
-                (
-                    detector.label, detector.q_label,
-                    float(curve.eta[j]),
-                    float(curve.p_fa_hat[j]), float(curve.p_d_hat[j]),
-                    float(curve.p_fa_theory[j]), float(curve.p_d_theory[j]),
-                    curve.n_h0, curve.n_h1,
-                )
-            )
+        curve = estimate_roc(h0, h1, lam, thresholds(h0))
+        columns = (curve.eta, curve.p_fa_hat, curve.p_d_hat, curve.p_fa_theory, curve.p_d_theory)
+        rows += [(detector.label, detector.q_label, *map(float, point), curve.n_h0, curve.n_h1)
+                 for point in zip(*columns)]
     out = spec.out or default_out
     count = _write_csv(out, _ROC_HEADER, rows)
     print(f"wrote {count} rows to {out}")
@@ -255,13 +247,13 @@ def _roc_like(spec: ExperimentSpec, default_out: str, **grid) -> int:
 
 
 def cmd_roc(spec: ExperimentSpec) -> int:
-    grid = spec.pfa_grid if spec.pfa_grid is not None else np.logspace(-4.0, np.log10(0.5), 16)
-    return _roc_like(spec, "roc.csv", pfa_grid=grid)
+    grid = spec.pfa_grid or np.logspace(-4.0, np.log10(0.5), 16)
+    return _roc_like(spec, "roc.csv", lambda h0: empirical_threshold(h0, grid))
 
 
 def cmd_pd_eta(spec: ExperimentSpec) -> int:
-    grid = spec.eta_grid if spec.eta_grid is not None else np.linspace(0.0, 30.0, 31)
-    return _roc_like(spec, "pd_eta.csv", eta_grid=grid)
+    eta = np.sort(spec.eta_grid or np.linspace(0.0, 30.0, 31))
+    return _roc_like(spec, "pd_eta.csv", lambda h0: eta)
 
 
 def _print_warning(message, *_args, **_kwargs) -> None:
@@ -272,7 +264,7 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
-    trials = spec.trials if spec.trials is not None else _DEFAULT_TRIALS
+    trials = spec.trials or _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     detectors = []
     for detector, origin in _resolve_detectors(spec, scene, signal):
@@ -285,15 +277,8 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
         points = pd_vs_snr(
             scene, detectors, snr_grid, spec.pfa, trials, seed, workers=spec.workers
         )
-    rows = [
-        (
-            p.detector, p.q, p.snr_db, p.p_fa_target, p.eta_asymptotic,
-            p.p_d_at_asymptotic_eta, p.p_d_at_empirical_eta, p.trials,
-        )
-        for p in points
-    ]
     out = spec.out or "pd_snr.csv"
-    count = _write_csv(out, _SWEEP_HEADER, rows)
+    count = _write_csv(out, _SWEEP_HEADER, map(dataclasses.astuple, points))
     print(f"wrote {count} rows to {out}")
     return 0
 

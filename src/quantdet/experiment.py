@@ -38,7 +38,8 @@ class ExperimentSpec:
 
     ``None`` means "not set": commands fill in their own defaults or
     reject the spec if the value is mandatory (e.g. ``seed`` for any
-    Monte Carlo command).
+    Monte Carlo command).  An empty list or text is never "not set": it
+    is rejected, so a default is only ever taken for a key left out.
     """
 
     # scene
@@ -91,6 +92,9 @@ class ExperimentSpec:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, tuple(v))
+        for name in ("pfa_grid", "eta_grid", "snr_grid_db", "detectors", "out", "thresholds_path"):
+            if getattr(self, name) in ((), ""):
+                raise ConfigError(f"{name} is empty: give it a value or leave it unset")
         if not all(0.0 < p < 1.0 for p in self.pfa_grid or ()):
             raise ConfigError(f"every pfa_grid entry must lie in (0, 1), got {self.pfa_grid}")
         # statistics are >= 0, and the theory column takes sqrt(eta)
@@ -100,8 +104,6 @@ class ExperimentSpec:
             raise ConfigError(f"every snr_grid_db entry must be finite, got {self.snr_grid_db}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
-        if not self.detectors:
-            raise ConfigError("detector list is empty")
         for tok in self.detectors:
             try:
                 ok = tok == "inf" or 1 <= int(tok) <= MAX_BITS

@@ -158,29 +158,18 @@ class RocCurve:
             object.__setattr__(self, name, a)
 
 
-def estimate_roc(
-    h0_stats: np.ndarray,
-    h1_stats: np.ndarray,
-    lambda_f: float,
-    eta_grid=None,
-    pfa_grid=None,
-) -> RocCurve:
-    """Empirical ROC on a threshold grid, plus matching asymptotic theory.
+def estimate_roc(h0_stats: np.ndarray, h1_stats: np.ndarray, lambda_f: float, eta) -> RocCurve:
+    """Empirical rates at thresholds ``eta``, plus matching asymptotic theory.
 
-    Exactly one of ``eta_grid`` / ``pfa_grid`` must be given.  With
-    ``pfa_grid`` the thresholds are the order statistics of the H0
-    sample at the requested rates (see :func:`empirical_threshold`).
+    ``eta`` is a scalar or a 1-D array, and row i of the curve is ``eta[i]``:
+    the rows keep the order given, nothing is sorted.  For thresholds at
+    requested false-alarm rates pass ``empirical_threshold(h0_stats, p_fa)``.
     Theory columns use the chi-square null tail exp(-eta/2) and the
     Marcum detection tail at noncentrality ``lambda_f``.
     """
-    if (eta_grid is None) == (pfa_grid is None):
-        raise ValueError("provide exactly one of eta_grid or pfa_grid")
     if h0_stats.shape[0] == 0 or h1_stats.shape[0] == 0:
         raise ValueError("estimate_roc needs non-empty statistic samples")
-    if pfa_grid is not None:
-        eta = empirical_threshold(h0_stats, np.atleast_1d(pfa_grid))
-    else:
-        eta = np.sort(np.asarray(eta_grid, dtype=float))
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
     p_fa_hat = exceedance(h0_stats, eta)
     p_d_hat = exceedance(h1_stats, eta)
     p_fa_theory = chi2_2_sf(eta)

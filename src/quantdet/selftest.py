@@ -211,7 +211,13 @@ def run_selftest(
     trials: int = 100000,
     table_transform=None,
 ) -> list:
-    """Run all checks; never raises, failures land in the results."""
+    """Run all checks; failures land in the results.
+
+    Raises ``ValueError`` before any check runs if ``trials < 2`` (a
+    sample variance needs two); past that it never raises.
+    """
+    if trials < 2:
+        raise ValueError(f"selftest needs at least 2 trials, got {trials}")
     checks = (
         ("null_moments", lambda: _check_null_moments(seed, trials)),
         ("one_bit_closed_form", lambda: _check_one_bit(seed)),

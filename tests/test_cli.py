@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from quantdet import cli
+from quantdet import cli, selftest
 from quantdet.experiment import ConfigError, parse_config
 from quantdet.optimizer import read_checkpoint
 from quantdet.selftest import CheckResult
@@ -348,26 +348,38 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["selftest", "--seed", "-1"], None),
         (["thresholds", "--q", "2", "--seed", "1"], "inertia = nan\n"),
         (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=200"], None),
+        (["roc", "--detectors", "inf", "--pfa-grid=", "--trials", "300", "--seed", "1"], None),
+        (["pd-eta", "--detectors", "inf", "--eta-grid=", "--trials", "300", "--seed", "1"], None),
+        (["pd-snr", "--snr-grid=", "--seed", "1"], None),
+        (["theory", "--pfa-grid="], None),
+        (["theory", "--out="], None),
+        (["theory"], "out =\n"),
+        (["roc", "--thresholds=", "--seed", "1"], None),
+        (["selftest", "--trials", "1"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
          "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
          "config pfa_grid = 0.5,1.0", "theory --snr-db=200",
          "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
-         "config inertia = nan", "roc --snr-db=200"],
+         "config inertia = nan", "roc --snr-db=200", "roc --pfa-grid=", "pd-eta --eta-grid=",
+         "pd-snr --snr-grid=", "theory --pfa-grid=", "theory --out=", "config out =",
+         "roc --thresholds=", "selftest --trials 1"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value
-    # and SNR usable, and the theory column computable; a bad one fails
-    # before any threshold is designed, any trial runs or anything is written
+    # and SNR usable, no setting empty, and the theory column computable; a
+    # bad one fails before any threshold is designed, any trial runs or
+    # anything is written
     def no_design(*args, **kwargs):
         raise AssertionError("optimize_thresholds was called")
 
     def no_trials(*args, **kwargs):
         raise AssertionError("run_trials was called")
 
-    monkeypatch.setattr(cli, "optimize_thresholds", no_design)
-    monkeypatch.setattr(cli, "run_trials", no_trials)
+    for module in (cli, selftest):
+        monkeypatch.setattr(module, "optimize_thresholds", no_design)
+        monkeypatch.setattr(module, "run_trials", no_trials)
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "exp.cfg").write_text(config)

@@ -110,9 +110,9 @@ def test_spec_validation():
         ExperimentSpec(q=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(workers=0)
-    # bit depths: q and every detector token in 1..8 (or 'inf'), a non-empty list
+    # bit depths: q and every detector token in 1..8 (or 'inf')
     for fields in (dict(q=9), dict(detectors=("1", "9")), dict(detectors=("0",)),
-                   dict(detectors=("2", "x")), dict(detectors=())):
+                   dict(detectors=("2", "x"))):
         with pytest.raises(ConfigError):
             ExperimentSpec(**fields)
     assert ExperimentSpec(q=8, detectors=("1", "8", "inf")).q == 8
@@ -125,6 +125,13 @@ def test_spec_validation():
         with pytest.raises(ConfigError):
             ExperimentSpec(**fields)
     assert ExperimentSpec(pfa_grid=(1e-4, 0.5), eta_grid=(0.0, 30.0), snr_db=-14.0).snr_db == -14.0
+    # an empty value is an error naming its key, never a request for the default
+    for key in ("pfa_grid", "eta_grid", "snr_grid_db", "detectors", "out", "thresholds_path"):
+        empty = "" if key in ("out", "thresholds_path") else ()
+        with pytest.raises(ConfigError, match=f"^{key} is empty"):
+            ExperimentSpec(**{key: empty})
+        with pytest.raises(ConfigError, match=f"^{key} is empty"):
+            parse_config(f"{key} =\n")
 
 
 def test_file_round_trip(tmp_path):

@@ -223,21 +223,30 @@ def test_exceedance_counts_strictly_above():
 
 # ------------------------------------------------------------------------- ROC
 
-def test_estimate_roc_requires_exactly_one_grid(small_scene, rao2):
+def test_estimate_roc_rejects_empty_samples(small_scene, rao2):
     h0, h1 = run_trials(_cfg(small_scene, rao2, 200, 200, seed=11))
     with pytest.raises(ValueError):
-        estimate_roc(h0, h1, 1.0)
+        estimate_roc(np.empty(0), h1, 1.0, [1.0])
     with pytest.raises(ValueError):
-        estimate_roc(h0, h1, 1.0, eta_grid=[1.0], pfa_grid=[0.1])
-    with pytest.raises(ValueError):
-        estimate_roc(np.empty(0), h1, 1.0, eta_grid=[1.0])
+        estimate_roc(h0, np.empty(0), 1.0, [1.0])
+
+
+def test_estimate_roc_keeps_the_order_of_eta(small_scene, rao2):
+    # row i is eta[i]: a descending grid gives the ascending call's rows reversed
+    h0, h1 = run_trials(_cfg(small_scene, rao2, 500, 500, seed=31))
+    up = estimate_roc(h0, h1, 2.0, np.linspace(0.0, 12.0, 7))
+    down = estimate_roc(h0, h1, 2.0, np.linspace(12.0, 0.0, 7))
+    for name in ("eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory"):
+        assert np.array_equal(getattr(down, name), getattr(up, name)[::-1]), name
+    one = estimate_roc(h0, h1, 2.0, 4.0)  # a scalar threshold is a one-row curve
+    assert one.eta.tolist() == [4.0] and one.p_d_hat.tolist() == [up.p_d_hat[2]]
 
 
 def test_estimate_roc_monotone_and_theory_columns(small_scene, rao2):
     h0, h1 = run_trials(_cfg(small_scene, rao2, 4000, 4000, seed=13))
     lam = 3.0
     eta = np.linspace(0.0, 12.0, 7)
-    roc = estimate_roc(h0, h1, lam, eta_grid=eta)
+    roc = estimate_roc(h0, h1, lam, eta)
     assert np.all(np.diff(roc.p_fa_hat) <= 0)
     assert np.all(np.diff(roc.p_d_hat) <= 0)
     assert np.all(roc.p_d_hat >= roc.p_fa_hat)  # there is signal
@@ -252,7 +261,7 @@ def test_estimate_roc_monotone_and_theory_columns(small_scene, rao2):
 def test_estimate_roc_pfa_grid_hits_rates(small_scene, rao2):
     h0, h1 = run_trials(_cfg(small_scene, rao2, 5000, 1000, seed=17))
     pfa = np.array([0.01, 0.05, 0.2])
-    roc = estimate_roc(h0, h1, 2.0, pfa_grid=pfa)
+    roc = estimate_roc(h0, h1, 2.0, empirical_threshold(h0, pfa))
     assert np.all(np.abs(roc.p_fa_hat - pfa) <= 1.0 / h0.size + 1e-12)
 
 
@@ -265,7 +274,7 @@ def test_roc_with_zero_noncentrality_degenerates_to_diagonal(small_scene, rao2):
         beta=(0.0, 0.0),
     )
     h0, h1 = run_trials(_cfg(silent, rao2, 4000, 4000, seed=23))
-    roc = estimate_roc(h0, h1, 0.0, eta_grid=np.linspace(1.0, 9.0, 5))
+    roc = estimate_roc(h0, h1, 0.0, np.linspace(1.0, 9.0, 5))
     # both samples come from the same null law (different streams), so
     # the empirical rates agree to binomial noise, and theory is exact
     assert np.allclose(roc.p_d_theory, roc.p_fa_theory, atol=1e-12)
@@ -274,7 +283,7 @@ def test_roc_with_zero_noncentrality_degenerates_to_diagonal(small_scene, rao2):
 
 def test_roc_arrays_read_only(small_scene, rao2):
     h0, h1 = run_trials(_cfg(small_scene, rao2, 100, 100, seed=29))
-    roc = estimate_roc(h0, h1, 1.0, eta_grid=[1.0, 2.0])
+    roc = estimate_roc(h0, h1, 1.0, [1.0, 2.0])
     with pytest.raises(ValueError):
         roc.p_d_hat[0] = 0.5
 
