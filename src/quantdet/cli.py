@@ -101,7 +101,9 @@ def _flag_reader(key: str):
 
 
 def _merged_spec(args: argparse.Namespace) -> ExperimentSpec:
-    spec = load_config(args.config) if args.config else ExperimentSpec()
+    if args.config == "":
+        raise ConfigError("config is empty: give it a value or leave it unset")
+    spec = load_config(args.config) if args.config is not None else ExperimentSpec()
     overrides = {k: v for k, v in vars(args).items()
                  if v is not None and k not in ("config", "command")}
     return dataclasses.replace(spec, **overrides)

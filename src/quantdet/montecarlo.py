@@ -5,23 +5,23 @@ Reproducibility model
 Each trial owns a private Philox stream named by (master seed, trial
 counter); the counter encodes hypothesis and trial index (see
 :func:`quantdet.signal_model.trial_counter`).  Statistics therefore
-depend only on (seed, hypothesis, index) -- not on batch size, worker
-count or evaluation order -- and two runs with equal seeds agree bit
-for bit.  Work is split into fixed-size index ranges; with
-``workers > 1`` the ranges are farmed out to processes and re-assembled
-in index order.
+depend only on (seed, hypothesis, index) -- not on worker count, tile
+size or evaluation order -- and two runs with equal seeds agree bit
+for bit.  Each hypothesis is split into one index range per worker;
+with more than one range the ranges are farmed out to processes and
+re-assembled in index order.
 
-A chunk (``batch_size`` trials, the unit of parallel work) runs in
-tiles of ``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im
-planes, so a tile's planes, bin indices and score gathers stay in cache
-and a chunk's memory is one tile whatever its size.  A tile's
+A range (the unit of parallel work) runs in tiles of
+``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
+tile's planes, bin indices and score gathers stay in cache and a
+range's memory is one tile whatever its length.  A tile's
 observations come from :func:`quantdet.signal_model.observation_planes`,
 which draws their noise through one Philox bit generator re-keyed for
 each trial: trial i's draws equal ``stream_rng(seed, trial_counter(h, i))
 .standard_normal((2, n))`` bit for bit.  The detector scores the tile's
 planes in one call (``statistic``: bin indices for the Rao test, complex
 rows for the GLRT); a row's statistic does not depend on the rows around
-it, so neither tiles nor ``batch_size`` move a bit of the result.
+it, so neither tiles nor ranges move a bit of the result.
 
 Sub-experiments (one per detector / SNR point in a sweep) draw their
 master seeds from a SeedSequence spawned off the experiment seed, so
@@ -53,8 +53,8 @@ from .special import chi2_2_quantile, chi2_2_sf, marcum_q1
 class TrialConfig:
     """One Monte Carlo run: scene, detector, trial counts and seed.
 
-    ``batch_size`` is the unit of parallel work (one chunk per worker
-    task); tiles inside a chunk are internal, and neither changes a result.
+    Each hypothesis runs as one index range per worker, each range in
+    tiles; neither the ranges nor the tiles change a result.
     """
 
     scene: SceneConfig
@@ -63,17 +63,19 @@ class TrialConfig:
     n_trials_h1: int
     seed: int
     workers: int = 1
-    batch_size: int = 8192
 
     def __post_init__(self):
         if self.n_trials_h0 < 0 or self.n_trials_h1 < 0:
             raise ValueError("trial counts must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not isinstance(self.detector, (RaoDetector, GlrtDetector)):
             raise ValueError(f"unsupported detector: {self.detector!r}")
+
+    @property
+    def batch_size(self) -> int:
+        """Trials per index range: the larger hypothesis split over the workers."""
+        return max(1, math.ceil(max(self.n_trials_h0, self.n_trials_h1) / self.workers))
 
 
 # values per Re/Im plane in one tile: 2^16 float64 per plane, 1 MiB of planes
@@ -98,12 +100,11 @@ def _run_hypothesis(cfg: TrialConfig, hypothesis: Hypothesis, n_trials: int) -> 
         return np.empty(0)
     starts = list(range(0, n_trials, cfg.batch_size))
     stops = [min(s + cfg.batch_size, n_trials) for s in starts]
-    if cfg.workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_chunk_stats, repeat(cfg), repeat(hypothesis), starts, stops))
-    else:
-        chunks = [_chunk_stats(cfg, hypothesis, a, b) for a, b in zip(starts, stops)]
-    return np.concatenate(chunks)
+    if len(starts) == 1:
+        return _chunk_stats(cfg, hypothesis, 0, n_trials)
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts))) as pool:
+        chunks = pool.map(_chunk_stats, repeat(cfg), repeat(hypothesis), starts, stops)
+        return np.concatenate(list(chunks))
 
 
 def run_trials(cfg: TrialConfig):

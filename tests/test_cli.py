@@ -356,6 +356,7 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["theory"], "out =\n"),
         (["roc", "--thresholds=", "--seed", "1"], None),
         (["selftest", "--trials", "1"], None),
+        (["theory", "--config="], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
@@ -364,7 +365,7 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
          "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
          "config inertia = nan", "roc --snr-db=200", "roc --pfa-grid=", "pd-eta --eta-grid=",
          "pd-snr --snr-grid=", "theory --pfa-grid=", "theory --out=", "config out =",
-         "roc --thresholds=", "selftest --trials 1"],
+         "roc --thresholds=", "selftest --trials 1", "theory --config="],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quantdet import montecarlo
 from quantdet.detectors import GlrtDetector, RaoDetector
 from quantdet.montecarlo import (
     TrialConfig,
@@ -38,6 +39,12 @@ def _cfg(scene, det, n0, n1, seed, **kw):
     )
 
 
+def _ranged_stats(cfg, hypothesis, bounds):
+    """Statistics for trials [bounds[0], bounds[-1]), one range between neighbours at a time."""
+    pieces = [_chunk_stats(cfg, hypothesis, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.concatenate(pieces)
+
+
 # ------------------------------------------------------------- reproducibility
 
 def test_same_seed_bit_identical(small_scene, rao2):
@@ -49,11 +56,18 @@ def test_same_seed_bit_identical(small_scene, rao2):
 
 
 def test_batch_size_invariance(small_scene, rao2):
+    # one range per worker (1, 2 or 3 of them), ragged ranges and one-row
+    # ranges all give the same statistics byte for byte
     for det in (rao2, GlrtDetector()):
-        a0, a1 = run_trials(_cfg(small_scene, det, 500, 500, seed=9, batch_size=512))
-        for batch_size in (333, 1):
-            b0, b1 = run_trials(_cfg(small_scene, det, 500, 500, seed=9, batch_size=batch_size))
-            assert np.array_equal(a0, b0) and np.array_equal(a1, b1), (det.label, batch_size)
+        a0, a1 = run_trials(_cfg(small_scene, det, 500, 500, seed=9))
+        for workers in (2, 3):
+            b0, b1 = run_trials(_cfg(small_scene, det, 500, 500, seed=9, workers=workers))
+            assert np.array_equal(a0, b0) and np.array_equal(a1, b1), (det.label, workers)
+        cfg = _cfg(small_scene, det, 500, 500, seed=9)
+        for h, want in ((Hypothesis.H0, a0), (Hypothesis.H1, a1)):
+            for bounds in ((0, 333, 500), range(501)):
+                got = _ranged_stats(cfg, h, bounds)
+                assert np.array_equal(got, want), (det.label, h, len(bounds) - 1)
 
 
 # SHA-256 of the statistics' bytes, recorded from the per-trial engine (one
@@ -79,11 +93,52 @@ def test_statistics_match_pinned_bytes(small_scene, rao2):
 
 
 def test_worker_count_invariance(small_scene, rao2):
-    serial = run_trials(_cfg(small_scene, rao2, 400, 0, seed=4, batch_size=100))
-    parallel = run_trials(
-        _cfg(small_scene, rao2, 400, 0, seed=4, batch_size=100, workers=3)
-    )
+    serial = run_trials(_cfg(small_scene, rao2, 400, 0, seed=4))
+    parallel = run_trials(_cfg(small_scene, rao2, 400, 0, seed=4, workers=3))
     assert np.array_equal(serial[0], parallel[0])
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: runs ``map`` in-process and records."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.ranges = []
+        self.opened.append((max_workers, self.ranges))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        for args in zip(*iterables):
+            self.ranges.append(args[-2:])
+            yield fn(*args)
+
+
+@pytest.mark.parametrize(
+    "trials, workers, pools",
+    [
+        (10_000, 2, [(2, [(0, 5000), (5000, 10_000)])]),
+        (3, 8, [(3, [(0, 1), (1, 2), (2, 3)])]),
+        (10, 4, [(4, [(0, 3), (3, 6), (6, 9), (9, 10)])]),
+        (9, 4, [(3, [(0, 3), (3, 6), (6, 9)])]),
+        (10_000, 1, []),
+    ],
+)
+def test_one_range_per_worker(small_scene, rao2, monkeypatch, trials, workers, pools):
+    # each hypothesis splits into ceil(trials / workers)-trial ranges, and a
+    # pool opens only for two or more ranges, with no more processes than ranges
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "opened", [])
+    cfg = _cfg(small_scene, rao2, trials, 0, seed=7, workers=workers)
+    assert cfg.batch_size == -(-trials // workers)
+    h0, _ = run_trials(cfg)
+    assert _SerialPool.opened == pools
+    assert h0.shape == (trials,)
 
 
 def test_null_trials_independent_of_beta(small_scene, rao2):
@@ -105,8 +160,8 @@ def test_trial_config_validation(small_scene, rao2):
         _cfg(small_scene, rao2, -1, 0, seed=1)
     with pytest.raises(ValueError):
         _cfg(small_scene, rao2, 10, 10, seed=1, workers=0)
-    with pytest.raises(ValueError):
-        _cfg(small_scene, rao2, 10, 10, seed=1, batch_size=0)
+    with pytest.raises(TypeError):
+        _cfg(small_scene, rao2, 10, 10, seed=1, batch_size=8)  # derived, not settable
     with pytest.raises(ValueError):
         _cfg(small_scene, "not a detector", 10, 10, seed=1)
 
@@ -128,18 +183,18 @@ def rao3(reference_q3):
 
 
 def test_tile_boundary_invariance(large_scene, rao3):
-    # 97 = 3 * 32 + 1 trials: one chunk of four tiles, the last holding one
-    # row (batch_size 200), chunks of 32 + 1 rows (33) and one-row chunks
-    # (1) must all give the untiled block's statistics byte for byte
+    # 97 = 3 * 32 + 1 trials: one range of four tiles, the last holding one
+    # row, ranges of 33 (32 + 1 rows) and 64 rows, and one-row ranges must
+    # all give the untiled block's statistics byte for byte
     signal = _signal_of(large_scene)
     for det in (rao3, GlrtDetector()):
-        want = []
+        cfg = _cfg(large_scene, det, 97, 97, seed=12)
         for h in (Hypothesis.H0, Hypothesis.H1):
             planes = observation_planes(large_scene, signal, h, 12, 0, 97)
-            want.append(det.statistic(planes, signal, large_scene.noise_power))
-        for batch_size in (200, 1, 33):
-            got = run_trials(_cfg(large_scene, det, 97, 97, seed=12, batch_size=batch_size))
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (det.label, batch_size)
+            want = det.statistic(planes, signal, large_scene.noise_power)
+            for bounds in ((0, 97), (0, 33, 97), range(98)):
+                got = _ranged_stats(cfg, h, bounds)
+                assert np.array_equal(got, want), (det.label, h, len(bounds) - 1)
 
 
 @pytest.mark.parametrize("det", ["rao", "glrt"])
@@ -148,7 +203,7 @@ def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
     # the chunk's planes take 31.25 or 187.5 MiB, one tile's 1 MiB: the
     # traced peak stays a few tiles whatever the chunk size
     detector = rao3 if det == "rao" else GlrtDetector()
-    cfg = _cfg(large_scene, detector, trials, 0, seed=8, batch_size=trials)
+    cfg = _cfg(large_scene, detector, trials, 0, seed=8)
     tracemalloc.start()
     try:
         _chunk_stats(cfg, Hypothesis.H0, 0, trials)

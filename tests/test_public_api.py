@@ -70,3 +70,7 @@ def test_config_keys_and_flags_are_pinned():
     assert sum(len(flags) for _, _, flags in cli._SUBCOMMANDS.values()) == 44
     keys = {f.name for f in dataclasses.fields(ExperimentSpec)}
     assert all(key == "config" or key in keys for key, _ in cli._FLAGS.values())
+    # the engine works out its own index ranges: no chunk size to set
+    assert [f.name for f in dataclasses.fields(quantdet.TrialConfig)] == [
+        "scene", "detector", "n_trials_h0", "n_trials_h1", "seed", "workers"
+    ]
