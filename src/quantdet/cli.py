@@ -40,7 +40,7 @@ from .perf_theory import theoretical_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
-from .special import chi2_2_quantile, marcum_q1
+from .special import chi2_2_quantile
 
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
@@ -223,8 +223,6 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
         (detector, origin, detector.noncentrality(scene, signal))
         for detector, origin in _resolve_detectors(spec, scene, signal)
     ]
-    for _, _, lam in resolved:
-        marcum_q1(np.sqrt(lam), 1.0)  # a lambda_f with no theory column fails before any trial
     rows = []
     for d_idx, (detector, origin, lam) in enumerate(resolved):
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
@@ -258,10 +256,6 @@ def cmd_pd_eta(spec: ExperimentSpec) -> int:
     return _roc_like(spec, "pd_eta.csv", lambda h0: eta)
 
 
-def _print_warning(message, *_args, **_kwargs) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def cmd_pd_snr(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
     scene = _scene_from_spec(spec)
@@ -272,13 +266,13 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     for detector, origin in _resolve_detectors(spec, scene, signal):
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}")
         detectors.append(detector)
-    with warnings.catch_warnings():
-        # a library warning (thin false-alarm tail) becomes one plain stderr line
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        warnings.showwarning = _print_warning
         points = pd_vs_snr(
             scene, detectors, snr_grid, spec.pfa, trials, seed, workers=spec.workers
         )
+    for w in caught:  # a library warning (thin false-alarm tail) becomes one plain stderr line
+        print(f"warning: {w.message}", file=sys.stderr)
     out = spec.out or "pd_snr.csv"
     count = _write_csv(out, _SWEEP_HEADER, map(dataclasses.astuple, points))
     print(f"wrote {count} rows to {out}")

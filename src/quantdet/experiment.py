@@ -43,9 +43,9 @@ class ExperimentSpec:
     """
 
     # scene
-    n_tx: int = 2
-    n_rx: int = 16
-    snapshots: int = 8
+    n_tx: int = SceneConfig.n_tx
+    n_rx: int = SceneConfig.n_rx
+    snapshots: int = SceneConfig.snapshots
     spacing: float = SceneConfig.spacing
     angle: float = SceneConfig.angle
     noise_power: float = SceneConfig.noise_power

@@ -18,10 +18,7 @@ re-execution of the implementation:
                            oracle on random instances.
 
 ``run_selftest`` returns structured results; the CLI renders them one
-per line and maps any failure to its own exit code.  ``table_transform``
-exists so a test harness can corrupt the bin-statistics table that the
-closed form uses and confirm that ``score_test_identity`` actually has
-teeth.
+per line and maps any failure to its own exit code.
 """
 
 from __future__ import annotations
@@ -59,12 +56,8 @@ class CheckResult:
         return f"check={self.name} status={status} {self.detail}"
 
 
-def _default_scene() -> SceneConfig:
-    return SceneConfig(n_tx=2, n_rx=16, snapshots=8, noise_power=2.0)
-
-
 def _check_null_moments(seed: int, trials: int) -> CheckResult:
-    scene = _default_scene()
+    scene = SceneConfig()
     signal = effective_signal(scene)
     design = optimize_thresholds(
         2, signal, scene.noise_power, PsoConfig(seed=subseed(seed, 1))
@@ -118,7 +111,7 @@ def _check_one_bit(seed: int) -> CheckResult:
 
 
 def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
-    scene = _default_scene()
+    scene = SceneConfig()
     signal = effective_signal(scene)
     design = optimize_thresholds(
         2, signal, scene.noise_power, PsoConfig(seed=subseed(seed, 5))
@@ -180,7 +173,7 @@ def _oracle_statistic(re_bins, im_bins, signal, thresholds, noise_power, eps=1e-
     return (s_r * s_r + s_i * s_i) / (signal.energy * info1)
 
 
-def _check_score_identity(seed: int, table_transform=None) -> CheckResult:
+def _check_score_identity(seed: int) -> CheckResult:
     rng = np.random.default_rng(subseed(seed, 7))
     worst = 0.0
     for trial in range(10):
@@ -197,8 +190,6 @@ def _check_score_identity(seed: int, table_transform=None) -> CheckResult:
         re_bins = bin_indices(x.real, thresholds)
         im_bins = bin_indices(x.imag, thresholds)
         table = bin_stats_table(thresholds, noise_power)
-        if table_transform is not None:
-            table = table_transform(table)
         closed = rao_statistic_batch(re_bins, im_bins, signal, table)
         oracle = _oracle_statistic(re_bins, im_bins, signal, thresholds, noise_power)
         worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-12))
@@ -206,11 +197,7 @@ def _check_score_identity(seed: int, table_transform=None) -> CheckResult:
     return CheckResult("score_test_identity", ok, f"max_rel_err={worst:.2e}")
 
 
-def run_selftest(
-    seed: int = DEFAULT_SEED,
-    trials: int = 100000,
-    table_transform=None,
-) -> list:
+def run_selftest(seed: int = DEFAULT_SEED, trials: int = 100000) -> list:
     """Run all checks; failures land in the results.
 
     Raises ``ValueError`` before any check runs if ``trials < 2`` (a
@@ -222,7 +209,7 @@ def run_selftest(
         ("null_moments", lambda: _check_null_moments(seed, trials)),
         ("one_bit_closed_form", lambda: _check_one_bit(seed)),
         ("fisher_identity", lambda: _check_fisher_identity(seed, min(trials, 20000))),
-        ("score_test_identity", lambda: _check_score_identity(seed, table_transform)),
+        ("score_test_identity", lambda: _check_score_identity(seed)),
     )
     results = []
     for name, run in checks:

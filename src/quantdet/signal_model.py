@@ -45,7 +45,7 @@ class Hypothesis(Enum):
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Immutable description of one radar scene.
+    """Immutable description of one radar scene; the defaults are the paper's scene.
 
     Parameters
     ----------
@@ -63,9 +63,9 @@ class SceneConfig:
         Complex reflection amplitude as ``(real, imag)``.
     """
 
-    n_tx: int
-    n_rx: int
-    snapshots: int
+    n_tx: int = 2
+    n_rx: int = 16
+    snapshots: int = 8
     spacing: float = 0.5
     angle: float = 0.0
     noise_power: float = 2.0

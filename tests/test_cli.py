@@ -1,5 +1,10 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import ncx2
@@ -341,13 +346,11 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["theory", "--snr-db=4000"], None),
         (["pd-snr", "--snr-grid=4000", "--seed", "1"], None),
         (["roc", "--seed", "1"], "pfa_grid = 0.5,1.0\n"),
-        (["theory", "--snr-db=200"], None),
         (["pd-snr", "--seed", "1"], "command = roc\n"),
         (["roc", "--detectors", "inf", "--seed", "-1"], None),
         (["pd-snr", "--detectors", "inf", "--trials", "2000", "--seed", "-1"], None),
         (["selftest", "--seed", "-1"], None),
         (["thresholds", "--q", "2", "--seed", "1"], "inertia = nan\n"),
-        (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=200"], None),
         (["roc", "--detectors", "inf", "--pfa-grid=", "--trials", "300", "--seed", "1"], None),
         (["pd-eta", "--detectors", "inf", "--eta-grid=", "--trials", "300", "--seed", "1"], None),
         (["pd-snr", "--snr-grid=", "--seed", "1"], None),
@@ -361,17 +364,16 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
          "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
-         "config pfa_grid = 0.5,1.0", "theory --snr-db=200",
+         "config pfa_grid = 0.5,1.0",
          "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
-         "config inertia = nan", "roc --snr-db=200", "roc --pfa-grid=", "pd-eta --eta-grid=",
+         "config inertia = nan", "roc --pfa-grid=", "pd-eta --eta-grid=",
          "pd-snr --snr-grid=", "theory --pfa-grid=", "theory --out=", "config out =",
          "roc --thresholds=", "selftest --trials 1", "theory --config="],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value
-    # and SNR usable, no setting empty, and the theory column computable; a
-    # bad one fails before any threshold is designed, any trial runs or
-    # anything is written
+    # and SNR usable, and no setting empty; a bad one fails before any
+    # threshold is designed, any trial runs or anything is written
     def no_design(*args, **kwargs):
         raise AssertionError("optimize_thresholds was called")
 
@@ -402,13 +404,17 @@ _BIG_SCENE = "n_tx = 4\nn_rx = 64\nsnapshots = 64\n"  # n = 16384: lambda_f = 20
         (["theory", "--snr-db=0"], _BIG_SCENE),
         (["roc", "--detectors", "inf", "--snr-db=0", "--trials", "200", "--seed", "1"],
          _BIG_SCENE),
+        (["theory", "--snr-db=200"], None),
+        (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=200"], None),
     ],
     ids=["pd-eta --eta-grid=2000 --snr-db=10", "roc --snr-db=20",
-         "theory 4x64x64 at 0 dB", "roc 4x64x64 at 0 dB"],
+         "theory 4x64x64 at 0 dB", "roc 4x64x64 at 0 dB",
+         "theory --snr-db=200", "roc --snr-db=200"],
 )
 def test_theory_column_beyond_the_marcum_series_range(argv, config, tmp_path, monkeypatch):
     # an eta or a noncentrality past the Marcum series' reach (a^2/2 or
-    # b^2/2 above 700) still gets its theory column, from the ncx2 tail
+    # b^2/2 above 700) still gets its theory column, from the quadrature;
+    # at 200 dB lambda_f is 1.28e22, where scipy's ncx2 has no value
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "exp.cfg").write_text(config)
@@ -423,6 +429,24 @@ def test_theory_column_beyond_the_marcum_series_range(argv, config, tmp_path, mo
         assert 0.0 < p_d_theory[0] < 1e-18
     else:
         assert p_d_theory == [1.0] * len(rows)
+
+
+def test_far_noncentrality_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats is slow to import and no command needs it, not even a
+    # theory column far past the Marcum series' range; a fresh interpreter
+    # sees what the commands load, which this suite's own imports would hide
+    script = (
+        "import sys\n"
+        "from quantdet import cli\n"
+        "assert cli.main(['theory', '--snr-db=200', '--out', 't.csv']) == 0\n"
+        "assert cli.main(['roc', '--detectors', 'inf', '--snr-db=200', '--trials', '200',\n"
+        "                 '--seed', '1', '--out', 'r.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_config_file_missing_exits_one(tmp_path):

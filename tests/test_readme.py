@@ -1,21 +1,39 @@
-"""The README's examples run: every fenced ``python`` block, in order, in one namespace."""
+"""The README's examples run: every fenced ``python`` block, in order, in one namespace.
 
+What those blocks import from ``quantdet`` is the package namespace, and the
+flag table is the CLI's.
+"""
+
+import ast
 import re
 from pathlib import Path
 
+import quantdet
 from quantdet import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_python_blocks_run(tmp_path, monkeypatch):
+def _python_blocks() -> list:
     text = README.read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    return re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    blocks = _python_blocks()
     assert blocks, "README.md has no python block"
     monkeypatch.chdir(tmp_path)  # keep anything a block writes out of the checkout
     namespace = {}
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_readme_imports_are_the_public_names():
+    # the package namespace is what the README imports from it: no more, no less
+    imported = {alias.name for block in _python_blocks() for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "quantdet"
+                for alias in node.names}
+    assert imported == set(quantdet.__all__)
 
 
 def test_readme_flag_table_matches_cli():

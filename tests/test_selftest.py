@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quantdet.quantizer import BinStats
+from quantdet import selftest
+from quantdet.quantizer import BinStats, bin_stats_table
 from quantdet.selftest import CheckResult, run_selftest
 
 
@@ -39,27 +40,30 @@ def test_check_result_line_failure_case():
     assert line == "check=demo status=FAIL x=1"
 
 
-def test_corrupted_table_is_caught():
+def test_corrupted_table_is_caught(monkeypatch):
     # corrupt one score weight (a uniform f1 scaling would cancel between
-    # score and information, since sum f2 telescopes to zero); only the
-    # identity check compares the table against independent numerics, so
-    # exactly that check must trip
-    def skew(table):
+    # score and information, since sum f2 telescopes to zero); the identity
+    # check compares the table against independent numerics, and the
+    # one-bit check against the sign-correlation form, so both must trip
+    def skewed(thresholds, noise_power):
+        table = bin_stats_table(thresholds, noise_power)
         f1 = np.array(table.f1)
         f1[0] *= 1.05
         return BinStats(f=table.f, f1=f1, f2=table.f2)
 
-    results = run_selftest(seed=20260819, trials=2000, table_transform=skew)
+    monkeypatch.setattr(selftest, "bin_stats_table", skewed)
+    results = run_selftest(seed=20260819, trials=2000)
     by_name = {r.name: r for r in results}
     assert not by_name["score_test_identity"].passed
-    assert by_name["one_bit_closed_form"].passed
+    assert not by_name["one_bit_closed_form"].passed
 
 
-def test_exceptions_become_failures():
-    def explode(table):
+def test_exceptions_become_failures(monkeypatch):
+    def explode(thresholds, noise_power):
         raise RuntimeError("boom")
 
-    results = run_selftest(seed=20260819, trials=2000, table_transform=explode)
+    monkeypatch.setattr(selftest, "bin_stats_table", explode)
+    results = run_selftest(seed=20260819, trials=2000)
     by_name = {r.name: r for r in results}
     assert not by_name["score_test_identity"].passed
     assert "boom" in by_name["score_test_identity"].detail

@@ -103,11 +103,10 @@ def test_marcum_monotone_in_each_argument():
 def test_marcum_large_noncentrality_supported():
     # lam/2 = 500 keeps the series anchor normal; result is essentially 1
     assert marcum_q1(math.sqrt(1000.0), math.sqrt(9.21)) >= 1.0 - 1e-12
-    # past the series' range (lam/2 = 1000) the ncx2 tail answers instead
+    # past the series' range (lam/2 = 1000) the quadrature answers instead
     assert 1.0 - 1e-12 <= marcum_q1(math.sqrt(2000.0), 1.0) <= 1.0
-    # past scipy's range too (lam = 1e20 gives NaN there) -> loud failure, not NaN
-    with pytest.raises(ValueError):
-        marcum_q1(1e10, 1.0)
+    # lam = 1e20, where scipy's ncx2 gives NaN: the tail is certain
+    assert marcum_q1(1e10, 1.0) == 1.0
 
 
 @pytest.mark.parametrize("lam, eta", [(1500.0, 1400.0), (3000.0, 2900.0),
@@ -119,3 +118,12 @@ def test_marcum_beyond_series_range_against_mpmath(lam, eta):
     a, b = math.sqrt(lam), math.sqrt(eta)
     assert abs(marcum_q1(a, b) - oracles.marcum_q1_mp(a, b)) <= 1e-14
 
+
+@pytest.mark.parametrize("lam", [1e10, 1e12, 1e16])
+def test_marcum_far_noncentrality_against_mpmath(lam):
+    # thresholds within three deviations of the mean, where scipy's ncx2
+    # errs by 4e-12 at lam = 1e10 and returns 0.43 for 0.5 at 1e12
+    a = math.sqrt(lam)
+    for offset in range(-3, 4):
+        b = a + offset
+        assert abs(marcum_q1(a, b) - oracles.marcum_q1_mp(a, b)) <= 1e-12, (lam, offset)
