@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 import warnings
 
@@ -115,7 +116,8 @@ def _same_named(spec: ExperimentSpec, cls, skip: str) -> dict:
 
 
 def _scene_from_spec(spec: ExperimentSpec) -> SceneConfig:
-    scene = SceneConfig(beta=(spec.beta_r, spec.beta_i), **_same_named(spec, SceneConfig, "beta"))
+    beta = complex(spec.beta_r, spec.beta_i)
+    scene = SceneConfig(beta=beta, **_same_named(spec, SceneConfig, "beta"))
     if spec.snr_db is not None:
         scene = scene.with_snr_db(spec.snr_db)
     for snr_db in spec.snr_grid_db or ():
@@ -131,6 +133,16 @@ def _require_seed(spec: ExperimentSpec) -> int:
     if spec.seed is None:
         raise ConfigError("this command simulates or optimizes; pass --seed (or set it in the config)")
     return spec.seed
+
+
+def _out_path(spec: ExperimentSpec, default: str) -> str:
+    """The file a command writes, checked before it designs or simulates anything."""
+    out = spec.out or default
+    if os.path.isdir(out):
+        raise ConfigError(f"out {out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"out {out!r} is in a directory that does not exist")
+    return out
 
 
 def _resolve_thresholds(spec, scene, signal, bits: int):
@@ -191,12 +203,12 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
     if spec.q is None:
         raise ConfigError("thresholds: --q is required")
     seed = _require_seed(spec)
+    out = _out_path(spec, f"thresholds_q{spec.q}.txt")
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     result = optimize_thresholds(
         spec.q, signal, scene.noise_power, _pso_config(spec, seed)
     )
-    out = spec.out or f"thresholds_q{spec.q}.txt"
     write_checkpoint(out, result, seed=seed)
     print(
         f"designed q={spec.q} quantizer: objective={result.achieved_objective!r} "
@@ -216,6 +228,7 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
 def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
     """Each detector's curve at the thresholds ``thresholds(h0)`` picks from its H0 sample."""
     seed = _require_seed(spec)
+    out = _out_path(spec, default_out)
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     trials = spec.trials or _DEFAULT_TRIALS
@@ -240,7 +253,6 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
         columns = (curve.eta, curve.p_fa_hat, curve.p_d_hat, curve.p_fa_theory, curve.p_d_theory)
         rows += [(detector.label, detector.q_label, *map(float, point), curve.n_h0, curve.n_h1)
                  for point in zip(*columns)]
-    out = spec.out or default_out
     count = _write_csv(out, _ROC_HEADER, rows)
     print(f"wrote {count} rows to {out}")
     return 0
@@ -258,6 +270,7 @@ def cmd_pd_eta(spec: ExperimentSpec) -> int:
 
 def cmd_pd_snr(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
+    out = _out_path(spec, "pd_snr.csv")
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     trials = spec.trials or _DEFAULT_TRIALS
@@ -273,13 +286,13 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
         )
     for w in caught:  # a library warning (thin false-alarm tail) becomes one plain stderr line
         print(f"warning: {w.message}", file=sys.stderr)
-    out = spec.out or "pd_snr.csv"
     count = _write_csv(out, _SWEEP_HEADER, map(dataclasses.astuple, points))
     print(f"wrote {count} rows to {out}")
     return 0
 
 
 def cmd_theory(spec: ExperimentSpec) -> int:
+    out = _out_path(spec, "theory.csv")
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     # --q designs (or reuses a matching file) as roc does; else the file; else GLRT
@@ -296,7 +309,6 @@ def cmd_theory(spec: ExperimentSpec) -> int:
     for p in pfa_grid:
         eta = chi2_2_quantile(p)
         rows.append((float(p), eta, lam, theoretical_pd(lam, p)))
-    out = spec.out or "theory.csv"
     count = _write_csv(out, _THEORY_HEADER, rows)
     print(f"theory curve for {detector.label} q={detector.q_label}{note}, lambda_f={lam:.6g}")
     print(f"wrote {count} rows to {out}")

@@ -142,7 +142,7 @@ class RaoDetector:
 
     def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
         """lambda_F = |beta|^2 * E * J1 of this quantizer."""
-        return abs(scene.beta_complex) ** 2 * fisher_information(
+        return abs(scene.beta) ** 2 * fisher_information(
             signal, self.thresholds, scene.noise_power
         )
 
@@ -166,4 +166,4 @@ class GlrtDetector:
 
     def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
         """lambda_F = |beta|^2 * E * 2 / noise_power: J1 without quantization."""
-        return abs(scene.beta_complex) ** 2 * signal.energy * 2.0 / scene.noise_power
+        return abs(scene.beta) ** 2 * signal.energy * 2.0 / scene.noise_power

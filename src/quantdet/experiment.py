@@ -49,8 +49,8 @@ class ExperimentSpec:
     spacing: float = SceneConfig.spacing
     angle: float = SceneConfig.angle
     noise_power: float = SceneConfig.noise_power
-    beta_r: float = SceneConfig.beta[0]
-    beta_i: float = SceneConfig.beta[1]
+    beta_r: float = SceneConfig.beta.real
+    beta_i: float = SceneConfig.beta.imag
     snr_db: float | None = None
     # detectors / quantization
     q: int | None = None
@@ -66,14 +66,8 @@ class ExperimentSpec:
     seed: int | None = None
     workers: int = 1
     # swarm optimizer
-    swarm_size: int = PsoConfig.swarm_size
     max_iters: int = PsoConfig.max_iters
-    inertia: float = PsoConfig.inertia
-    cognitive: float = PsoConfig.cognitive
-    social: float = PsoConfig.social
-    stall_tol: float = PsoConfig.stall_tol
     stall_iters: int = PsoConfig.stall_iters
-    search_radius: float | None = PsoConfig.search_radius
     # output
     out: str | None = None
 

@@ -8,8 +8,8 @@ counter); the counter encodes hypothesis and trial index (see
 depend only on (seed, hypothesis, index) -- not on worker count, tile
 size or evaluation order -- and two runs with equal seeds agree bit
 for bit.  Each hypothesis is split into one index range per worker;
-with more than one range the ranges are farmed out to processes and
-re-assembled in index order.
+with more than one range the ranges are farmed out to processes, no
+more of them than ranges or CPUs, and re-assembled in index order.
 
 A range (the unit of parallel work) runs in tiles of
 ``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
@@ -31,6 +31,7 @@ adding an SNR point never disturbs the others.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -102,7 +103,9 @@ def _run_hypothesis(cfg: TrialConfig, hypothesis: Hypothesis, n_trials: int) -> 
     stops = [min(s + cfg.batch_size, n_trials) for s in starts]
     if len(starts) == 1:
         return _chunk_stats(cfg, hypothesis, 0, n_trials)
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts))) as pool:
+    # the executor forks all max_workers processes at the first submit
+    processes = min(cfg.workers, len(starts), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         chunks = pool.map(_chunk_stats, repeat(cfg), repeat(hypothesis), starts, stops)
         return np.concatenate(list(chunks))
 

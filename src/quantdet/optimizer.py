@@ -34,40 +34,34 @@ from .signal_model import EffectiveSignal
 # optimum that has genuinely separated thresholds.
 _SEPARATION = 1e-9
 
+# The swarm itself: 50 particles with the Clerc-Kennedy constriction
+# coefficients, stalled once the global best gains less than a relative
+# _STALL_TOL.
+_SWARM_SIZE = 50
+_INERTIA = 0.72
+_COGNITIVE = 1.49
+_SOCIAL = 1.49
+_STALL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters.  Defaults are deliberately conservative.
+    """Seed and iteration budget of one swarm run.
 
-    ``search_radius = None`` resolves to 5 standard deviations of one
-    noise component (5 * sqrt(noise_power / 2)) at run time: thresholds
-    beyond that see essentially no probability mass, so nothing useful
-    lives outside the box.
+    The run stops after ``max_iters`` iterations, or as converged once the
+    global best has stalled for ``stall_iters`` iterations.  The swarm's
+    size, coefficients and search box are fixed by this module.
     """
 
     seed: int
-    swarm_size: int = 50
     max_iters: int = 500
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    stall_tol: float = 1e-9
     stall_iters: int = 50
-    search_radius: float | None = None
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be at least 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.stall_iters < 1:
             raise ValueError("stall_iters must be positive")
-        if not all(math.isfinite(c) for c in (self.inertia, self.cognitive, self.social)):
-            raise ValueError("inertia, cognitive and social must be finite")
-        if not 0.0 <= self.stall_tol < math.inf:
-            raise ValueError(f"stall_tol must be finite and >= 0, got {self.stall_tol}")
-        if self.search_radius is not None and not 0.0 < self.search_radius < math.inf:
-            raise ValueError("search_radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -107,13 +101,13 @@ def _repair(positions: np.ndarray) -> np.ndarray:
     return positions
 
 
-def canonical_grid(bits: int, noise_power: float, radius: float) -> np.ndarray:
+def canonical_grid(bits: int, noise_power: float) -> np.ndarray:
     """Symmetric uniform-grid thresholds, the classic hand-designed start.
 
-    The grid spans +/- min(3 sigma_component, 0.9 * radius), covering
-    the bulk of the Gaussian without wasting outer bins.
+    The grid spans +/- 3 sigma_component, covering the bulk of the
+    Gaussian without wasting outer bins.
     """
-    half_width = min(3.0 * math.sqrt(noise_power / 2.0), 0.9 * radius)
+    half_width = 3.0 * math.sqrt(noise_power / 2.0)
     return np.linspace(-half_width, half_width, 2 ** bits + 1)[1:-1]
 
 
@@ -131,30 +125,31 @@ def optimize_thresholds(
     u = 0 objective is even, while the random half guards against the
     optimum not being a uniform grid.
 
-    The run stops early once the global best improves by less than
-    ``stall_tol`` (relative) over ``stall_iters`` consecutive iterations.
+    Every particle stays in the box +/- 5 sigma_component: thresholds
+    beyond it see essentially no probability mass.  The box scales with
+    sigma_component, and so does the design.
+
+    The run stops early once the global best improves by less than a
+    relative 1e-9 over ``stall_iters`` consecutive iterations.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
     dim = 2 ** bits - 1
-    radius = config.search_radius
-    if radius is None:
-        radius = 5.0 * math.sqrt(noise_power / 2.0)
+    radius = 5.0 * math.sqrt(noise_power / 2.0)
     rng = np.random.default_rng(config.seed)
-    swarm = config.swarm_size
     energy = signal.energy
 
-    pos = np.empty((swarm, dim))
-    pos[0] = canonical_grid(bits, noise_power, radius)
-    n_sym = swarm // 2
+    pos = np.empty((_SWARM_SIZE, dim))
+    pos[0] = canonical_grid(bits, noise_power)
+    n_sym = _SWARM_SIZE // 2
     widths = rng.uniform(0.1 * radius, 0.95 * radius, size=n_sym - 1)
     for j, w in enumerate(widths, start=1):
         pos[j] = np.linspace(-w, w, 2 ** bits + 1)[1:-1]
-    pos[n_sym:] = rng.uniform(-radius, radius, size=(swarm - n_sym, dim))
+    pos[n_sym:] = rng.uniform(-radius, radius, size=(_SWARM_SIZE - n_sym, dim))
     pos = _repair(pos)
-    vel = rng.uniform(-0.1 * radius, 0.1 * radius, size=(swarm, dim))
+    vel = rng.uniform(-0.1 * radius, 0.1 * radius, size=(_SWARM_SIZE, dim))
 
     fitness = _objective_rows(pos, energy, noise_power)
     best_pos = pos.copy()
@@ -168,12 +163,12 @@ def optimize_thresholds(
     converged = False
     for it in range(1, config.max_iters + 1):
         iterations = it
-        r_cog = rng.uniform(size=(swarm, dim))
-        r_soc = rng.uniform(size=(swarm, dim))
+        r_cog = rng.uniform(size=(_SWARM_SIZE, dim))
+        r_soc = rng.uniform(size=(_SWARM_SIZE, dim))
         vel = (
-            config.inertia * vel
-            + config.cognitive * r_cog * (best_pos - pos)
-            + config.social * r_soc * (g_pos[None, :] - pos)
+            _INERTIA * vel
+            + _COGNITIVE * r_cog * (best_pos - pos)
+            + _SOCIAL * r_soc * (g_pos[None, :] - pos)
         )
         np.clip(vel, -radius, radius, out=vel)
         pos = _repair(np.clip(pos + vel, -radius, radius))
@@ -190,7 +185,7 @@ def optimize_thresholds(
 
         if it >= config.stall_iters and math.isfinite(g_fit):
             gain = g_fit - history[-1 - config.stall_iters]
-            if gain <= config.stall_tol * max(1.0, abs(g_fit)):
+            if gain <= _STALL_TOL * max(1.0, abs(g_fit)):
                 converged = True
                 break
 

@@ -28,6 +28,7 @@ trials as Re/Im planes, drawing their streams with one re-keyed generator.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -59,8 +60,8 @@ class SceneConfig:
         Target direction in radians, 0 = broadside.
     noise_power : float
         Complex noise power per sample (variance of Re + variance of Im).
-    beta : tuple of float
-        Complex reflection amplitude as ``(real, imag)``.
+    beta : complex
+        Complex reflection amplitude.
     """
 
     n_tx: int = 2
@@ -69,7 +70,7 @@ class SceneConfig:
     spacing: float = 0.5
     angle: float = 0.0
     noise_power: float = 2.0
-    beta: tuple = (1.0, 0.0)
+    beta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         for name in ("n_tx", "n_rx", "snapshots"):
@@ -82,18 +83,13 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if not math.isfinite(self.angle):
             raise ValueError("angle must be finite")
-        b = self.beta
-        if len(b) != 2 or not all(math.isfinite(c) for c in b):
-            raise ValueError(f"beta must be a finite (real, imag) pair, got {b!r}")
-        object.__setattr__(self, "beta", (float(b[0]), float(b[1])))
+        if not cmath.isfinite(self.beta):
+            raise ValueError(f"beta must be a finite complex number, got {self.beta!r}")
+        object.__setattr__(self, "beta", complex(self.beta))
 
     @property
     def n_samples(self) -> int:
         return self.n_rx * self.snapshots
-
-    @property
-    def beta_complex(self) -> complex:
-        return complex(self.beta[0], self.beta[1])
 
     def with_snr_db(self, snr_db: float) -> "SceneConfig":
         """Copy of the scene with |beta| rescaled to hit ``snr_db``.
@@ -109,12 +105,12 @@ class SceneConfig:
             target_mag = math.inf
         if not math.isfinite(target_mag):
             raise ValueError(f"snr_db = {snr_db!r} overflows the amplitude |beta|")
-        old_mag = math.hypot(*self.beta)
+        old_mag = math.hypot(self.beta.real, self.beta.imag)
         if old_mag == 0.0:
-            new_beta = (target_mag, 0.0)
+            new_beta = complex(target_mag, 0.0)
         else:
             scale = target_mag / old_mag
-            new_beta = (self.beta[0] * scale, self.beta[1] * scale)
+            new_beta = complex(self.beta.real * scale, self.beta.imag * scale)
         return dataclasses.replace(self, beta=new_beta)
 
 
@@ -261,7 +257,7 @@ def observation_planes(
         rng.standard_normal(out=planes[j])
     planes *= math.sqrt(scene.noise_power / 2.0)
     if hypothesis is Hypothesis.H1:
-        mean = scene.beta_complex * signal.z
+        mean = scene.beta * signal.z
         planes[:, 0] += mean.real
         planes[:, 1] += mean.imag
     return planes

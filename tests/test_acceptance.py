@@ -243,7 +243,7 @@ def test_criterion_5_one_bit_penalty(scene, cli_designs):
             snapshots=int(rng.integers(2, 16)),
             angle=float(rng.uniform(-1.2, 1.2)),
             noise_power=float(rng.uniform(0.5, 4.0)),
-            beta=(float(rng.normal()) or 0.3, float(rng.normal())),
+            beta=complex(float(rng.normal()) or 0.3, float(rng.normal())),
         )
         sig = effective_signal(random_scene)
         lam_1 = RaoDetector(sign_q).noncentrality(random_scene, sig)
@@ -292,7 +292,7 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
             snapshots=int(rng.integers(1, 3)),
             angle=float(rng.uniform(-1.2, 1.2)),
             noise_power=float(rng.uniform(0.5, 4.0)),
-            beta=(float(rng.normal()), float(rng.normal())),
+            beta=complex(float(rng.normal()), float(rng.normal())),
         )
         assert cfg.n_samples <= 8
         bits = int(rng.integers(1, 4))

@@ -360,6 +360,13 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["roc", "--thresholds=", "--seed", "1"], None),
         (["selftest", "--trials", "1"], None),
         (["theory", "--config="], None),
+        (["thresholds", "--q", "3", "--seed", "1", "--out", "missing/q3.txt"], None),
+        (["roc", "--detectors", "1,inf", "--trials", "2000", "--seed", "1",
+          "--out", "missing/roc.csv"], None),
+        (["pd-eta", "--detectors", "inf", "--trials", "300", "--seed", "1", "--out", "."], None),
+        (["pd-snr", "--detectors", "inf", "--trials", "300", "--seed", "1",
+          "--out", "missing/pd_snr.csv"], None),
+        (["theory", "--q", "2", "--seed", "1", "--out", "."], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
@@ -368,7 +375,9 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
          "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
          "config inertia = nan", "roc --pfa-grid=", "pd-eta --eta-grid=",
          "pd-snr --snr-grid=", "theory --pfa-grid=", "theory --out=", "config out =",
-         "roc --thresholds=", "selftest --trials 1", "theory --config="],
+         "roc --thresholds=", "selftest --trials 1", "theory --config=",
+         "thresholds --out missing/q3.txt", "roc --out missing/roc.csv", "pd-eta --out .",
+         "pd-snr --out missing/pd_snr.csv", "theory --out ."],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value

@@ -40,18 +40,12 @@ def test_round_trip_is_exact():
         trials=12345,
         seed=99,
         workers=2,
-        swarm_size=20,
         max_iters=300,
-        inertia=0.6,
-        cognitive=1.2,
-        social=1.7,
-        stall_tol=1.0000000000000002e-09,
         stall_iters=25,
-        search_radius=4.5,
         out="roc.csv",
     )
     fields = dataclasses.fields(spec)
-    assert len(fields) == 28
+    assert len(fields) == 22
     assert all(getattr(spec, f.name) != f.default for f in fields)
     assert parse_config(serialize_config(spec)) == spec
 

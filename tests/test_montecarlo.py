@@ -127,11 +127,14 @@ class _SerialPool:
         (10, 4, [(4, [(0, 3), (3, 6), (6, 9), (9, 10)])]),
         (9, 4, [(3, [(0, 3), (3, 6), (6, 9)])]),
         (10_000, 1, []),
+        (10, 5000, [(4, [(i, i + 1) for i in range(10)])]),
     ],
 )
 def test_one_range_per_worker(small_scene, rao2, monkeypatch, trials, workers, pools):
     # each hypothesis splits into ceil(trials / workers)-trial ranges, and a
-    # pool opens only for two or more ranges, with no more processes than ranges
+    # pool opens only for two or more ranges, with no more processes than
+    # ranges or CPUs (four here)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "opened", [])
     cfg = _cfg(small_scene, rao2, trials, 0, seed=7, workers=workers)
@@ -326,7 +329,7 @@ def test_roc_with_zero_noncentrality_degenerates_to_diagonal(small_scene, rao2):
         n_rx=small_scene.n_rx,
         snapshots=small_scene.snapshots,
         noise_power=small_scene.noise_power,
-        beta=(0.0, 0.0),
+        beta=0j,
     )
     h0, h1 = run_trials(_cfg(silent, rao2, 4000, 4000, seed=23))
     roc = estimate_roc(h0, h1, 0.0, np.linspace(1.0, 9.0, 5))

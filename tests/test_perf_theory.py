@@ -13,10 +13,6 @@ from quantdet.signal_model import SceneConfig, effective_signal
 from quantdet.special import chi2_2_quantile, marcum_q1
 
 
-def _with_beta(scene, beta):
-    return dataclasses.replace(scene, beta=(beta.real, beta.imag))
-
-
 @pytest.fixture
 def q1():
     return ThresholdSet(bits=1, interior=(0.0,))
@@ -50,11 +46,11 @@ def test_noncentrality_values(scene, signal, q2_ref, frozen):
     assert type(lam) is float
     # reference design sits a hair below the frozen optimal-design value
     assert lam == pytest.approx(
-        abs(scene.beta_complex) ** 2 * signal.energy * frozen["ref_info_q2"], rel=1e-10
+        abs(scene.beta) ** 2 * signal.energy * frozen["ref_info_q2"], rel=1e-10
     )
-    assert rao.noncentrality(_with_beta(scene, 0j), signal) == 0.0
+    assert rao.noncentrality(dataclasses.replace(scene, beta=0j), signal) == 0.0
     # quadratic in the amplitude
-    lam3 = rao.noncentrality(_with_beta(scene, 3.0 * scene.beta_complex), signal)
+    lam3 = rao.noncentrality(dataclasses.replace(scene, beta=3.0 * scene.beta), signal)
     assert lam3 == pytest.approx(9.0 * lam, rel=1e-12)
 
 
@@ -67,7 +63,7 @@ def test_noncentrality_optimal_design_frozen_value(scene, signal, frozen):
 def test_unquantized_bound_dominates_every_quantizer(scene, signal):
     rng = np.random.default_rng(3)
     beta = 0.2 + 0.1j
-    target = _with_beta(scene, beta)  # noise_power 2
+    target = dataclasses.replace(scene, beta=beta)  # noise_power 2
     lam_inf = GlrtDetector().noncentrality(target, signal)
     assert type(lam_inf) is float
     assert lam_inf == pytest.approx(abs(beta) ** 2 * signal.energy, rel=1e-12)
@@ -89,7 +85,7 @@ def test_one_bit_ratio_is_two_over_pi(q1):
             snapshots=int(rng.integers(2, 16)),
             angle=float(rng.uniform(-1.0, 1.0)),
             noise_power=float(rng.uniform(0.5, 4.0)),
-            beta=(float(rng.normal()) or 0.1, float(rng.normal())),
+            beta=complex(float(rng.normal()) or 0.1, float(rng.normal())),
         )
         sig = effective_signal(cfg)
         lam_q = RaoDetector(q1).noncentrality(cfg, sig)
@@ -104,7 +100,7 @@ def test_refinement_cannot_lose_information(scene, signal, reference_q2):
     extra = (-1.7, -0.5, 0.45, 1.8)
     fine_interior = tuple(sorted(reference_q2 + extra))
     fine = ThresholdSet(bits=3, interior=fine_interior)
-    target = _with_beta(scene, 0.2 + 0j)
+    target = dataclasses.replace(scene, beta=0.2 + 0j)
     lam_c = RaoDetector(coarse).noncentrality(target, signal)
     lam_f = RaoDetector(fine).noncentrality(target, signal)
     assert lam_f > lam_c

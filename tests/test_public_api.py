@@ -33,11 +33,15 @@ def test_every_public_name_resolves():
 
 def test_config_keys_and_flags_are_pinned():
     # adding a knob, or orphaning one that nothing reads, means editing this
-    assert len(dataclasses.fields(ExperimentSpec)) == 28
+    assert len(dataclasses.fields(ExperimentSpec)) == 22
     assert sum(len(flags) for _, _, flags in cli._SUBCOMMANDS.values()) == 44
     keys = {f.name for f in dataclasses.fields(ExperimentSpec)}
     assert all(key == "config" or key in keys for key, _ in cli._FLAGS.values())
     # the engine works out its own index ranges: no chunk size to set
     assert [f.name for f in dataclasses.fields(quantdet.TrialConfig)] == [
         "scene", "detector", "n_trials_h0", "n_trials_h1", "seed", "workers"
+    ]
+    # the swarm's size, coefficients and box are constants: only its budget is set
+    assert [f.name for f in dataclasses.fields(quantdet.PsoConfig)] == [
+        "seed", "max_iters", "stall_iters"
     ]

@@ -30,22 +30,23 @@ def test_scene_config_validation():
         SceneConfig(n_tx=2, n_rx=4, snapshots=8, noise_power=-1.0)
     with pytest.raises(ValueError):
         SceneConfig(n_tx=2, n_rx=4, snapshots=8, angle=np.nan)
-    with pytest.raises(ValueError):
-        SceneConfig(n_tx=2, n_rx=4, snapshots=8, beta=(np.inf, 0.0))
+    for beta in (complex(np.inf, 0.0), complex(0.0, np.nan)):
+        with pytest.raises(ValueError):
+            SceneConfig(n_tx=2, n_rx=4, snapshots=8, beta=beta)
 
 
 def test_scene_snr_round_trip():
     cfg = SceneConfig(n_tx=2, n_rx=16, snapshots=8, noise_power=2.0)
     for target in (-20.0, -14.0, -3.5, 0.0):
-        beta = cfg.with_snr_db(target).beta_complex
+        beta = cfg.with_snr_db(target).beta
         assert 10.0 * np.log10(abs(beta) ** 2 / cfg.noise_power) == pytest.approx(target, abs=1e-10)
 
 
 def test_with_snr_db_preserves_phase():
-    cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=8, beta=(0.3, -0.4))
-    phase = np.angle(cfg.beta_complex)
+    cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=8, beta=0.3 - 0.4j)
     out = cfg.with_snr_db(-10.0)
-    assert np.angle(out.beta_complex) == pytest.approx(phase, abs=1e-12)
+    assert type(out.beta) is complex
+    assert np.angle(out.beta) == pytest.approx(np.angle(0.3 - 0.4j), abs=1e-12)
 
 
 def test_with_snr_db_rejects_an_overflowing_amplitude():
@@ -57,9 +58,9 @@ def test_with_snr_db_rejects_an_overflowing_amplitude():
 
 
 def test_with_snr_db_from_zero_amplitude():
-    cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=8, beta=(0.0, 0.0))
+    cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=8, beta=0j)
     out = cfg.with_snr_db(-6.0)
-    snr_db = 10.0 * np.log10(abs(out.beta_complex) ** 2 / out.noise_power)
+    snr_db = 10.0 * np.log10(abs(out.beta) ** 2 / out.noise_power)
     assert snr_db == pytest.approx(-6.0, abs=1e-10)
 
 
@@ -208,11 +209,11 @@ def test_observation_planes_rows_replay_per_trial_streams(
     seed, hypothesis, start, stop, n, noise_power
 ):
     scene = SceneConfig(n_tx=2, n_rx=n, snapshots=1, angle=0.3, noise_power=noise_power,
-                        beta=(0.4, -1.3))
+                        beta=0.4 - 1.3j)
     signal = effective_signal(scene)
     planes = observation_planes(scene, signal, hypothesis, seed, start, stop)
     assert planes.shape == (stop - start, 2, n)
-    mean = scene.beta_complex * signal.z
+    mean = scene.beta * signal.z
     for j, row in enumerate(planes):
         w = stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))
         ref = np.sqrt(noise_power / 2.0) * w
