@@ -37,7 +37,7 @@ from .montecarlo import (
     SweepPoint, TrialConfig, empirical_threshold, estimate_roc, pd_vs_snr, run_trials, subseed,
 )
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
-from .perf_theory import theoretical_pd
+from .perf_theory import asymptotic_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
 from .signal_model import SceneConfig, effective_signal
@@ -251,7 +251,7 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
         h0, h1 = run_trials(cfg)
         curve = estimate_roc(h0, h1, lam, thresholds(h0))
         columns = (curve.eta, curve.p_fa_hat, curve.p_d_hat, curve.p_fa_theory, curve.p_d_theory)
-        rows += [(detector.label, detector.q_label, *map(float, point), curve.n_h0, curve.n_h1)
+        rows += [(detector.label, detector.q_label, *point, curve.n_h0, curve.n_h1)
                  for point in zip(*columns)]
     count = _write_csv(out, _ROC_HEADER, rows)
     print(f"wrote {count} rows to {out}")
@@ -305,10 +305,8 @@ def cmd_theory(spec: ExperimentSpec) -> int:
         detector, note = GlrtDetector(), ""
     lam = detector.noncentrality(scene, signal)
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
-    rows = []
-    for p in pfa_grid:
-        eta = chi2_2_quantile(p)
-        rows.append((float(p), eta, lam, theoretical_pd(lam, p)))
+    eta = np.array([chi2_2_quantile(p) for p in pfa_grid])
+    rows = [(p, e, lam, p_d) for p, e, p_d in zip(pfa_grid, eta, asymptotic_pd(lam, eta))]
     count = _write_csv(out, _THEORY_HEADER, rows)
     print(f"theory curve for {detector.label} q={detector.q_label}{note}, lambda_f={lam:.6g}")
     print(f"wrote {count} rows to {out}")

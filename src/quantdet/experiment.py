@@ -149,8 +149,8 @@ def parse_config(text: str) -> ExperimentSpec:
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy's float64 too, whose repr is "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 

@@ -8,8 +8,8 @@ counter); the counter encodes hypothesis and trial index (see
 depend only on (seed, hypothesis, index) -- not on worker count, tile
 size or evaluation order -- and two runs with equal seeds agree bit
 for bit.  Each hypothesis is split into one index range per worker;
-with more than one range the ranges are farmed out to processes, no
-more of them than ranges or CPUs, and re-assembled in index order.
+an engine call runs both hypotheses' ranges in-process, or on one pool
+of no more processes than ranges or CPUs, in index order.
 
 A range (the unit of parallel work) runs in tiles of
 ``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
@@ -40,6 +40,7 @@ from itertools import repeat
 import numpy as np
 
 from .detectors import GlrtDetector, RaoDetector
+from .perf_theory import asymptotic_pd
 from .signal_model import (
     Hypothesis,
     SceneConfig,
@@ -47,7 +48,7 @@ from .signal_model import (
     observation_planes,
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
-from .special import chi2_2_quantile, chi2_2_sf, marcum_q1
+from .special import chi2_2_quantile, chi2_2_sf
 
 
 @dataclass(frozen=True)
@@ -96,25 +97,24 @@ def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int
     return out
 
 
-def _run_hypothesis(cfg: TrialConfig, hypothesis: Hypothesis, n_trials: int) -> np.ndarray:
-    if n_trials == 0:
-        return np.empty(0)
-    starts = list(range(0, n_trials, cfg.batch_size))
-    stops = [min(s + cfg.batch_size, n_trials) for s in starts]
-    if len(starts) == 1:
-        return _chunk_stats(cfg, hypothesis, 0, n_trials)
-    # the executor forks all max_workers processes at the first submit
-    processes = min(cfg.workers, len(starts), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        chunks = pool.map(_chunk_stats, repeat(cfg), repeat(hypothesis), starts, stops)
-        return np.concatenate(list(chunks))
-
-
 def run_trials(cfg: TrialConfig):
-    """Simulate both hypotheses; returns (h0_stats, h1_stats) arrays."""
-    h0 = _run_hypothesis(cfg, Hypothesis.H0, cfg.n_trials_h0)
-    h1 = _run_hypothesis(cfg, Hypothesis.H1, cfg.n_trials_h1)
-    return h0, h1
+    """Simulate both hypotheses; returns (h0_stats, h1_stats) arrays.
+
+    H0's index ranges, then H1's, form one plan, run in-process when one
+    process is enough and else on one pool.
+    """
+    plan = [(h, a, min(a + cfg.batch_size, n))
+            for h, n in ((Hypothesis.H0, cfg.n_trials_h0), (Hypothesis.H1, cfg.n_trials_h1))
+            for a in range(0, n, cfg.batch_size)]
+    processes = min(cfg.workers, len(plan), os.cpu_count() or 1)
+    if processes <= 1:
+        chunks = [_chunk_stats(cfg, h, a, b) for h, a, b in plan]
+    else:
+        # the executor forks all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            chunks = list(pool.map(_chunk_stats, repeat(cfg), *zip(*plan)))
+    stats = np.concatenate([np.empty(0), *chunks])  # H0's trials in index order, then H1's
+    return stats[: cfg.n_trials_h0], stats[cfg.n_trials_h0 :]
 
 
 def empirical_threshold(h0_stats: np.ndarray, p_fa):
@@ -168,23 +168,20 @@ def estimate_roc(h0_stats: np.ndarray, h1_stats: np.ndarray, lambda_f: float, et
     ``eta`` is a scalar or a 1-D array, and row i of the curve is ``eta[i]``:
     the rows keep the order given, nothing is sorted.  For thresholds at
     requested false-alarm rates pass ``empirical_threshold(h0_stats, p_fa)``.
-    Theory columns use the chi-square null tail exp(-eta/2) and the
-    Marcum detection tail at noncentrality ``lambda_f``.
+    Theory columns use the chi-square null tail exp(-eta/2) and
+    :func:`quantdet.perf_theory.asymptotic_pd` at noncentrality ``lambda_f``.
     """
     if h0_stats.shape[0] == 0 or h1_stats.shape[0] == 0:
         raise ValueError("estimate_roc needs non-empty statistic samples")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     p_fa_hat = exceedance(h0_stats, eta)
     p_d_hat = exceedance(h1_stats, eta)
-    p_fa_theory = chi2_2_sf(eta)
-    sqrt_lam = math.sqrt(lambda_f)
-    p_d_theory = np.array([marcum_q1(sqrt_lam, math.sqrt(e)) for e in eta])
     return RocCurve(
         eta=eta,
         p_fa_hat=p_fa_hat,
         p_d_hat=p_d_hat,
-        p_fa_theory=p_fa_theory,
-        p_d_theory=p_d_theory,
+        p_fa_theory=chi2_2_sf(eta),
+        p_d_theory=asymptotic_pd(lambda_f, eta),
         n_h0=h0_stats.shape[0],
         n_h1=h1_stats.shape[0],
     )

@@ -17,6 +17,9 @@ Determinism: one seed fixes the full trajectory.  All random draws
 happen in a fixed order inside the iteration loop and candidate
 evaluation is vectorized across the swarm, so results do not depend on
 evaluation scheduling.
+
+Designs are saved and loaded as checkpoint files, whose format lives
+only in :func:`write_checkpoint` and :func:`read_checkpoint`.
 """
 
 from __future__ import annotations
@@ -201,15 +204,17 @@ def optimize_thresholds(
 def write_checkpoint(path, result: PsoResult, seed: int) -> None:
     """Persist a design: ``# key = value`` metadata above the payload line.
 
+    The payload ``bits; t1,t2,...`` holds round-trip ``repr`` floats.
     Metadata is purely informational -- loading ignores all but the payload.
     """
+    ts = result.thresholds
     lines = [
         f"# seed = {seed}",
         f"# iterations = {result.iterations}",
         f"# converged = {result.converged}",
         f"# achieved_objective = {result.achieved_objective!r}",
+        f"{ts.bits}; " + ",".join(repr(float(v)) for v in ts.interior),
     ]
-    lines.append(result.thresholds.to_line())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -218,6 +223,7 @@ def read_checkpoint(path):
     """Load a checkpoint; returns (ThresholdSet, metadata dict).
 
     Metadata lines are optional, so a bare ``bits; t1,...`` file loads too.
+    A malformed or missing payload line raises ``ValueError``.
     """
     meta: dict[str, str] = {}
     payload = None
@@ -235,4 +241,8 @@ def read_checkpoint(path):
             break
     if payload is None:
         raise ValueError(f"no threshold payload line found in {path}")
-    return ThresholdSet.from_line(payload), meta
+    head, sep, body = payload.partition(";")
+    if not sep:
+        raise ValueError(f"threshold line missing ';' separator: {payload!r}")
+    values = [float(tok) for tok in body.split(",")] if body.strip() else []
+    return ThresholdSet(bits=int(head), interior=np.array(values, dtype=float)), meta

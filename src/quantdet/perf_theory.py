@@ -14,7 +14,7 @@ Key facts behind them:
 
 * Hence the false-alarm threshold for target p_fa is eta = -2 ln p_fa
   and the detection probability is the Marcum tail Q_1(sqrt(lambda_F),
-  sqrt(eta)).
+  sqrt(eta)): :func:`asymptotic_pd`, behind every theory column.
 
 The unquantized matched filter obeys the same formulas with J1 replaced
 by its infinite-resolution limit 2 / noise_power, which upper-bounds
@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .quantizer import ThresholdSet, bin_stats_table
 from .signal_model import EffectiveSignal
-from .special import chi2_2_quantile, marcum_q1
+from .special import marcum_q1
 
 
 def fisher_information(
@@ -40,13 +42,16 @@ def fisher_information(
     return float(signal.energy * table.info_per_energy)
 
 
-def theoretical_pd(lambda_f: float, p_fa: float) -> float:
-    """Asymptotic detection probability at false-alarm rate ``p_fa``.
+def asymptotic_pd(lambda_f: float, eta):
+    """Asymptotic detection probability Q_1(sqrt(lambda_f), sqrt(eta)) at each threshold.
 
-    Exact limits fall out of the Marcum form: lambda_f = 0 returns
-    ``p_fa`` itself, and lambda_f -> inf tends to 1.
+    A scalar ``eta`` gives a float; a grid gives an array.
+    Exact limits fall out of the Marcum form: lambda_f = 0 returns the
+    false-alarm rate exp(-eta/2) itself, and lambda_f -> inf tends to 1.
     """
     if lambda_f < 0.0:
         raise ValueError("noncentrality must be non-negative")
-    eta = chi2_2_quantile(p_fa)
-    return marcum_q1(math.sqrt(lambda_f), math.sqrt(eta))
+    eta = np.asarray(eta, dtype=float)
+    a = math.sqrt(lambda_f)
+    p_d = np.array([marcum_q1(a, math.sqrt(e)) for e in eta.flat]).reshape(eta.shape)
+    return float(p_d) if p_d.ndim == 0 else p_d

@@ -50,7 +50,7 @@ class DegenerateBinError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Strictly increasing interior thresholds of a ``bits``-bit quantizer."""
+    """Strictly increasing interior thresholds; files hold them as optimizer checkpoints."""
 
     bits: int
     interior: np.ndarray
@@ -79,21 +79,6 @@ class ThresholdSet:
     def edges(self) -> np.ndarray:
         """Interior thresholds framed by -inf and +inf (length 2^bits + 1)."""
         return np.concatenate(([-np.inf], self.interior, [np.inf]))
-
-    def to_line(self) -> str:
-        """Serialize as ``bits; t1,t2,...`` with full round-trip precision."""
-        body = ",".join(repr(float(v)) for v in self.interior)
-        return f"{self.bits}; {body}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "ThresholdSet":
-        """Parse the :meth:`to_line` format (whitespace tolerant)."""
-        head, sep, body = line.partition(";")
-        if not sep:
-            raise ValueError(f"threshold line missing ';' separator: {line!r}")
-        bits = int(head.strip())
-        values = [float(tok) for tok in body.split(",")] if body.strip() else []
-        return cls(bits=bits, interior=np.array(values, dtype=float))
 
 
 def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:

@@ -24,7 +24,7 @@ from quantdet.montecarlo import (
     subseed,
 )
 from quantdet.optimizer import read_checkpoint
-from quantdet.perf_theory import fisher_information, theoretical_pd
+from quantdet.perf_theory import asymptotic_pd, fisher_information
 from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
 from quantdet.signal_model import Hypothesis, SceneConfig, effective_signal, observation_planes
 from quantdet.special import chi2_2_quantile, marcum_q1
@@ -184,7 +184,7 @@ def test_criterion_3_theory_matches_simulation(q, mc14, scene, signal):
     for pfa in (1e-2, 1e-1):
         eta = chi2_2_quantile(pfa)
         p_hat = float(exceedance(h1, eta))
-        p_theory = theoretical_pd(lam, pfa)
+        p_theory = asymptotic_pd(lam, eta)
         diffs[pfa] = (p_hat, p_theory, abs(p_hat - p_theory))
     ok = all(d[2] <= 0.02 for d in diffs.values())
     detail = ", ".join(

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from scipy.stats import ncx2
 
 from quantdet import cli, selftest
 from quantdet.experiment import ConfigError, parse_config
+from quantdet.montecarlo import estimate_roc
 from quantdet.optimizer import read_checkpoint
 from quantdet.selftest import CheckResult
 
@@ -249,6 +251,59 @@ def test_theory_q_designs_when_the_file_has_other_bits(tmp_path, capsys):
     direct = tmp_path / "direct.csv"
     assert run(["theory", "--q", "3", "--seed", "1", "--out", str(direct)]) == 0
     assert _read(out) == _read(direct)
+
+
+# SHA-256 of theory CSVs recorded from the Marcum series before the theory
+# column moved into asymptotic_pd: a change to any written bit shows here
+_THEORY_SHA256 = {
+    "glrt": "ef4b9f9bf62824a0f10f92aade7c97830366f5828a94aec16858d5803a2c1f48",
+    "q3": "0c175fd7b3fe4dd39b9b12b84bab637aceebd74048a7f49f9750bb603f87a7c2",
+    "200 dB": "ec41808b24232dca5c77e9218e0e32d6abdf56632c6ded597096a9355e3214f4",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("glrt", []),
+        ("q3", ["--q", "3", "--seed", "4", "--snr-db=-12"]),
+        ("200 dB", ["--snr-db=200", "--pfa-grid", "1e-300,0.3"]),
+    ],
+)
+def test_theory_csv_matches_pinned_bytes(name, argv, tmp_path):
+    out = tmp_path / "theory.csv"
+    assert run(["theory", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _THEORY_SHA256[name]
+
+
+def test_theory_column_equals_estimate_roc(tmp_path):
+    # the theory command and estimate_roc give the same p_d_theory at the
+    # same eta and lambda_f, to the last bit
+    out = tmp_path / "t.csv"
+    assert run(["theory", "--q", "2", "--seed", "3", "--snr-db=-10",
+                "--pfa-grid", "1e-4,0.01,0.3", "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")] for line in _read(out).strip().split("\n")[1:]]
+    _, eta, lam, p_d = map(np.array, zip(*rows))
+    curve = estimate_roc(np.zeros(1), np.zeros(1), lam[0], eta)
+    assert curve.p_d_theory.tolist() == p_d.tolist()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["2 -0.9,0.0,0.9\n", "2; -0.9,0.9\n", "two; -0.9,0.0,0.9\n", "# seed = 1\n"],
+    ids=["no-separator", "count-mismatch", "non-integer-bits", "no-payload"],
+)
+def test_malformed_threshold_file_exits_1_before_any_trial(content, tmp_path, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials was called")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(content)
+    out = tmp_path / "roc.csv"
+    assert run(["roc", "--q", "2", "--trials", "100", "--seed", "1",
+                "--thresholds", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- selftest

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from quantdet.experiment import (
@@ -48,6 +49,19 @@ def test_round_trip_is_exact():
     assert len(fields) == 22
     assert all(getattr(spec, f.name) != f.default for f in fields)
     assert parse_config(serialize_config(spec)) == spec
+
+
+def test_numpy_values_round_trip():
+    # numpy scalars are written as plain numbers, not numpy's "np.float64(0.01)" repr
+    spec = ExperimentSpec(
+        pfa=np.float64(0.01),
+        pfa_grid=np.logspace(-3.0, -1.0, 3),
+        trials=np.int64(500),
+    )
+    text = serialize_config(spec)
+    assert "pfa = 0.01\n" in text and "trials = 500\n" in text
+    assert "np." not in text
+    assert parse_config(text) == spec
 
 
 def test_parse_comments_and_blanks():

@@ -93,9 +93,13 @@ def test_statistics_match_pinned_bytes(small_scene, rao2):
 
 
 def test_worker_count_invariance(small_scene, rao2):
-    serial = run_trials(_cfg(small_scene, rao2, 400, 0, seed=4))
-    parallel = run_trials(_cfg(small_scene, rao2, 400, 0, seed=4, workers=3))
-    assert np.array_equal(serial[0], parallel[0])
+    # both hypotheses, unequal in size, share one pool's plan at 2 and 3 workers
+    serial = run_trials(_cfg(small_scene, rao2, 400, 250, seed=4))
+    assert serial[0].shape == (400,) and serial[1].shape == (250,)
+    for workers in (2, 3):
+        parallel = run_trials(_cfg(small_scene, rao2, 400, 250, seed=4, workers=workers))
+        for a, b in zip(serial, parallel):
+            assert a.tobytes() == b.tobytes(), workers
 
 
 class _SerialPool:
@@ -128,20 +132,26 @@ class _SerialPool:
         (9, 4, [(3, [(0, 3), (3, 6), (6, 9)])]),
         (10_000, 1, []),
         (10, 5000, [(4, [(i, i + 1) for i in range(10)])]),
+        pytest.param(
+            (10_000, 4000), 2,
+            [(2, [(0, 5000), (5000, 10_000), (0, 4000)])],
+            id="both-hypotheses",
+        ),
     ],
 )
 def test_one_range_per_worker(small_scene, rao2, monkeypatch, trials, workers, pools):
-    # each hypothesis splits into ceil(trials / workers)-trial ranges, and a
-    # pool opens only for two or more ranges, with no more processes than
-    # ranges or CPUs (four here)
+    # each hypothesis splits into ceil(max(n0, n1) / workers)-trial ranges,
+    # and one pool runs the ranges of both (H0's first) when there are two
+    # or more, with no more processes than ranges or CPUs (four here)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "opened", [])
-    cfg = _cfg(small_scene, rao2, trials, 0, seed=7, workers=workers)
-    assert cfg.batch_size == -(-trials // workers)
-    h0, _ = run_trials(cfg)
+    n0, n1 = trials if isinstance(trials, tuple) else (trials, 0)
+    cfg = _cfg(small_scene, rao2, n0, n1, seed=7, workers=workers)
+    assert cfg.batch_size == -(-max(n0, n1) // workers)
+    h0, h1 = run_trials(cfg)
     assert _SerialPool.opened == pools
-    assert h0.shape == (trials,)
+    assert h0.shape == (n0,) and h1.shape == (n1,)
 
 
 def test_null_trials_independent_of_beta(small_scene, rao2):

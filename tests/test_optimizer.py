@@ -5,6 +5,7 @@ import pytest
 
 from quantdet.optimizer import (
     PsoConfig,
+    PsoResult,
     canonical_grid,
     optimize_thresholds,
     read_checkpoint,
@@ -199,6 +200,25 @@ def test_checkpoint_bare_payload_loads(tmp_path):
     ts, meta = read_checkpoint(path)
     assert ts.bits == 2
     assert meta == {}
+
+
+def test_checkpoint_payload_round_trip(tmp_path, reference_q3):
+    # the payload line alone carries the thresholds, exactly, via repr
+    path = tmp_path / "design_q3.txt"
+    ts = ThresholdSet(bits=3, interior=reference_q3)
+    write_checkpoint(path, PsoResult(ts, 1.0, 1, True), seed=3)
+    assert path.read_text().splitlines()[-1] == "3; " + ",".join(map(repr, reference_q3))
+    back, _ = read_checkpoint(path)
+    assert back.bits == 3
+    assert np.array_equal(back.interior, ts.interior)
+
+
+def test_checkpoint_malformed_payload_raises(tmp_path):
+    path = tmp_path / "bad.txt"
+    for payload in ("no separator here", "2; 0.1", "x; 0.1"):  # no ';', count, bits
+        path.write_text(f"# seed = 4\n{payload}\n")
+        with pytest.raises(ValueError):
+            read_checkpoint(path)
 
 
 def test_checkpoint_without_payload_raises(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from quantdet.detectors import GlrtDetector, RaoDetector
-from quantdet.perf_theory import fisher_information, theoretical_pd
+from quantdet.perf_theory import asymptotic_pd, fisher_information
 from quantdet.quantizer import ThresholdSet, bin_stats_table
 from quantdet.signal_model import SceneConfig, effective_signal
 from quantdet.special import chi2_2_quantile, marcum_q1
@@ -113,29 +113,38 @@ def test_chi2_quantile_examples():
     assert np.exp(-chi2_2_quantile(0.037) / 2.0) == pytest.approx(0.037, rel=1e-13)
 
 
-def test_theoretical_pd_limits_and_monotonicity():
+def test_asymptotic_pd_limits_and_monotonicity():
     # no signal: detection rate collapses to the false-alarm rate
     for pfa in (1e-4, 1e-2, 0.3):
-        assert theoretical_pd(0.0, pfa) == pytest.approx(pfa, rel=1e-10)
+        assert asymptotic_pd(0.0, chi2_2_quantile(pfa)) == pytest.approx(pfa, rel=1e-10)
     # overwhelming signal
-    assert theoretical_pd(1000.0, 1e-2) >= 1.0 - 1e-9
+    assert asymptotic_pd(1000.0, chi2_2_quantile(1e-2)) >= 1.0 - 1e-9
     # monotone in noncentrality at fixed budget ...
     lams = np.linspace(0.0, 30.0, 40)
-    pds = [theoretical_pd(l, 1e-2) for l in lams]
+    pds = [asymptotic_pd(l, chi2_2_quantile(1e-2)) for l in lams]
     assert all(b > a for a, b in zip(pds, pds[1:]))
     # ... and in the budget at fixed noncentrality
     pfas = np.logspace(-4, -0.5, 20)
-    pds = [theoretical_pd(5.0, p) for p in pfas]
+    pds = [asymptotic_pd(5.0, chi2_2_quantile(p)) for p in pfas]
     assert all(b > a for a, b in zip(pds, pds[1:]))
     with pytest.raises(ValueError):
-        theoretical_pd(-1.0, 0.01)
+        asymptotic_pd(-1.0, chi2_2_quantile(0.01))
 
 
-def test_theoretical_pd_is_noncentral_tail(frozen):
+def test_asymptotic_pd_is_noncentral_tail(frozen):
     lam = frozen["lambda_q2_m14db"]
     eta = frozen["eta_1e2"]
     want = marcum_q1(np.sqrt(lam), np.sqrt(eta))
-    assert theoretical_pd(lam, 0.01) == pytest.approx(want, rel=1e-13)
+    assert asymptotic_pd(lam, chi2_2_quantile(0.01)) == pytest.approx(want, rel=1e-13)
     # and both agree with direct quadrature
     ref = oracles.ncx2_2_sf_quadrature(eta, lam)
-    assert abs(theoretical_pd(lam, 0.01) - ref) <= 1e-8
+    assert abs(asymptotic_pd(lam, chi2_2_quantile(0.01)) - ref) <= 1e-8
+
+
+def test_asymptotic_pd_grid_is_its_scalars():
+    # a grid is evaluated point by point: each entry equals the scalar call
+    # bit for bit, and a scalar eta gives a float
+    eta = np.array([0.0, 2.5, 9.21, 40.0])
+    assert asymptotic_pd(4.5, eta).tolist() == [asymptotic_pd(4.5, e) for e in eta]
+    assert type(asymptotic_pd(4.5, 2.5)) is float
+    assert asymptotic_pd(4.5, []).shape == (0,)

@@ -52,22 +52,6 @@ def test_threshold_set_edges(q2_ref, reference_q2):
     assert len(e) == 5
 
 
-def test_threshold_set_line_round_trip(q3_ref):
-    line = q3_ref.to_line()
-    back = ThresholdSet.from_line(line)
-    assert back.bits == 3
-    assert np.array_equal(back.interior, q3_ref.interior)
-
-
-def test_threshold_set_from_line_errors():
-    with pytest.raises(ValueError):
-        ThresholdSet.from_line("no separator here")
-    with pytest.raises(ValueError):
-        ThresholdSet.from_line("2; 0.1")        # count mismatch
-    with pytest.raises(ValueError):
-        ThresholdSet.from_line("x; 0.1")
-
-
 # ------------------------------------------------------------------- quantize
 
 def test_bin_boundary_goes_to_lower_cell(q1):
