@@ -24,11 +24,17 @@ The unquantized benchmark is the matched-filter GLRT
 every sample size.
 
 The two detector classes own what differs between the tests: the
-statistics of a (batch, 2, n) block of Re/Im planes in one call
-(``statistic``: the Rao test bins both planes, the GLRT reads them as
-complex rows) and the H1 noncentrality lambda_F = |beta|^2 * E * J, with
-J = J1 for the quantizer and 2 / noise_power without it
-(``noncentrality``).
+scoring step of one index range (``scorer``: a function from a
+(batch, 2, n) block of Re/Im planes to its statistics; the Rao test bins
+both planes, the GLRT reads them as complex rows) and the H1
+noncentrality lambda_F = |beta|^2 * E * J, with J = J1 for the quantizer
+and 2 / noise_power without it (``noncentrality``).
+
+The Rao scorer builds the bin statistics once per range and, when
+n * 4^q <= 2^16 (the values of one engine tile's plane, so the table is
+no larger than a tile's planes), a table of every sample's score terms
+for every (Re bin, Im bin) pair: a block is then scored by gathering
+terms instead of multiplying them out, with the same bits.
 """
 
 from __future__ import annotations
@@ -56,13 +62,41 @@ def _check_template(n: int, signal: EffectiveSignal) -> float:
     return energy
 
 
-def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats):
+# largest n * K^2 whose score-term table the Rao scorer builds: 2^16 values
+# per plane, as in one engine tile
+_TERM_TABLE_VALUES = 1 << 16
+
+
+def _score_terms(signal: EffectiveSignal, table: BinStats) -> np.ndarray:
+    """Score terms of every sample and (Re bin i, Im bin k) pair, shape (2, n * K^2).
+
+    Column ``m * K^2 + i * K + k`` holds sample m's terms of S_R and S_I,
+    ``g_m r_i + h_m r_k`` and ``g_m r_k - h_m r_i`` with ``r`` the score
+    ratios: the float expressions of :func:`_score_sums`, so a gathered
+    term is the same IEEE result as a computed one.
+    """
+    r = table.score_ratio
+    g, h = signal.g[:, None, None], signal.h[:, None, None]
+    r1, r2 = r[:, None], r[None, :]
+    return np.stack([g * r1 + h * r2, g * r2 - h * r1]).reshape(2, -1)
+
+
+def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats, terms=None):
     """(S_R, S_I) score components from 0-based bin indices.
 
     Index arrays may be (n,) for one observation or (batch, n); the sums
     run along the last axis.  Their H0 covariance is the Fisher
-    information, the identity the self-test checks by Monte Carlo.
+    information, the identity the self-test checks by Monte Carlo.  With
+    ``terms`` (:func:`_score_terms` of the same signal and table) each
+    sample's terms are gathered through its pair code ``re * K + im +
+    m * K^2`` rather than computed.
     """
+    if terms is not None:
+        n_bins = table.f.shape[0]
+        code = np.multiply(re_idx0, n_bins, dtype=np.intp)
+        code += im_idx0
+        code += np.arange(0, terms.shape[1], n_bins * n_bins)
+        return terms[0].take(code).sum(axis=-1), terms[1].take(code).sum(axis=-1)
     ratio = table.score_ratio
     # take() gathers through small unsigned indices at intp speed; fancy
     # indexing converts them to intp first
@@ -78,6 +112,7 @@ def rao_statistic_batch(
     im_idx0: np.ndarray,
     signal: EffectiveSignal,
     table: BinStats,
+    terms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form Rao statistics of 0-based bin indices.
 
@@ -86,6 +121,8 @@ def rao_statistic_batch(
     a row's statistic does not depend on the block around it.  ``table``
     is the :func:`~quantdet.quantizer.bin_stats_table` of the quantizer
     that produced the indices, each of which must lie in 0..2^q - 1.
+    ``terms``, if given, is ``_score_terms(signal, table)``; it changes
+    how the sums are formed, not a bit of the result.
     """
     re_idx0 = np.asarray(re_idx0)
     im_idx0 = np.asarray(im_idx0)
@@ -97,7 +134,7 @@ def rao_statistic_batch(
         # numpy would wrap a negative index silently, so check both ends
         if idx.size and (idx.min() < 0 or idx.max() >= n_bins):
             raise ValueError(f"bin index outside 0..{n_bins - 1} for the given table")
-    s_r, s_i = _score_sums(re_idx0, im_idx0, signal, table)
+    s_r, s_i = _score_sums(re_idx0, im_idx0, signal, table, terms)
     return (s_r * s_r + s_i * s_i) / (energy * table.info_per_energy)
 
 
@@ -134,11 +171,23 @@ class RaoDetector:
     def q_label(self) -> str:
         return str(self.thresholds.bits)
 
-    def statistic(self, planes, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
-        """Rao statistics of the binned Re and Im planes of a (batch, 2, n) block."""
+    def scorer(self, signal: EffectiveSignal, noise_power: float):
+        """Scoring step of one index range: (batch, 2, n) planes -> Rao statistics.
+
+        Builds the bin statistics once, and the score-term table when
+        n * 4^q <= 2^16; each call bins the block's Re and Im planes and
+        scores them with :func:`rao_statistic_batch`.
+        """
         ts = self.thresholds
-        re0, im0 = bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
-        return rao_statistic_batch(re0, im0, signal, bin_stats_table(ts, noise_power))
+        table = bin_stats_table(ts, noise_power)
+        small = len(signal) * ts.n_bins ** 2 <= _TERM_TABLE_VALUES
+        terms = _score_terms(signal, table) if small else None
+
+        def score(planes):
+            re0, im0 = bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
+            return rao_statistic_batch(re0, im0, signal, table, terms)
+
+        return score
 
     def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
         """lambda_F = |beta|^2 * E * J1 of this quantizer."""
@@ -159,10 +208,17 @@ class GlrtDetector:
     def q_label(self) -> str:
         return "inf"
 
-    def statistic(self, planes, signal: EffectiveSignal, noise_power: float) -> np.ndarray:
-        """GLRT statistics of a (batch, 2, n) block read as (batch, n) complex rows."""
-        rows = planes.transpose(0, 2, 1).copy().view(complex)[..., 0]
-        return glrt_unquantized_batch(rows, signal, noise_power)
+    def scorer(self, signal: EffectiveSignal, noise_power: float):
+        """Scoring step of one index range: (batch, 2, n) planes -> GLRT statistics.
+
+        Each call reads the block as (batch, n) complex rows.
+        """
+
+        def score(planes):
+            rows = planes.transpose(0, 2, 1).copy().view(complex)[..., 0]
+            return glrt_unquantized_batch(rows, signal, noise_power)
+
+        return score
 
     def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
         """lambda_F = |beta|^2 * E * 2 / noise_power: J1 without quantization."""

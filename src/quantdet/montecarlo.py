@@ -17,11 +17,15 @@ tile's planes, bin indices and score gathers stay in cache and a
 range's memory is one tile whatever its length.  A tile's
 observations come from :func:`quantdet.signal_model.observation_planes`,
 which draws their noise through one Philox bit generator re-keyed for
-each trial: trial i's draws equal ``stream_rng(seed, trial_counter(h, i))
-.standard_normal((2, n))`` bit for bit.  The detector scores the tile's
-planes in one call (``statistic``: bin indices for the Rao test, complex
+each trial with a state dict of plain ints: trial i's draws equal
+``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))`` bit for
+bit.  The detector's scoring step is built once per range (``scorer``:
+for the Rao test the bin statistics and, when n * 4^q <= 2^16, a table of
+score terms gathered by pair code instead of multiplied out) and scores
+each tile's planes in one call (bin indices for the Rao test, complex
 rows for the GLRT); a row's statistic does not depend on the rows around
-it, so neither tiles nor ranges move a bit of the result.
+it, and a gathered term equals a computed one, so neither tiles, ranges
+nor the table move a bit of the result.
 
 Sub-experiments (one per detector / SNR point in a sweep) draw their
 master seeds from a SeedSequence spawned off the experiment seed, so
@@ -89,11 +93,12 @@ def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int
     scene, det = cfg.scene, cfg.detector
     signal = effective_signal(scene)
     tile = max(1, _TILE_VALUES // len(signal))
+    score = det.scorer(signal, scene.noise_power)
     out = np.empty(stop - start)
     for a in range(start, stop, tile):
         b = min(a + tile, stop)
         planes = observation_planes(scene, signal, hypothesis, cfg.seed, a, b)
-        out[a - start : b - start] = det.statistic(planes, signal, scene.noise_power)
+        out[a - start : b - start] = score(planes)
     return out
 
 
@@ -255,6 +260,7 @@ def pd_vs_snr(
                 workers=workers,
             )
             _, h1_stats = run_trials(h1_cfg)
+            p_d_asym, p_d_emp = exceedance(h1_stats, [eta_asym, eta_emp])  # one sort
             points.append(
                 SweepPoint(
                     detector=det.label,
@@ -262,8 +268,8 @@ def pd_vs_snr(
                     snr_db=float(snr_db),
                     p_fa_target=p_fa,
                     eta_asymptotic=eta_asym,
-                    p_d_at_asymptotic_eta=float(exceedance(h1_stats, eta_asym)),
-                    p_d_at_empirical_eta=float(exceedance(h1_stats, eta_emp)),
+                    p_d_at_asymptotic_eta=float(p_d_asym),
+                    p_d_at_empirical_eta=float(p_d_emp),
                     trials=n_trials,
                 )
             )

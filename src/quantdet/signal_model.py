@@ -23,7 +23,8 @@ streams keyed by (master seed, counter), as built by :func:`stream_rng`.
 A pair names a stream independently of how work is batched or
 distributed, so serial and parallel runs of the same experiment produce
 identical draws.  :func:`observation_planes` synthesises a range of
-trials as Re/Im planes, drawing their streams with one re-keyed generator.
+trials as Re/Im planes, drawing their streams with one generator re-keyed
+per trial through a state dict of plain ints.
 """
 
 from __future__ import annotations
@@ -243,17 +244,28 @@ def observation_planes(
     Plane 0 is the real part, plane 1 the imaginary part.  A Philox
     stream depends only on its key, so one bit generator re-keyed per
     trial (counter zeroed, buffer emptied) replays every trial's stream
-    without building a generator per trial.
+    without building a generator per trial.  The re-key assigns one state
+    dict of plain ints, with only the key's counter word changed in place:
+    numpy's state setter reads the dict element by element, and plain ints
+    read far faster than numpy scalars.  The indices run up from ``start``,
+    so checking both ends range-checks them all before the first draw.
     """
     n = len(signal)
     if n != scene.n_samples:
         raise ValueError(f"template length {n} != n_rx * snapshots = {scene.n_samples}")
+    if stop > start:
+        trial_counter(hypothesis, stop - 1)
+        first = trial_counter(hypothesis, start)
     planes = np.empty((stop - start, 2, n))
     rng = stream_rng(seed)
-    fresh = rng.bit_generator.state  # just built: counter zero, buffer empty
+    bits = rng.bit_generator
+    key = _philox_key(seed, 0)
+    fresh = bits.state
+    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    fresh["buffer"] = [0, 0, 0, 0]
     for j in range(stop - start):
-        fresh["state"]["key"] = _philox_key(seed, trial_counter(hypothesis, start + j))
-        rng.bit_generator.state = fresh
+        key[0] = first + j  # trial_counter(hypothesis, start + j), checked above
+        bits.state = fresh
         rng.standard_normal(out=planes[j])
     planes *= math.sqrt(scene.noise_power / 2.0)
     if hypothesis is Hypothesis.H1:

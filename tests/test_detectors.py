@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import REFERENCE_Q2
+from quantdet import detectors
 from quantdet.detectors import (
     GlrtDetector,
     RaoDetector,
     ZeroSignalError,
     _score_sums,
+    _score_terms,
     glrt_unquantized_batch,
     rao_statistic_batch,
 )
@@ -134,18 +136,18 @@ def test_batch_matches_scalar_loop(q2_ref):
 @settings(max_examples=50, deadline=None)
 @given(rows=st.integers(1, 70), n=st.sampled_from([3, 128]), seed=st.integers(0, 2**32 - 1))
 def test_detector_statistic_is_its_kernel_on_the_planes(rows, n, seed):
-    # a detector scores a (rows, 2, n) tile of Re/Im planes in one call:
-    # byte for byte its kernel on the binned planes (Rao) or on the complex
-    # rows (GLRT), row j equal to the score of planes[j:j+1] alone, and the
-    # planes left as they were
+    # a detector's scorer scores a (rows, 2, n) tile of Re/Im planes in one
+    # call: byte for byte its kernel on the binned planes (Rao, here through
+    # the score-term table) or on the complex rows (GLRT), row j equal to the
+    # score of planes[j:j+1] alone, and the planes left as they were
     rng = np.random.default_rng(seed)
     signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
     planes = rng.normal(size=(rows, 2, n))
     before = planes.copy()
     ts = ThresholdSet(bits=2, interior=REFERENCE_Q2)
-    rao, glrt = RaoDetector(ts), GlrtDetector()
-    t_rao = rao.statistic(planes, signal, 2.0)
-    t_glrt = glrt.statistic(planes, signal, 2.0)
+    rao, glrt = RaoDetector(ts).scorer(signal, 2.0), GlrtDetector().scorer(signal, 2.0)
+    t_rao = rao(planes)
+    t_glrt = glrt(planes)
     assert np.array_equal(planes, before)
     want = rao_statistic_batch(bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts),
                                signal, bin_stats_table(ts, 2.0))
@@ -155,8 +157,52 @@ def test_detector_statistic_is_its_kernel_on_the_planes(rows, n, seed):
     x.imag = planes[:, 1]
     assert t_glrt.tobytes() == glrt_unquantized_batch(x, signal, 2.0).tobytes()
     for j in range(rows):
-        assert rao.statistic(planes[j : j + 1], signal, 2.0).tobytes() == t_rao[j].tobytes()
-        assert glrt.statistic(planes[j : j + 1], signal, 2.0).tobytes() == t_glrt[j].tobytes()
+        assert rao(planes[j : j + 1]).tobytes() == t_rao[j].tobytes()
+        assert glrt(planes[j : j + 1]).tobytes() == t_glrt[j].tobytes()
+
+
+def _increasing(rng, count):
+    """``count`` strictly increasing thresholds around zero."""
+    return np.cumsum(rng.uniform(0.05, 1.0, size=count)) - 0.5 * count
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 4), rows=st.integers(1, 40), n=st.integers(1, 130),
+       dtype=st.sampled_from([np.uint8, np.intp]), seed=st.integers(0, 2**32 - 1))
+def test_score_term_table_matches_the_formula(q, rows, n, dtype, seed):
+    # gathering the tabulated terms gives the direct formula's statistics
+    # byte for byte, for a block, for one row and with both end bins present
+    rng = np.random.default_rng(seed)
+    k = 2**q
+    table = bin_stats_table(ThresholdSet(bits=q, interior=_increasing(rng, k - 1)), 2.0)
+    signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
+    re0, im0 = rng.integers(0, k, size=(2, rows, n)).astype(dtype)
+    re0[0, 0], im0[0, 0], re0[-1, -1], im0[-1, -1] = 0, k - 1, k - 1, 0
+    terms = _score_terms(signal, table)
+    assert terms.shape == (2, n * k * k)
+    want = rao_statistic_batch(re0, im0, signal, table)
+    assert rao_statistic_batch(re0, im0, signal, table, terms).tobytes() == want.tobytes()
+    got_row = rao_statistic_batch(re0[-1], im0[-1], signal, table, terms)
+    assert got_row.tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("n, tabulated", [(256, True), (257, False)])
+def test_rao_scorer_tabulates_up_to_one_tile(monkeypatch, n, tabulated):
+    # q = 4 at n = 256 gives n * 4^q = 2^16, the largest table the scorer
+    # builds; one more sample keeps the direct formula.  Both score like it.
+    built = []
+    monkeypatch.setattr(detectors, "_score_terms",
+                        lambda *args: built.append(args) or _score_terms(*args))
+    rng = np.random.default_rng(n)
+    ts = ThresholdSet(bits=4, interior=np.linspace(-2.0, 2.0, 15))
+    signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
+    score = RaoDetector(ts).scorer(signal, 2.0)
+    assert len(built) == int(tabulated)
+    planes = rng.normal(size=(300, 2, n))
+    re0, im0 = bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
+    assert set(np.unique(re0)) == set(range(16))
+    want = rao_statistic_batch(re0, im0, signal, bin_stats_table(ts, 2.0))
+    assert score(planes).tobytes() == want.tobytes()
 
 
 def test_score_components_match_sums(q2_ref, scene, signal):
@@ -243,16 +289,19 @@ def test_length_mismatch_raises(q1, signal):
 def test_bin_index_beyond_quantizer_raises(q1, q2_ref, signal):
     # indices are 0-based, in 0..2^q - 1; -1 must not wrap to the top bin
     n = len(signal)
+    # also with the score-term table, where a code past the top bin would
+    # read the next sample's terms
     for thresholds in (q1, q2_ref):
         table = bin_stats_table(thresholds, 2.0)
-        for bad in (-1, thresholds.n_bins):
-            row = np.zeros(n, dtype=int)
-            row[n // 2] = bad
-            block = np.zeros((3, n), dtype=int)
-            block[2, -1] = bad
-            zeros = np.zeros_like(block)
-            for re0, im0 in ((row, row * 0), (row * 0, row), (block, zeros), (zeros, block)):
-                with pytest.raises(ValueError):
-                    rao_statistic_batch(re0, im0, signal, table)
-        top = np.full(n, thresholds.n_bins - 1)
-        assert np.isfinite(rao_statistic_batch(top, top * 0, signal, table))
+        for terms in (None, _score_terms(signal, table)):
+            for bad in (-1, thresholds.n_bins):
+                row = np.zeros(n, dtype=int)
+                row[n // 2] = bad
+                block = np.zeros((3, n), dtype=int)
+                block[2, -1] = bad
+                zeros = np.zeros_like(block)
+                for re0, im0 in ((row, row * 0), (row * 0, row), (block, zeros), (zeros, block)):
+                    with pytest.raises(ValueError):
+                        rao_statistic_batch(re0, im0, signal, table, terms)
+            top = np.full(n, thresholds.n_bins - 1)
+            assert np.isfinite(rao_statistic_batch(top, top * 0, signal, table, terms))

@@ -204,19 +204,26 @@ def test_tile_boundary_invariance(large_scene, rao3):
         cfg = _cfg(large_scene, det, 97, 97, seed=12)
         for h in (Hypothesis.H0, Hypothesis.H1):
             planes = observation_planes(large_scene, signal, h, 12, 0, 97)
-            want = det.statistic(planes, signal, large_scene.noise_power)
+            want = det.scorer(signal, large_scene.noise_power)(planes)
             for bounds in ((0, 97), (0, 33, 97), range(98)):
                 got = _ranged_stats(cfg, h, bounds)
                 assert np.array_equal(got, want), (det.label, h, len(bounds) - 1)
 
 
-@pytest.mark.parametrize("det", ["rao", "glrt"])
+@pytest.mark.parametrize("det", ["rao", "glrt", "rao4-n256"])
 @pytest.mark.parametrize("trials", [1000, 6000])
 def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
-    # the chunk's planes take 31.25 or 187.5 MiB, one tile's 1 MiB: the
-    # traced peak stays a few tiles whatever the chunk size
-    detector = rao3 if det == "rao" else GlrtDetector()
-    cfg = _cfg(large_scene, detector, trials, 0, seed=8)
+    # the chunk's planes take 31.25 or 187.5 MiB at n = 2048, one tile's
+    # 1 MiB: the traced peak stays a few tiles whatever the chunk size.
+    # At n = 256 and q = 4 (n * 4^q = 2^16) the range also holds the Rao
+    # scorer's largest score-term table, 1 MiB.
+    if det == "rao4-n256":
+        scene = SceneConfig(n_tx=2, n_rx=16, snapshots=16, noise_power=2.0).with_snr_db(-22.0)
+        detector = RaoDetector(ThresholdSet(bits=4, interior=np.linspace(-2.0, 2.0, 15)))
+    else:
+        scene = large_scene
+        detector = rao3 if det == "rao" else GlrtDetector()
+    cfg = _cfg(scene, detector, trials, 0, seed=8)
     tracemalloc.start()
     try:
         _chunk_stats(cfg, Hypothesis.H0, 0, trials)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from quantdet import signal_model
 from quantdet.signal_model import (
     Hypothesis,
     SceneConfig,
@@ -221,6 +222,18 @@ def test_observation_planes_rows_replay_per_trial_streams(
             ref[0] += mean.real
             ref[1] += mean.imag
         assert row.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("start, stop", [(2**63 - 2, 2**63 + 1), (-1, 3)],
+                         ids=["past-last-trial-index", "negative-start"])
+def test_observation_planes_check_the_range_before_drawing(monkeypatch, scene, signal, start, stop):
+    # both ends of the range are checked before the generator is even built
+    def no_draw(*args):
+        raise AssertionError("drew before the range check")
+
+    monkeypatch.setattr(signal_model, "stream_rng", no_draw)
+    with pytest.raises(ValueError, match="trial_index out of range"):
+        observation_planes(scene, signal, Hypothesis.H1, 7, start, stop)
 
 
 def test_observation_planes_check_template_length(scene):
