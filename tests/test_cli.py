@@ -495,17 +495,25 @@ def test_theory_column_beyond_the_marcum_series_range(argv, config, tmp_path, mo
         assert p_d_theory == [1.0] * len(rows)
 
 
-def test_far_noncentrality_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats is slow to import and no command needs it, not even a
-    # theory column far past the Marcum series' range; a fresh interpreter
-    # sees what the commands load, which this suite's own imports would hide
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is a test oracle only: no command imports any of it, not the
+    # Gaussian tail under every bin mass and swarm design, nor a theory
+    # column far past the Marcum series' range, nor a pool run; a fresh
+    # interpreter sees what the commands load, which this suite's own
+    # imports would hide
     script = (
         "import sys\n"
         "from quantdet import cli\n"
         "assert cli.main(['theory', '--snr-db=200', '--out', 't.csv']) == 0\n"
         "assert cli.main(['roc', '--detectors', 'inf', '--snr-db=200', '--trials', '200',\n"
         "                 '--seed', '1', '--out', 'r.csv']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        "assert cli.main(['thresholds', '--q', '2', '--seed', '7', '--out', 'q2.txt']) == 0\n"
+        "assert cli.main(['roc', '--q', '2', '--thresholds', 'q2.txt', '--trials', '200',\n"
+        "                 '--seed', '1', '--out', 'q.csv']) == 0\n"
+        "assert cli.main(['pd-snr', '--detectors', '1,inf', '--pfa', '0.1', '--snr-grid=-10',\n"
+        "                 '--trials', '1000', '--workers', '2', '--seed', '1',\n"
+        "                 '--out', 'p.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,

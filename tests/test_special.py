@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import special as sp
 from scipy.stats import ncx2
 
 import oracles
 from quantdet.special import (
+    _erfc,
     chi2_2_quantile,
     chi2_2_sf,
     gauss_density,
@@ -32,6 +37,49 @@ def test_qfunc_edge_values():
     # vectorized call preserves shape
     out = qfunc(np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert out.shape == (2, 2)
+
+
+def _assert_erfc_bits_match_scipy(a):
+    a = np.asarray(a, dtype=float)
+    got, ref = _erfc(a), sp.erfc(a)
+    same = ((got == ref) & (np.signbit(got) == np.signbit(ref))) | (np.isnan(got) & np.isnan(ref))
+    assert same.all(), a[~same][:5]
+
+
+_SQRT_MAXLOG = math.sqrt(7.09782712893383996843e2)  # past it Cephes returns 0 or 2
+
+
+def test_erfc_is_bit_identical_to_scipy():
+    # the port is Cephes' erfc, the routine scipy.special.erfc runs, so
+    # every bit must agree; together with qfunc's unchanged wrapper this
+    # keeps every output of the package byte for byte
+    rng = np.random.default_rng(20)
+    _assert_erfc_bits_match_scipy(np.linspace(-40.0, 40.0, 800_001))
+    _assert_erfc_bits_match_scipy(rng.uniform(-40.0, 40.0, 200_000))
+    _assert_erfc_bits_match_scipy(rng.standard_normal(200_000) * 4.0)
+    # the branch edges |a| = 1, 8 and sqrt(MAXLOG), a few ulp either side
+    edges = np.array([1.0, 8.0, _SQRT_MAXLOG])
+    steps = [edges]
+    for _ in range(64):
+        steps = [np.nextafter(steps[0], 0.0), *steps, np.nextafter(steps[-1], np.inf)]
+    near_edges = np.concatenate(steps)
+    _assert_erfc_bits_match_scipy(np.concatenate([near_edges, -near_edges]))
+    # results that are subnormal, just below the MAXLOG cut-off
+    subnormal = np.linspace(26.5, 26.7, 100_001)
+    assert ((sp.erfc(subnormal) > 0.0) & (sp.erfc(subnormal) < np.finfo(float).tiny)).any()
+    _assert_erfc_bits_match_scipy(subnormal)
+    _assert_erfc_bits_match_scipy([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                                   np.finfo(float).max, -np.finfo(float).max])
+    # qfunc is that erfc at x / sqrt(2), halved
+    x = np.linspace(-40.0, 40.0, 80_001)
+    assert (qfunc(x) == 0.5 * sp.erfc(x / math.sqrt(2.0))).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_erfc_matches_scipy_on_any_finite_double(a):
+    _assert_erfc_bits_match_scipy(a)
 
 
 def test_gauss_density_zero_at_infinity():
