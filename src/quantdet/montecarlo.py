@@ -7,9 +7,10 @@ counter); the counter encodes hypothesis and trial index (see
 :func:`quantdet.signal_model.trial_counter`).  Statistics therefore
 depend only on (seed, hypothesis, index) -- not on worker count, tile
 size or evaluation order -- and two runs with equal seeds agree bit
-for bit.  Each hypothesis is split into one index range per worker;
-an engine call runs both hypotheses' ranges in-process, or on one pool
-of no more processes than ranges or CPUs, in index order.
+for bit.  Each hypothesis is split into one index range per process
+the engine can start (the workers asked for, at most one per CPU); an
+engine call runs both hypotheses' ranges in-process, or on one pool of
+no more processes than ranges, in index order.
 
 A range (the unit of parallel work) runs in tiles of
 ``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
@@ -55,11 +56,16 @@ from .signal_model import (
 from .special import chi2_2_quantile, chi2_2_sf
 
 
+def _processes(workers: int) -> int:
+    """Processes an engine call can start: the workers asked for, at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte Carlo run: scene, detector, trial counts and seed.
 
-    Each hypothesis runs as one index range per worker, each range in
+    Each hypothesis runs as one index range per process, each range in
     tiles; neither the ranges nor the tiles change a result.
     """
 
@@ -80,8 +86,9 @@ class TrialConfig:
 
     @property
     def batch_size(self) -> int:
-        """Trials per index range: the larger hypothesis split over the workers."""
-        return max(1, math.ceil(max(self.n_trials_h0, self.n_trials_h1) / self.workers))
+        """Trials per index range: the larger hypothesis split over the processes."""
+        trials = max(self.n_trials_h0, self.n_trials_h1)
+        return max(1, math.ceil(trials / _processes(self.workers)))
 
 
 # values per Re/Im plane in one tile: 2^16 float64 per plane, 1 MiB of planes
@@ -111,7 +118,7 @@ def run_trials(cfg: TrialConfig):
     plan = [(h, a, min(a + cfg.batch_size, n))
             for h, n in ((Hypothesis.H0, cfg.n_trials_h0), (Hypothesis.H1, cfg.n_trials_h1))
             for a in range(0, n, cfg.batch_size)]
-    processes = min(cfg.workers, len(plan), os.cpu_count() or 1)
+    processes = min(_processes(cfg.workers), len(plan))
     if processes <= 1:
         chunks = [_chunk_stats(cfg, h, a, b) for h, a, b in plan]
     else:

@@ -9,9 +9,11 @@ q-bit quantizer therefore means maximizing
                    = E * sum_i (F'_i(tau)^2 - F''_i(tau) F_i(tau)) / F_i(tau)
 
 over strictly increasing tau in R^(2^q - 1) -- the Fisher-information
-diagonal itself.  The landscape is smooth but multimodal in the sorted
-coordinates, so a small particle swarm with sort-repair is used rather
-than a local gradient method.
+diagonal itself, which :func:`quantdet.quantizer.fisher_rows` scores for
+the whole swarm at once, with the quantizer's own empty-bin rule.  The
+landscape is smooth but multimodal in the sorted coordinates, so a small
+particle swarm with sort-repair is used rather than a local gradient
+method.
 
 Determinism: one seed fixes the full trajectory.  All random draws
 happen in a fixed order inside the iteration loop and candidate
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import _MASS_FLOOR, ThresholdSet, _stats_from_edges
+from .quantizer import ThresholdSet, fisher_rows
 from .signal_model import EffectiveSignal
 
 # Minimum post-repair gap between neighbouring thresholds.  Large enough
@@ -73,23 +75,6 @@ class PsoResult:
     achieved_objective: float
     iterations: int
     converged: bool
-
-
-def _objective_rows(positions: np.ndarray, energy: float, noise_power: float) -> np.ndarray:
-    """Objective E * J1 of each row of a (swarm, dim) block of candidates.
-
-    Rows must already be strictly increasing (run through :func:`_repair`).
-    Degenerate candidates (a bin with vanishing mass) score -inf so the
-    swarm can fly through infeasible territory and recover.
-    """
-    swarm = positions.shape[0]
-    inf_col = np.full((swarm, 1), np.inf)
-    edges = np.concatenate((-inf_col, positions, inf_col), axis=1)
-    f, f1, f2 = _stats_from_edges(edges, noise_power)
-    feasible = f.min(axis=1) >= _MASS_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        info = ((f1 ** 2 - f2 * f) / f).sum(axis=1)
-    return np.where(feasible, energy * info, -np.inf)
 
 
 def _repair(positions: np.ndarray) -> np.ndarray:
@@ -142,7 +127,6 @@ def optimize_thresholds(
     dim = 2 ** bits - 1
     radius = 5.0 * math.sqrt(noise_power / 2.0)
     rng = np.random.default_rng(config.seed)
-    energy = signal.energy
 
     pos = np.empty((_SWARM_SIZE, dim))
     pos[0] = canonical_grid(bits, noise_power)
@@ -154,7 +138,7 @@ def optimize_thresholds(
     pos = _repair(pos)
     vel = rng.uniform(-0.1 * radius, 0.1 * radius, size=(_SWARM_SIZE, dim))
 
-    fitness = _objective_rows(pos, energy, noise_power)
+    fitness = fisher_rows(pos, signal.energy, noise_power)
     best_pos = pos.copy()
     best_fit = fitness.copy()
     g_idx = int(np.argmax(best_fit))
@@ -175,7 +159,7 @@ def optimize_thresholds(
         )
         np.clip(vel, -radius, radius, out=vel)
         pos = _repair(np.clip(pos + vel, -radius, radius))
-        fitness = _objective_rows(pos, energy, noise_power)
+        fitness = fisher_rows(pos, signal.energy, noise_power)
 
         improved = fitness > best_fit
         best_pos[improved] = pos[improved]

@@ -20,8 +20,12 @@ mass F_i and its first two derivatives in u,
 
 (phi_s the N(0, s^2) density) are the only statistics any downstream
 code needs: the score ratios F'_i / F_i drive the detector and
-sum_i (F'_i^2 - F''_i F_i) / F_i drives both the information matrix and
-threshold design.  Terms at infinite edges vanish and are evaluated as
+J1 = sum_i (F'_i^2 - F''_i F_i) / F_i drives both the information matrix
+and threshold design.  One kernel computes them, at mean zero; a bin's
+statistics at mean u are those at mean zero with every edge shifted by
+-u, which is how :func:`bin_probability` reads any mean.  J1 is summed
+in one place too, for :class:`BinStats` and for the swarm's
+:func:`fisher_rows`.  Terms at infinite edges vanish and are evaluated as
 exact zeros here rather than left to 0 * inf arithmetic.
 """
 
@@ -101,46 +105,40 @@ def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
     return out
 
 
-def _edge_terms(edges: np.ndarray, s: float):
-    """(Q values, densities, t*density) at the edges, inf-safe.
+def _stats_from_edges(edges: np.ndarray, noise_power: float):
+    """(F, F', F'') of each bin at mean zero: the package's one Gaussian-statistics kernel.
 
-    Returns arrays shaped like ``edges``: ``qfunc(e/s)``, ``phi_s(e)`` and
-    ``e * phi_s(e)``, the last two forced to an exact 0.0 at infinite edges.
+    ``edges`` has the framing infinities along its last axis, and its
+    leading axes broadcast: one call scores a whole swarm of candidate
+    threshold vectors, or one bin at many means (edges shifted by -u).
+    Terms at infinite edges are exact zeros, not 0 * inf.
     """
+    s = math.sqrt(noise_power / 2.0)
     t = edges / s
     finite = np.isfinite(t)
     tf = np.where(finite, t, 0.0)
     dens = np.where(finite, gauss_density(tf * s, sigma=s), 0.0)
-    return qfunc(t), dens, tf * s * dens
-
-
-def _stats_from_edges(edges: np.ndarray, noise_power: float):
-    """Core (F, F', F'') at u = 0, shared by the table builder and optimizer.
-
-    ``edges`` has the framing infinities along its last axis; broadcasting
-    over leading axes lets one call score a whole swarm of candidate
-    threshold vectors.
-    """
-    s = math.sqrt(noise_power / 2.0)
-    qv, dens, tdens = _edge_terms(edges, s)
-    lo = slice(None, -1)
-    hi = slice(1, None)
-    f = qv[..., lo] - qv[..., hi]
-    f1 = dens[..., lo] - dens[..., hi]
-    f2 = (tdens[..., lo] - tdens[..., hi]) / (s * s)
+    qv = qfunc(t)
+    tdens = tf * s * dens
+    f = qv[..., :-1] - qv[..., 1:]
+    f1 = dens[..., :-1] - dens[..., 1:]
+    f2 = (tdens[..., :-1] - tdens[..., 1:]) / (s * s)
     return f, f1, f2
+
+
+def _info_per_energy(f, f1, f2):
+    """J1 = sum_i (F'_i^2 - F''_i F_i) / F_i over the last axis; an empty bin gives inf or nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((f1 ** 2 - f2 * f) / f).sum(axis=-1)
 
 
 def bin_probability(u, i: int, thresholds: ThresholdSet, noise_power: float):
     """Probability that N(u, noise_power/2) falls in bin ``i`` (0-based)."""
     if not 0 <= i < thresholds.n_bins:
         raise ValueError(f"bin index {i} outside 0..{thresholds.n_bins - 1}")
-    s = math.sqrt(noise_power / 2.0)
-    e = thresholds.edges()
-    out = qfunc((e[i] - np.asarray(u, dtype=float)) / s) - qfunc(
-        (e[i + 1] - np.asarray(u, dtype=float)) / s
-    )
-    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
+    u = np.asarray(u, dtype=float)
+    out = _stats_from_edges(thresholds.edges()[i : i + 2] - u[..., None], noise_power)[0][..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ class BinStats:
 
     @property
     def info_per_energy(self) -> float:
-        return float(np.sum((self.f1 ** 2 - self.f2 * self.f) / self.f))
+        return float(_info_per_energy(self.f, self.f1, self.f2))
 
 
 def bin_stats_table(thresholds: ThresholdSet, noise_power: float) -> BinStats:
@@ -191,3 +189,16 @@ def bin_stats_table(thresholds: ThresholdSet, noise_power: float) -> BinStats:
             f"bin {worst} of 0..{thresholds.n_bins - 1} has mass {f[worst]:.3e} < {_MASS_FLOOR:g}"
         )
     return BinStats(f=f, f1=f1, f2=f2)
+
+
+def fisher_rows(interior: np.ndarray, energy: float, noise_power: float) -> np.ndarray:
+    """Fisher diagonal E * J1 of each row of a (rows, 2^q - 1) block of thresholds.
+
+    Rows must be strictly increasing.  A row with a bin mass below
+    ``_MASS_FLOOR`` -- one :func:`bin_stats_table` would refuse -- scores
+    -inf, so a swarm can fly through infeasible territory and recover.
+    """
+    inf_col = np.full((interior.shape[0], 1), np.inf)
+    edges = np.concatenate((-inf_col, interior, inf_col), axis=1)
+    f, f1, f2 = _stats_from_edges(edges, noise_power)
+    return np.where(f.min(axis=1) >= _MASS_FLOOR, energy * _info_per_energy(f, f1, f2), -np.inf)

@@ -148,10 +148,16 @@ def marcum_q1(a: float, b: float) -> float:
 
     The series needs a^2/2 and b^2/2 below 700 so that the anchoring
     exponentials stay normal; past that, :func:`_marcum_q1_far` integrates
-    over one Gaussian coordinate instead.
+    over one Gaussian coordinate instead.  An infinite argument returns
+    the limit, 1.0 for a = inf and 0.0 for b = inf; both infinite is a
+    ``ValueError``.
     """
     if not (a >= 0.0 and b >= 0.0):  # NaN fails too: it would never stop the series
         raise ValueError(f"marcum_q1 arguments must be non-negative, got a={a!r}, b={b!r}")
+    if math.isinf(a) or math.isinf(b):
+        if a == b:
+            raise ValueError("marcum_q1 has no limit at a = b = inf")
+        return float(a > b)
     lam = 0.5 * a * a  # Poisson intensity of the mixture
     x = 0.5 * b * b
     if b == 0.0:

@@ -276,6 +276,17 @@ def test_theory_csv_matches_pinned_bytes(name, argv, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _THEORY_SHA256[name]
 
 
+def test_theory_past_overflowing_noncentrality_detects_surely(tmp_path, capsys):
+    # lambda_F overflows to inf near 3,062 dB on the default scene; the
+    # Marcum limit there is certain detection, without a warning
+    out = tmp_path / "theory.csv"
+    assert run(["theory", "--snr-db=3070", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in _read(out).strip().split("\n")[1:]]
+    assert len(rows) == 25
+    assert all(lam == "inf" and p_d == "1.0" for _, _, lam, p_d in rows)
+
+
 def test_theory_column_equals_estimate_roc(tmp_path):
     # the theory command and estimate_roc give the same p_d_theory at the
     # same eta and lambda_f, to the last bit

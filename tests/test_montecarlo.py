@@ -131,7 +131,7 @@ class _SerialPool:
         (10, 4, [(4, [(0, 3), (3, 6), (6, 9), (9, 10)])]),
         (9, 4, [(3, [(0, 3), (3, 6), (6, 9)])]),
         (10_000, 1, []),
-        (10, 5000, [(4, [(i, i + 1) for i in range(10)])]),
+        (10, 5000, [(4, [(0, 3), (3, 6), (6, 9), (9, 10)])]),
         pytest.param(
             (10_000, 4000), 2,
             [(2, [(0, 5000), (5000, 10_000), (0, 4000)])],
@@ -140,15 +140,16 @@ class _SerialPool:
     ],
 )
 def test_one_range_per_worker(small_scene, rao2, monkeypatch, trials, workers, pools):
-    # each hypothesis splits into ceil(max(n0, n1) / workers)-trial ranges,
-    # and one pool runs the ranges of both (H0's first) when there are two
-    # or more, with no more processes than ranges or CPUs (four here)
+    # each hypothesis splits into ceil(max(n0, n1) / processes)-trial ranges,
+    # processes being the workers capped at the CPUs (four here), and one
+    # pool runs the ranges of both (H0's first) when there are two or more,
+    # with no more processes than ranges
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "opened", [])
     n0, n1 = trials if isinstance(trials, tuple) else (trials, 0)
     cfg = _cfg(small_scene, rao2, n0, n1, seed=7, workers=workers)
-    assert cfg.batch_size == -(-max(n0, n1) // workers)
+    assert cfg.batch_size == -(-max(n0, n1) // min(workers, 4))
     h0, h1 = run_trials(cfg)
     assert _SerialPool.opened == pools
     assert h0.shape == (n0,) and h1.shape == (n1,)

@@ -10,11 +10,10 @@ from quantdet.optimizer import (
     optimize_thresholds,
     read_checkpoint,
     write_checkpoint,
-    _objective_rows,
     _repair,
 )
 from quantdet.perf_theory import fisher_information
-from quantdet.quantizer import ThresholdSet
+from quantdet.quantizer import ThresholdSet, fisher_rows
 from quantdet.signal_model import EffectiveSignal
 
 
@@ -32,9 +31,8 @@ def test_pso_config_validation():
 def test_objective_equals_fisher_diagonal(signal, reference_q2):
     # the swarm's vectorized score of a candidate is the Fisher diagonal E * J1
     t = ThresholdSet(bits=2, interior=reference_q2)
-    obj = _objective_rows(t.interior[None, :], signal.energy, 2.0)[0]
-    diag = fisher_information(signal, t, 2.0)
-    assert obj == pytest.approx(diag, rel=1e-14)
+    obj = fisher_rows(t.interior[None, :], signal.energy, 2.0)[0]
+    assert obj == fisher_information(signal, t, 2.0)
 
 
 def test_objective_frozen_reference_value(signal, frozen):
@@ -46,7 +44,7 @@ def test_objective_frozen_reference_value(signal, frozen):
 
 def test_objective_degenerate_candidate_is_minus_inf(signal):
     rows = np.array([[40.0, 41.0, 42.0], [-1.0, 0.0, 1.0]])
-    obj = _objective_rows(rows, signal.energy, 2.0)
+    obj = fisher_rows(rows, signal.energy, 2.0)
     assert obj[0] == -np.inf
     assert np.isfinite(obj[1])
 

@@ -230,9 +230,25 @@ def test_stats_table_matches_scalar_api(q2_ref):
     dens = stats.norm.pdf(e)
     tdens = np.where(np.isfinite(e), e, 0.0) * dens
     for i in range(4):
-        assert t.f[i] == pytest.approx(bin_probability(0.0, i, q2_ref, 2.0), rel=1e-14)
+        assert t.f[i] == bin_probability(0.0, i, q2_ref, 2.0)
         assert t.f1[i] == pytest.approx(dens[i] - dens[i + 1], rel=1e-14)
         assert t.f2[i] == pytest.approx(tdens[i] - tdens[i + 1], rel=1e-13, abs=1e-16)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_bin_probability_is_the_table_at_shifted_edges(bits):
+    # one kernel: F_i at mean u is the mean-zero table of the thresholds
+    # shifted by -u, bit for bit, for scalar and array u alike
+    rng = np.random.default_rng(bits)
+    ts = ThresholdSet(bits=bits, interior=np.linspace(-2.5, 2.5, 2**bits + 1)[1:-1] + 0.1)
+    us = rng.normal(0.0, 1.5, 4)
+    at_zero = bin_stats_table(ts, 1.3)
+    for i in range(ts.n_bins):
+        assert bin_probability(0.0, i, ts, 1.3) == at_zero.f[i]
+        column = bin_probability(us, i, ts, 1.3)
+        for k, u in enumerate(us):
+            shifted = bin_stats_table(ThresholdSet(bits=bits, interior=ts.interior - u), 1.3)
+            assert bin_probability(float(u), i, ts, 1.3) == column[k] == shifted.f[i]
 
 
 def test_stats_table_score_ratio(q2_ref):
@@ -245,6 +261,12 @@ def test_stats_table_degenerate_cell_raises():
     far = ThresholdSet(bits=2, interior=(40.0, 41.0, 42.0))
     with pytest.raises(DegenerateBinError):
         bin_stats_table(far, noise_power=2.0)
+
+
+def test_stats_table_rejects_nonpositive_noise_power(q1):
+    for noise_power in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="noise_power"):
+            bin_stats_table(q1, noise_power)
 
 
 def test_stats_table_arrays_read_only(q2_ref):

@@ -1,6 +1,7 @@
 """The built-in check battery, including a mutation check of its teeth."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_corrupted_table_is_caught(monkeypatch):
     by_name = {r.name: r for r in results}
     assert not by_name["score_test_identity"].passed
     assert not by_name["one_bit_closed_form"].passed
+    # and both fail on their numbers, not on an exception inside the check
+    score = re.fullmatch(r"max_rel_err=(\S+)", by_name["score_test_identity"].detail)
+    assert score and float(score[1]) > 1e-6
+    one_bit = re.fullmatch(
+        r"max\|ratio-2/pi\|=(\S+) max_rel_stat_err=(\S+)", by_name["one_bit_closed_form"].detail
+    )
+    assert one_bit and max(float(one_bit[1]), float(one_bit[2])) > 1e-12
 
 
 def test_exceptions_become_failures(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from quantdet import signal_model
 from quantdet.signal_model import (
+    EffectiveSignal,
     Hypothesis,
     SceneConfig,
     effective_signal,
@@ -55,6 +56,13 @@ def test_with_snr_db_rejects_an_overflowing_amplitude():
     # 10 ** 400 overflows in the power; 10 ** 308 fits, times noise_power it does not
     for snr_db in (4000.0, 3080.0):
         with pytest.raises(ValueError, match="overflows"):
+            cfg.with_snr_db(snr_db)
+
+
+def test_with_snr_db_rejects_a_non_finite_snr():
+    cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=8)
+    for snr_db in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
             cfg.with_snr_db(snr_db)
 
 
@@ -125,6 +133,12 @@ def test_lfm_specific_entry():
     assert s[1, 2] == pytest.approx(want_p2, abs=1e-14)
 
 
+def test_lfm_rejects_an_empty_shape():
+    for n_tx, snapshots in ((0, 4), (2, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            lfm_waveform(n_tx, snapshots)
+
+
 def test_lfm_rows_nearly_orthogonal():
     # chirp offsets decorrelate the transmit rows; exact orthogonality is
     # not promised, but the cross term must be far below the diagonal
@@ -167,6 +181,17 @@ def test_effective_signal_energy_reference_scene(scene, signal):
     # N_r * L / N_t for orthonormal-ish rows: 16 * 8 / 2 = 64
     assert signal.energy == pytest.approx(64.0, rel=1e-12)
     assert signal.z.shape == (scene.n_rx * scene.snapshots,)
+
+
+def test_effective_signal_validation():
+    for g, h in ((np.zeros(3), np.zeros(4)), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="equal length"):
+            EffectiveSignal(g=g, h=h)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EffectiveSignal(g=np.array([1.0, bad]), h=np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            EffectiveSignal(g=np.zeros(2), h=np.array([bad, 1.0]))
 
 
 def test_effective_signal_arrays_read_only(signal):

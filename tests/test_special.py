@@ -119,6 +119,12 @@ def test_marcum_degenerate_arguments():
         marcum_q1(math.nan, 1.0)
     with pytest.raises(ValueError, match="a=1.0, b=nan"):
         marcum_q1(1.0, math.nan)
+    # an infinite argument gives the limit, with no NaN and no warning
+    for finite in (0.0, 1.0, 1e300):
+        assert marcum_q1(math.inf, finite) == 1.0
+        assert marcum_q1(finite, math.inf) == 0.0
+    with pytest.raises(ValueError, match="a = b = inf"):
+        marcum_q1(math.inf, math.inf)
 
 
 def test_marcum_against_quadrature_oracle():
