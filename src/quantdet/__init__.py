@@ -7,11 +7,12 @@ Library layout:
 * :mod:`quantdet.detectors`     -- batch-first Rao test and unquantized GLRT, detector classes
 * :mod:`quantdet.perf_theory`   -- Fisher information and asymptotic detection rates
 * :mod:`quantdet.optimizer`     -- swarm design of detection-optimal thresholds
-* :mod:`quantdet.montecarlo`    -- reproducible trial engine, ROC / SNR sweeps
+* :mod:`quantdet.montecarlo`    -- reproducible trial engine, empirical thresholds, ROC estimation
 * :mod:`quantdet.experiment`    -- flat config files
 * :mod:`quantdet.special`       -- Q function, chi-square (2 dof) tail, Marcum Q1
 * :mod:`quantdet.selftest`      -- built-in sanity battery
-* :mod:`quantdet.cli`           -- the ``quantdet`` command
+* :mod:`quantdet.cli`           -- the ``quantdet`` command: roc / pd-eta / pd-snr loops,
+                                   threshold resolution, CSV output
 
 The package namespace holds only the names the README's examples import;
 everything else is imported from the module that defines it.

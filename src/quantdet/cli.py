@@ -25,16 +25,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from .detectors import GlrtDetector, RaoDetector
 from .experiment import ConfigError, ExperimentSpec, _format_value, load_config, parse_value
 from .montecarlo import (
-    SweepPoint, TrialConfig, empirical_threshold, estimate_roc, pd_vs_snr, run_trials, subseed,
+    TrialConfig, empirical_threshold, estimate_roc, exceedance, run_trials, subseed,
 )
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
 from .perf_theory import asymptotic_pd
@@ -46,7 +46,10 @@ from .special import chi2_2_quantile
 _ROC_HEADER = (
     "detector", "q", "eta", "p_fa_hat", "p_d_hat", "p_fa_theory", "p_d_theory", "n0", "n1",
 )
-_SWEEP_HEADER = tuple(f.name for f in dataclasses.fields(SweepPoint))
+_SWEEP_HEADER = (
+    "detector", "q", "snr_db", "p_fa_target", "eta_asymptotic",
+    "p_d_at_asymptotic_eta", "p_d_at_empirical_eta", "trials",
+)
 _THEORY_HEADER = ("p_fa", "eta", "lambda_f", "p_d_theory")
 
 # sub-seed namespace for per-q threshold design inside simulation commands
@@ -120,8 +123,6 @@ def _scene_from_spec(spec: ExperimentSpec) -> SceneConfig:
     scene = SceneConfig(beta=beta, **_same_named(spec, SceneConfig, "beta"))
     if spec.snr_db is not None:
         scene = scene.with_snr_db(spec.snr_db)
-    for snr_db in spec.snr_grid_db or ():
-        scene.with_snr_db(snr_db)  # an SNR whose amplitude overflows fails here, before any design
     return scene
 
 
@@ -162,13 +163,19 @@ def _resolve_thresholds(spec, scene, signal, bits: int):
     return result.thresholds, tag
 
 
-def _resolve_detectors(spec, scene, signal) -> list:
+def _resolve_detectors(spec, scene, signal, simulated) -> list:
     """(detector, threshold origin) for ``--q``, else for each ``--detectors`` token.
 
-    :class:`ExperimentSpec` has checked every token before this designs
-    any threshold.
+    :class:`ExperimentSpec` has checked every token, and this checks that
+    a GLRT's |z^H x|^2, about (|beta| E)^2, and its statistic stay finite
+    in each scene of ``simulated``, before it designs any threshold.
     """
     tokens = (str(spec.q),) if spec.q is not None else spec.detectors
+    for s in simulated if "inf" in tokens else ():
+        peak = abs(s.beta) * signal.energy  # |z^H x| without noise
+        if not math.isfinite(peak * peak / (signal.energy * s.noise_power / 2.0)):
+            raise ConfigError(f"the GLRT statistic overflows at |beta| = {abs(s.beta):.6g}; "
+                              "lower the SNR or drop the 'inf' detector")
     out = []
     for tok in tokens:
         if tok == "inf":
@@ -234,7 +241,7 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
     trials = spec.trials or _DEFAULT_TRIALS
     resolved = [
         (detector, origin, detector.noncentrality(scene, signal))
-        for detector, origin in _resolve_detectors(spec, scene, signal)
+        for detector, origin in _resolve_detectors(spec, scene, signal, (scene,))
     ]
     rows = []
     for d_idx, (detector, origin, lam) in enumerate(resolved):
@@ -269,24 +276,38 @@ def cmd_pd_eta(spec: ExperimentSpec) -> int:
 
 
 def cmd_pd_snr(spec: ExperimentSpec) -> int:
+    """Detection probability against SNR at the false-alarm budget ``pfa``.
+
+    Per detector, one H0 run (sub-seed path (d, 0)) sets the empirical
+    threshold, and each SNR point gets its own H1 run (path (d, 1 + i)).
+    Both the asymptotic threshold -2 ln pfa and the empirical one are
+    applied to the same H1 sample, giving the two detection-rate columns.
+    """
     seed = _require_seed(spec)
     out = _out_path(spec, "pd_snr.csv")
     scene = _scene_from_spec(spec)
     signal = effective_signal(scene)
     trials = spec.trials or _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
-    detectors = []
-    for detector, origin in _resolve_detectors(spec, scene, signal):
+    scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
+    resolved = _resolve_detectors(spec, scene, signal, scenes)
+    if spec.pfa * trials < 100:
+        print(f"warning: p_fa * trials = {spec.pfa * trials:.0f} < 100: false-alarm tail is "
+              "thinly sampled and the empirical threshold will be noisy", file=sys.stderr)
+    eta_asym = chi2_2_quantile(spec.pfa)
+    rows = []
+    for d_idx, (detector, origin) in enumerate(resolved):
         print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}")
-        detectors.append(detector)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        points = pd_vs_snr(
-            scene, detectors, snr_grid, spec.pfa, trials, seed, workers=spec.workers
-        )
-    for w in caught:  # a library warning (thin false-alarm tail) becomes one plain stderr line
-        print(f"warning: {w.message}", file=sys.stderr)
-    count = _write_csv(out, _SWEEP_HEADER, map(dataclasses.astuple, points))
+        h0, _ = run_trials(TrialConfig(scene, detector, trials, 0, subseed(seed, d_idx, 0),
+                                       spec.workers))
+        eta_emp = empirical_threshold(h0, spec.pfa)
+        for s_idx, (snr_db, snr_scene) in enumerate(zip(snr_grid, scenes)):
+            _, h1 = run_trials(TrialConfig(snr_scene, detector, 0, trials,
+                                           subseed(seed, d_idx, 1 + s_idx), spec.workers))
+            p_d_asym, p_d_emp = exceedance(h1, [eta_asym, eta_emp])  # one sort
+            rows.append((detector.label, detector.q_label, snr_db, spec.pfa, eta_asym,
+                         p_d_asym, p_d_emp, trials))
+    count = _write_csv(out, _SWEEP_HEADER, rows)
     print(f"wrote {count} rows to {out}")
     return 0
 

@@ -62,9 +62,9 @@ def _check_template(n: int, signal: EffectiveSignal) -> float:
     return energy
 
 
-# largest n * K^2 whose score-term table the Rao scorer builds: 2^16 values
-# per plane, as in one engine tile
-_TERM_TABLE_VALUES = 1 << 16
+# values per Re/Im plane in one engine tile (2^16 float64, 1 MiB of planes),
+# and the largest n * K^2 whose score-term table the Rao scorer builds
+TILE_VALUES = 1 << 16
 
 
 def _score_terms(signal: EffectiveSignal, table: BinStats) -> np.ndarray:
@@ -180,7 +180,7 @@ class RaoDetector:
         """
         ts = self.thresholds
         table = bin_stats_table(ts, noise_power)
-        small = len(signal) * ts.n_bins ** 2 <= _TERM_TABLE_VALUES
+        small = len(signal) * ts.n_bins ** 2 <= TILE_VALUES
         terms = _score_terms(signal, table) if small else None
 
         def score(planes):

@@ -13,7 +13,7 @@ engine call runs both hypotheses' ranges in-process, or on one pool of
 no more processes than ranges, in index order.
 
 A range (the unit of parallel work) runs in tiles of
-``max(1, _TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
+``max(1, TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
 tile's planes, bin indices and score gathers stay in cache and a
 range's memory is one tile whatever its length.  A tile's
 observations come from :func:`quantdet.signal_model.observation_planes`,
@@ -28,23 +28,24 @@ rows for the GLRT); a row's statistic does not depend on the rows around
 it, and a gathered term equals a computed one, so neither tiles, ranges
 nor the table move a bit of the result.
 
-Sub-experiments (one per detector / SNR point in a sweep) draw their
-master seeds from a SeedSequence spawned off the experiment seed, so
-adding an SNR point never disturbs the others.
+The experiment loops live in :mod:`quantdet.cli`: its roc, pd-eta and
+pd-snr commands give each sub-experiment (one per detector, and per SNR
+point in a pd-snr sweep) the master seed :func:`subseed` derives from
+the experiment seed at the sub-experiment's path, so adding a detector
+or an SNR point never disturbs the others.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .detectors import GlrtDetector, RaoDetector
+from .detectors import TILE_VALUES, GlrtDetector, RaoDetector
 from .perf_theory import asymptotic_pd
 from .signal_model import (
     Hypothesis,
@@ -53,7 +54,7 @@ from .signal_model import (
     observation_planes,
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
-from .special import chi2_2_quantile, chi2_2_sf
+from .special import chi2_2_sf
 
 
 def _processes(workers: int) -> int:
@@ -91,15 +92,11 @@ class TrialConfig:
         return max(1, math.ceil(trials / _processes(self.workers)))
 
 
-# values per Re/Im plane in one tile: 2^16 float64 per plane, 1 MiB of planes
-_TILE_VALUES = 1 << 16
-
-
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
     """Statistics for trials [start, stop); the parallel unit of work."""
     scene, det = cfg.scene, cfg.detector
     signal = effective_signal(scene)
-    tile = max(1, _TILE_VALUES // len(signal))
+    tile = max(1, TILE_VALUES // len(signal))
     score = det.scorer(signal, scene.noise_power)
     out = np.empty(stop - start)
     for a in range(start, stop, tile):
@@ -199,85 +196,8 @@ def estimate_roc(h0_stats: np.ndarray, h1_stats: np.ndarray, lambda_f: float, et
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (detector, SNR) cell of a detection-probability sweep."""
-
-    detector: str
-    q: str
-    snr_db: float
-    p_fa_target: float
-    eta_asymptotic: float
-    p_d_at_asymptotic_eta: float
-    p_d_at_empirical_eta: float
-    trials: int
-
-
 def subseed(master_seed: int, *path: int) -> int:
     """Derived 64-bit seed for a sub-experiment at ``path`` under the master."""
     ss = np.random.SeedSequence((master_seed,) + path)
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-def pd_vs_snr(
-    scene: SceneConfig,
-    detectors,
-    snr_grid_db,
-    p_fa: float,
-    n_trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list:
-    """Detection probability versus SNR at a fixed false-alarm budget.
-
-    For each detector one H0 run (sub-seed path (d, 0)) calibrates the
-    empirical threshold; each SNR point then gets a fresh H1 run
-    (sub-seed path (d, 1 + i)).  Both the asymptotic threshold
-    -2 ln p_fa and the empirical one are applied to the same H1 sample,
-    giving the two detection-rate columns.
-    """
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError("p_fa must lie in (0, 1)")
-    if p_fa * n_trials < 100:
-        warnings.warn(
-            f"p_fa * trials = {p_fa * n_trials:.0f} < 100: false-alarm tail is "
-            "thinly sampled and the empirical threshold will be noisy",
-            stacklevel=2,
-        )
-    eta_asym = chi2_2_quantile(p_fa)
-    points = []
-    for d_idx, det in enumerate(detectors):
-        h0_cfg = TrialConfig(
-            scene=scene,
-            detector=det,
-            n_trials_h0=n_trials,
-            n_trials_h1=0,
-            seed=subseed(seed, d_idx, 0),
-            workers=workers,
-        )
-        h0_stats, _ = run_trials(h0_cfg)
-        eta_emp = empirical_threshold(h0_stats, p_fa)
-        for s_idx, snr_db in enumerate(snr_grid_db):
-            h1_cfg = TrialConfig(
-                scene=scene.with_snr_db(snr_db),
-                detector=det,
-                n_trials_h0=0,
-                n_trials_h1=n_trials,
-                seed=subseed(seed, d_idx, 1 + s_idx),
-                workers=workers,
-            )
-            _, h1_stats = run_trials(h1_cfg)
-            p_d_asym, p_d_emp = exceedance(h1_stats, [eta_asym, eta_emp])  # one sort
-            points.append(
-                SweepPoint(
-                    detector=det.label,
-                    q=det.q_label,
-                    snr_db=float(snr_db),
-                    p_fa_target=p_fa,
-                    eta_asymptotic=eta_asym,
-                    p_d_at_asymptotic_eta=float(p_d_asym),
-                    p_d_at_empirical_eta=float(p_d_emp),
-                    trials=n_trials,
-                )
-            )
-    return points

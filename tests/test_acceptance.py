@@ -19,7 +19,6 @@ from quantdet.montecarlo import (
     TrialConfig,
     empirical_threshold,
     exceedance,
-    pd_vs_snr,
     run_trials,
     subseed,
 )
@@ -67,6 +66,7 @@ def cli_designs(tmp_path_factory):
         assert code == 0, f"thresholds command failed for q={q}"
         ts, meta = read_checkpoint(path)
         out[q] = {
+            "path": path,
             "thresholds": ts,
             "elapsed": elapsed,
             "objective": float(meta["achieved_objective"]),
@@ -231,7 +231,7 @@ def _crossing(snrs, pds, level=0.5):
     raise AssertionError(f"P_D = {level} not bracketed by the SNR grid: {pds}")
 
 
-def test_criterion_5_one_bit_penalty(scene, cli_designs):
+def test_criterion_5_one_bit_penalty(cli_designs, tmp_path):
     # analytic half: sign quantizer keeps exactly 2/pi of the information
     sign_q = ThresholdSet(bits=1, interior=(0.0,))
     rng = np.random.default_rng(55)
@@ -251,19 +251,22 @@ def test_criterion_5_one_bit_penalty(scene, cli_designs):
         worst = max(worst, abs(lam_1 / lam_inf - 2.0 / np.pi))
     analytic_ok = worst <= 1e-12
 
-    # Monte Carlo half: SNR needed for P_D = 0.5 at pfa = 1e-2
-    grid = np.arange(-13.5, -8.0, 0.5)
-    pts = pd_vs_snr(
-        scene,
-        [RaoDetector(cli_designs[1]["thresholds"]), GlrtDetector()],
-        grid,
-        1e-2,
-        20_000,
-        seed=subseed(SEED, 9),
+    # Monte Carlo half: SNR needed for P_D = 0.5 at pfa = 1e-2, from a
+    # pd-snr run on the default scene at -14 dB (the ``scene`` fixture)
+    grid = ",".join(repr(float(s)) for s in np.arange(-13.5, -8.0, 0.5))
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "pd_snr.csv"
+    cfg.write_text("snr_db = -14.0\n")
+    code = cli.main(
+        ["pd-snr", "--detectors", "1,inf", "--thresholds", str(cli_designs[1]["path"]),
+         "--config", str(cfg), f"--snr-grid={grid}", "--pfa", "0.01", "--trials", "20000",
+         "--seed", str(subseed(SEED, 9)), "--out", str(out)]
     )
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.read_text().strip().split("\n")]
+    q, snr, p_d = (header.index(k) for k in ("q", "snr_db", "p_d_at_empirical_eta"))
     by_q = {}
-    for p in pts:
-        by_q.setdefault(p.q, []).append((p.snr_db, p.p_d_at_empirical_eta))
+    for row in rows:
+        by_q.setdefault(row[q], []).append((float(row[snr]), float(row[p_d])))
     snr_1 = _crossing(*zip(*sorted(by_q["1"])))
     snr_inf = _crossing(*zip(*sorted(by_q["inf"])))
     gap = snr_1 - snr_inf

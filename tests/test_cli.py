@@ -15,6 +15,7 @@ from quantdet.experiment import ConfigError, parse_config
 from quantdet.montecarlo import estimate_roc
 from quantdet.optimizer import read_checkpoint
 from quantdet.selftest import CheckResult
+from quantdet.special import chi2_2_quantile
 
 
 def run(argv):
@@ -177,6 +178,38 @@ def test_pd_snr_multiple_detectors(tmp_path, capsys):
         "detector glrt q=inf: thresholds exact\n"
         f"wrote 2 rows to {out}\n"
     )
+
+
+_SMALL_SCENE = "n_tx = 2\nn_rx = 4\nsnapshots = 4\n"  # n = 32
+
+
+def _sweep(tmp_path, grid, detectors, trials, seed):
+    """Rows of a pd-snr run (pfa 0.1) on the small scene, as lists of CSV fields."""
+    cfg, out = tmp_path / "small.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(_SMALL_SCENE)
+    assert run(["pd-snr", "--config", str(cfg), "--detectors", detectors, "--pfa", "0.1",
+                f"--snr-grid={grid}", "--trials", str(trials), "--seed", str(seed),
+                "--out", str(out)]) == 0
+    return [line.split(",") for line in _read(out).strip().split("\n")[1:]]
+
+
+def test_pd_snr_rows_and_monotonicity(tmp_path):
+    rows = _sweep(tmp_path, "-10,-4,2", "2,inf", 2000, seed=31)
+    assert [r[1] for r in rows] == ["2", "2", "2", "inf", "inf", "inf"]
+    assert all(float(r[4]) == chi2_2_quantile(0.1) for r in rows)
+    assert all(r[7] == "2000" for r in rows)
+    assert all(0.0 <= float(r[5]) <= 1.0 for r in rows)
+    slack = 3.0 * np.sqrt(0.25 / 2000)
+    for i in (0, 3):  # each detector's rates climb with SNR (3 sigma slack)
+        rates = [float(rows[i + k][6]) for k in range(3)]
+        assert rates[0] <= rates[1] + slack and rates[1] <= rates[2] + slack
+
+
+def test_pd_snr_points_stable_under_grid_extension(tmp_path):
+    # each SNR point has its own sub-seed, so adding one never disturbs the others
+    one = _sweep(tmp_path, "-8", "2", 1500, seed=37)
+    two = _sweep(tmp_path, "-8,-2", "2", 1500, seed=37)
+    assert len(two) == 2 and one[0] == two[0]
 
 
 def test_pd_snr_thin_tail_warns_in_one_plain_line(tmp_path, capsys):
@@ -433,6 +466,12 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["pd-snr", "--detectors", "inf", "--trials", "300", "--seed", "1",
           "--out", "missing/pd_snr.csv"], None),
         (["theory", "--q", "2", "--seed", "1", "--out", "."], None),
+        (["pd-snr", "--pfa", "0", "--seed", "1"], None),
+        (["pd-snr", "--pfa", "1", "--seed", "1"], None),
+        (["pd-snr", "--seed", "1"], "pfa = 1.0\n"),
+        (["roc", "--detectors", "1,inf", "--snr-db=3044", "--seed", "1"], None),
+        (["pd-eta", "--detectors", "1,inf", "--seed", "1"], "snr_db = 3044\n"),
+        (["pd-snr", "--snr-grid=-6,3044", "--seed", "1"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
@@ -443,7 +482,9 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
          "pd-snr --snr-grid=", "theory --pfa-grid=", "theory --out=", "config out =",
          "roc --thresholds=", "selftest --trials 1", "theory --config=",
          "thresholds --out missing/q3.txt", "roc --out missing/roc.csv", "pd-eta --out .",
-         "pd-snr --out missing/pd_snr.csv", "theory --out ."],
+         "pd-snr --out missing/pd_snr.csv", "theory --out .", "pd-snr --pfa 0",
+         "pd-snr --pfa 1", "config pfa = 1.0", "roc glrt --snr-db=3044",
+         "pd-eta glrt config snr_db = 3044", "pd-snr glrt --snr-grid=-6,3044"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value
@@ -504,6 +545,25 @@ def test_theory_column_beyond_the_marcum_series_range(argv, config, tmp_path, mo
         assert 0.0 < p_d_theory[0] < 1e-18
     else:
         assert p_d_theory == [1.0] * len(rows)
+
+
+@pytest.mark.parametrize("detectors, snr_db", [("inf", 3043), ("2", 3050), ("inf", 3044)])
+def test_glrt_statistic_overflow_fails_fast(detectors, snr_db, tmp_path, capsys):
+    # on the default scene (E = 64) the noise-free |z^H x| = |beta| E squares
+    # past the largest double between 3043 and 3044 dB; the Rao test never
+    # squares it, so a Rao-only run keeps going
+    out = tmp_path / "o.csv"
+    code = run(["roc", "--detectors", detectors, f"--snr-db={snr_db}", "--seed", "1",
+                "--trials", "200", "--out", str(out)])
+    err = capsys.readouterr().err
+    if snr_db == 3044:
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: the GLRT statistic overflows") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        header, *rows = _read(out).strip().split("\n")
+        col = header.split(",").index("p_d_hat")
+        assert {row.split(",")[col] for row in rows} == {"1.0"}
 
 
 def test_commands_load_no_scipy(tmp_path):

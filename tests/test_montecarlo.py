@@ -14,13 +14,12 @@ from quantdet.montecarlo import (
     empirical_threshold,
     estimate_roc,
     exceedance,
-    pd_vs_snr,
     run_trials,
     subseed,
 )
 from quantdet.quantizer import ThresholdSet
 from quantdet.signal_model import Hypothesis, SceneConfig, observation_planes
-from quantdet.special import chi2_2_quantile, chi2_2_sf
+from quantdet.special import chi2_2_sf
 
 
 @pytest.fixture(scope="module")
@@ -364,39 +363,10 @@ def test_roc_arrays_read_only(small_scene, rao2):
         roc.p_d_hat[0] = 0.5
 
 
-# ----------------------------------------------------------------------- sweep
+# ------------------------------------------------------------------- sub-seeds
 
 def test_subseed_deterministic_and_path_sensitive():
     assert subseed(1, 2, 3) == subseed(1, 2, 3)
     assert subseed(1, 2, 3) != subseed(1, 3, 2)
     assert subseed(1, 2) != subseed(2, 2)
 
-
-def test_pd_vs_snr_rows_and_monotonicity(small_scene, rao2):
-    grid = [-10.0, -4.0, 2.0]
-    pts = pd_vs_snr(small_scene, [rao2, GlrtDetector()], grid, 0.1, 2000, seed=31)
-    assert len(pts) == 6
-    assert [p.q for p in pts] == ["2", "2", "2", "inf", "inf", "inf"]
-    assert all(p.eta_asymptotic == pytest.approx(chi2_2_quantile(0.1)) for p in pts)
-    for i in (0, 3):  # each detector's rates climb with SNR (3 sigma slack)
-        rates = [pts[i + k].p_d_at_empirical_eta for k in range(3)]
-        slack = 3.0 * np.sqrt(0.25 / 2000)
-        assert rates[0] <= rates[1] + slack and rates[1] <= rates[2] + slack
-    assert all(p.trials == 2000 for p in pts)
-    assert all(0.0 <= p.p_d_at_asymptotic_eta <= 1.0 for p in pts)
-
-
-def test_pd_vs_snr_points_stable_under_grid_extension(small_scene, rao2):
-    a = pd_vs_snr(small_scene, [rao2], [-8.0], 0.1, 1500, seed=37)
-    b = pd_vs_snr(small_scene, [rao2], [-8.0, -2.0], 0.1, 1500, seed=37)
-    assert a[0] == b[0]  # adding a point never disturbs existing ones
-
-
-def test_pd_vs_snr_warns_on_thin_tail(small_scene, rao2):
-    with pytest.warns(UserWarning):
-        pd_vs_snr(small_scene, [rao2], [-6.0], 0.01, 500, seed=41)
-
-
-def test_pd_vs_snr_validates_budget(small_scene, rao2):
-    with pytest.raises(ValueError):
-        pd_vs_snr(small_scene, [rao2], [-6.0], 0.0, 100, seed=1)
