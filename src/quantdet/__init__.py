@@ -2,7 +2,8 @@
 
 Library layout:
 
-* :mod:`quantdet.signal_model`  -- scenes, steering/waveform structure, synthesis
+* :mod:`quantdet.signal_model`  -- scenes and their templates (``SceneConfig.signal``),
+                                   steering/waveform structure, synthesis
 * :mod:`quantdet.quantizer`     -- threshold sets, 0-based binning, Gaussian bin statistics
 * :mod:`quantdet.detectors`     -- batch-first Rao test and unquantized GLRT, detector classes
 * :mod:`quantdet.perf_theory`   -- Fisher information and asymptotic detection rates
@@ -21,7 +22,7 @@ everything else is imported from the module that defines it.
 from .detectors import RaoDetector
 from .montecarlo import TrialConfig, empirical_threshold, estimate_roc, run_trials
 from .optimizer import PsoConfig, optimize_thresholds
-from .signal_model import Hypothesis, SceneConfig, effective_signal, observation_planes
+from .signal_model import Hypothesis, SceneConfig, observation_planes
 
 __version__ = "0.1.0"
 
@@ -31,7 +32,6 @@ __all__ = [
     "RaoDetector",
     "SceneConfig",
     "TrialConfig",
-    "effective_signal",
     "empirical_threshold",
     "estimate_roc",
     "observation_planes",

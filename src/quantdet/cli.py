@@ -40,7 +40,7 @@ from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_ch
 from .perf_theory import asymptotic_pd
 from .quantizer import ThresholdSet
 from .selftest import DEFAULT_SEED, run_selftest
-from .signal_model import SceneConfig, effective_signal
+from .signal_model import SceneConfig
 from .special import chi2_2_quantile
 
 _ROC_HEADER = (
@@ -70,7 +70,8 @@ _FLAGS = {
     "--out": ("out", "output file path"),
     "--thresholds": ("thresholds_path", "threshold checkpoint file to reuse"),
     "--workers": ("workers", "worker processes for trials"),
-    "--detectors": ("detectors", "comma list of bit depths and/or 'inf' (default 1,2,3,inf)"),
+    "--detectors": ("detectors", "comma list of bit depths and/or 'inf' (default 1,2,3,inf); "
+                                 "ignored when --q is set"),
     "--pfa-grid": ("pfa_grid", "comma list of false-alarm rates"),
     "--eta-grid": ("eta_grid", "comma list of statistic thresholds"),
     "--snr-grid": ("snr_grid_db", "comma list of SNR points in dB"),
@@ -146,7 +147,7 @@ def _out_path(spec: ExperimentSpec, default: str) -> str:
     return out
 
 
-def _resolve_thresholds(spec, scene, signal, bits: int):
+def _resolve_thresholds(spec, scene, bits: int):
     """Threshold set for a q-bit detector: checkpoint file if it matches, else swarm design."""
     if spec.thresholds_path is not None:
         ts, _meta = read_checkpoint(spec.thresholds_path)
@@ -156,24 +157,25 @@ def _resolve_thresholds(spec, scene, signal, bits: int):
               f"designing q={bits} by swarm", file=sys.stderr)
     seed = _require_seed(spec)
     result = optimize_thresholds(
-        bits, signal, scene.noise_power,
+        bits, scene.signal, scene.noise_power,
         _pso_config(spec, subseed(seed, _PSO_SEED_PATH, bits)),
     )
     tag = "swarm" if result.converged else "swarm (NOT converged)"
     return result.thresholds, tag
 
 
-def _resolve_detectors(spec, scene, signal, simulated) -> list:
+def _resolve_detectors(spec, scene, simulated) -> list:
     """(detector, threshold origin) for ``--q``, else for each ``--detectors`` token.
 
+    ``--q`` wins over ``--detectors`` when both are set.
     :class:`ExperimentSpec` has checked every token, and this checks that
     a GLRT's |z^H x|^2, about (|beta| E)^2, and its statistic stay finite
     in each scene of ``simulated``, before it designs any threshold.
     """
     tokens = (str(spec.q),) if spec.q is not None else spec.detectors
     for s in simulated if "inf" in tokens else ():
-        peak = abs(s.beta) * signal.energy  # |z^H x| without noise
-        if not math.isfinite(peak * peak / (signal.energy * s.noise_power / 2.0)):
+        peak = abs(s.beta) * s.signal.energy  # |z^H x| without noise
+        if not math.isfinite(peak * peak / (s.signal.energy * s.noise_power / 2.0)):
             raise ConfigError(f"the GLRT statistic overflows at |beta| = {abs(s.beta):.6g}; "
                               "lower the SNR or drop the 'inf' detector")
     out = []
@@ -181,7 +183,7 @@ def _resolve_detectors(spec, scene, signal, simulated) -> list:
         if tok == "inf":
             out.append((GlrtDetector(), "exact"))
             continue
-        ts, origin = _resolve_thresholds(spec, scene, signal, int(tok))
+        ts, origin = _resolve_thresholds(spec, scene, int(tok))
         out.append((RaoDetector(ts), origin))
     return out
 
@@ -212,9 +214,8 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
     out = _out_path(spec, f"thresholds_q{spec.q}.txt")
     scene = _scene_from_spec(spec)
-    signal = effective_signal(scene)
     result = optimize_thresholds(
-        spec.q, signal, scene.noise_power, _pso_config(spec, seed)
+        spec.q, scene.signal, scene.noise_power, _pso_config(spec, seed)
     )
     write_checkpoint(out, result, seed=seed)
     print(
@@ -237,11 +238,10 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
     seed = _require_seed(spec)
     out = _out_path(spec, default_out)
     scene = _scene_from_spec(spec)
-    signal = effective_signal(scene)
     trials = spec.trials or _DEFAULT_TRIALS
     resolved = [
-        (detector, origin, detector.noncentrality(scene, signal))
-        for detector, origin in _resolve_detectors(spec, scene, signal, (scene,))
+        (detector, origin, detector.noncentrality(scene))
+        for detector, origin in _resolve_detectors(spec, scene, (scene,))
     ]
     rows = []
     for d_idx, (detector, origin, lam) in enumerate(resolved):
@@ -286,11 +286,10 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
     out = _out_path(spec, "pd_snr.csv")
     scene = _scene_from_spec(spec)
-    signal = effective_signal(scene)
     trials = spec.trials or _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
-    resolved = _resolve_detectors(spec, scene, signal, scenes)
+    resolved = _resolve_detectors(spec, scene, scenes)
     if spec.pfa * trials < 100:
         print(f"warning: p_fa * trials = {spec.pfa * trials:.0f} < 100: false-alarm tail is "
               "thinly sampled and the empirical threshold will be noisy", file=sys.stderr)
@@ -315,16 +314,15 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
 def cmd_theory(spec: ExperimentSpec) -> int:
     out = _out_path(spec, "theory.csv")
     scene = _scene_from_spec(spec)
-    signal = effective_signal(scene)
     # --q designs (or reuses a matching file) as roc does; else the file; else GLRT
     if spec.q is not None:
-        ts, origin = _resolve_thresholds(spec, scene, signal, spec.q)
+        ts, origin = _resolve_thresholds(spec, scene, spec.q)
         detector, note = RaoDetector(ts), f" (thresholds {origin})"
     elif spec.thresholds_path is not None:
         detector, note = RaoDetector(read_checkpoint(spec.thresholds_path)[0]), ""
     else:
         detector, note = GlrtDetector(), ""
-    lam = detector.noncentrality(scene, signal)
+    lam = detector.noncentrality(scene)
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
     eta = np.array([chi2_2_quantile(p) for p in pfa_grid])
     rows = [(p, e, lam, p_d) for p, e, p_d in zip(pfa_grid, eta, asymptotic_pd(lam, eta))]

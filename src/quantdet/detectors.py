@@ -189,10 +189,10 @@ class RaoDetector:
 
         return score
 
-    def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
-        """lambda_F = |beta|^2 * E * J1 of this quantizer."""
+    def noncentrality(self, scene: SceneConfig) -> float:
+        """lambda_F = |beta|^2 * E * J1 of this quantizer on the scene's template."""
         return abs(scene.beta) ** 2 * fisher_information(
-            signal, self.thresholds, scene.noise_power
+            scene.signal, self.thresholds, scene.noise_power
         )
 
 
@@ -220,6 +220,6 @@ class GlrtDetector:
 
         return score
 
-    def noncentrality(self, scene: SceneConfig, signal: EffectiveSignal) -> float:
+    def noncentrality(self, scene: SceneConfig) -> float:
         """lambda_F = |beta|^2 * E * 2 / noise_power: J1 without quantization."""
-        return abs(scene.beta) ** 2 * signal.energy * 2.0 / scene.noise_power
+        return abs(scene.beta) ** 2 * scene.signal.energy * 2.0 / scene.noise_power

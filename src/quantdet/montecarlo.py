@@ -20,13 +20,14 @@ observations come from :func:`quantdet.signal_model.observation_planes`,
 which draws their noise through one Philox bit generator re-keyed for
 each trial with a state dict of plain ints: trial i's draws equal
 ``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))`` bit for
-bit.  The detector's scoring step is built once per range (``scorer``:
-for the Rao test the bin statistics and, when n * 4^q <= 2^16, a table of
-score terms gathered by pair code instead of multiplied out) and scores
-each tile's planes in one call (bin indices for the Rao test, complex
-rows for the GLRT); a row's statistic does not depend on the rows around
-it, and a gathered term equals a computed one, so neither tiles, ranges
-nor the table move a bit of the result.
+bit.  The detector's scoring step is built once per range from the
+scene's template ``scene.signal`` (``scorer``: for the Rao test the bin
+statistics and, when n * 4^q <= 2^16, a table of score terms gathered by
+pair code instead of multiplied out) and scores each tile's planes in one
+call (bin indices for the Rao test, complex rows for the GLRT); a row's
+statistic does not depend on the rows around it, and a gathered term
+equals a computed one, so neither tiles, ranges nor the table move a bit
+of the result.
 
 The experiment loops live in :mod:`quantdet.cli`: its roc, pd-eta and
 pd-snr commands give each sub-experiment (one per detector, and per SNR
@@ -50,7 +51,7 @@ from .perf_theory import asymptotic_pd
 from .signal_model import (
     Hypothesis,
     SceneConfig,
-    effective_signal,
+    _philox_key,
     observation_planes,
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
@@ -67,7 +68,8 @@ class TrialConfig:
     """One Monte Carlo run: scene, detector, trial counts and seed.
 
     Each hypothesis runs as one index range per process, each range in
-    tiles; neither the ranges nor the tiles change a result.
+    tiles; neither the ranges nor the tiles change a result.  ``seed``
+    must lie in [0, 2^64).
     """
 
     scene: SceneConfig
@@ -84,6 +86,7 @@ class TrialConfig:
             raise ValueError("workers must be >= 1")
         if not isinstance(self.detector, (RaoDetector, GlrtDetector)):
             raise ValueError(f"unsupported detector: {self.detector!r}")
+        _philox_key(self.seed, 0)  # a seed outside [0, 2^64) fails here, not in a worker
 
     @property
     def batch_size(self) -> int:
@@ -94,14 +97,13 @@ class TrialConfig:
 
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
     """Statistics for trials [start, stop); the parallel unit of work."""
-    scene, det = cfg.scene, cfg.detector
-    signal = effective_signal(scene)
-    tile = max(1, TILE_VALUES // len(signal))
-    score = det.scorer(signal, scene.noise_power)
+    scene = cfg.scene
+    tile = max(1, TILE_VALUES // scene.n_samples)
+    score = cfg.detector.scorer(scene.signal, scene.noise_power)
     out = np.empty(stop - start)
     for a in range(start, stop, tile):
         b = min(a + tile, stop)
-        planes = observation_planes(scene, signal, hypothesis, cfg.seed, a, b)
+        planes = observation_planes(scene, hypothesis, cfg.seed, a, b)
         out[a - start : b - start] = score(planes)
     return out
 

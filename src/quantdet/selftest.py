@@ -37,7 +37,6 @@ from .signal_model import (
     EffectiveSignal,
     Hypothesis,
     SceneConfig,
-    effective_signal,
     observation_planes,
 )
 from .special import chi2_2_quantile
@@ -58,9 +57,8 @@ class CheckResult:
 
 def _check_null_moments(seed: int, trials: int) -> CheckResult:
     scene = SceneConfig()
-    signal = effective_signal(scene)
     design = optimize_thresholds(
-        2, signal, scene.noise_power, PsoConfig(seed=subseed(seed, 1))
+        2, scene.signal, scene.noise_power, PsoConfig(seed=subseed(seed, 1))
     )
     cfg = TrialConfig(
         scene=scene,
@@ -92,13 +90,13 @@ def _check_one_bit(seed: int) -> CheckResult:
             angle=float(rng.uniform(-1.2, 1.2)),
             noise_power=float(rng.uniform(0.5, 4.0)),
         )
-        signal = effective_signal(scene)
+        signal = scene.signal
         table = bin_stats_table(sign_q, scene.noise_power)
         # information ratio against the unquantized limit 2 / noise_power
         ratio = table.info_per_energy * scene.noise_power / 2.0
         worst_ratio = max(worst_ratio, abs(ratio - 2.0 / math.pi))
         # statistic against the direct sign-correlation form
-        x_re, x_im = observation_planes(scene, signal, Hypothesis.H0, subseed(seed, 4), 0, 1)[0]
+        x_re, x_im = observation_planes(scene, Hypothesis.H0, subseed(seed, 4), 0, 1)[0]
         stat = rao_statistic_batch(
             bin_indices(x_re, sign_q), bin_indices(x_im, sign_q), signal, table
         )
@@ -112,14 +110,14 @@ def _check_one_bit(seed: int) -> CheckResult:
 
 def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     scene = SceneConfig()
-    signal = effective_signal(scene)
+    signal = scene.signal
     design = optimize_thresholds(
         2, signal, scene.noise_power, PsoConfig(seed=subseed(seed, 5))
     )
     thresholds = design.thresholds
     table = bin_stats_table(thresholds, scene.noise_power)
     info = fisher_information(signal, thresholds, scene.noise_power)
-    planes = observation_planes(scene, signal, Hypothesis.H0, subseed(seed, 6), 0, trials)
+    planes = observation_planes(scene, Hypothesis.H0, subseed(seed, 6), 0, trials)
     re0, im0 = bin_indices(planes[:, 0], thresholds), bin_indices(planes[:, 1], thresholds)
     del planes  # free the planes before the score sums, which set the peak
     s_r, s_i = _score_sums(re0, im0, signal, table)

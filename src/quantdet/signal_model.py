@@ -11,7 +11,9 @@ the length ``n_rx * snapshots`` observation under the two hypotheses is
 where ``z`` is the deterministic effective signal (steering structure
 times waveform), ``beta`` the unknown complex amplitude and ``w``
 circular complex Gaussian noise with per-sample power ``noise_power``
-(so ``noise_power / 2`` per real component).
+(so ``noise_power / 2`` per real component).  ``z`` is fixed by the
+scene, which computes it once as :attr:`SceneConfig.signal`; every
+function here that takes a scene reads its template there.
 
 Vectorization convention: space-time matrices of shape
 ``(n_rx, snapshots)`` are flattened receiver-major (C order), i.e. all
@@ -19,7 +21,8 @@ snapshots of receiver 0 first.  Every consumer of ``z`` in this package
 relies on that ordering.
 
 Reproducibility: all randomness flows through counter-based Philox
-streams keyed by (master seed, counter), as built by :func:`stream_rng`.
+streams keyed by (master seed, counter), as built by :func:`stream_rng`,
+with the master seed in [0, 2^64).
 A pair names a stream independently of how work is batched or
 distributed, so serial and parallel runs of the same experiment produce
 identical draws.  :func:`observation_planes` synthesises a range of
@@ -34,6 +37,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +95,16 @@ class SceneConfig:
     @property
     def n_samples(self) -> int:
         return self.n_rx * self.snapshots
+
+    @cached_property
+    def signal(self) -> "EffectiveSignal":
+        """This scene's template z, :func:`effective_signal` computed once per scene object.
+
+        Not a field: equality, hashing and ``repr`` ignore it, a
+        ``dataclasses.replace`` copy computes its own, and a pickled scene
+        carries it once it has been read.
+        """
+        return effective_signal(self)
 
     def with_snr_db(self, snr_db: float) -> "SceneConfig":
         """Copy of the scene with |beta| rescaled to hit ``snr_db``.
@@ -172,6 +186,9 @@ class EffectiveSignal:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
 
+    def __reduce__(self):  # unpickle through __post_init__, so the arrays stay read-only
+        return EffectiveSignal, (self.g, self.h)
+
     def __len__(self) -> int:
         return self.g.shape[0]
 
@@ -200,16 +217,21 @@ def effective_signal(cfg: SceneConfig) -> EffectiveSignal:
 
 def _philox_key(master_seed: int, counter: int) -> list:
     """The two 64-bit words of stream (master_seed, counter)'s Philox key."""
-    return [counter & 0xFFFFFFFFFFFFFFFF, master_seed & 0xFFFFFFFFFFFFFFFF]
+    key = [counter & 0xFFFFFFFFFFFFFFFF, master_seed & 0xFFFFFFFFFFFFFFFF]
+    if key[1] != master_seed:
+        raise ValueError(f"seed must lie in [0, 2^64), got {master_seed!r}")
+    return key
 
 
 def stream_rng(master_seed: int, counter: int = 0) -> np.random.Generator:
     """Independent Philox stream named by (master_seed, counter).
 
     The 128-bit Philox key is the concatenation ``master_seed << 64 |
-    counter`` (both reduced mod 2^64), so distinct counters give
-    independent streams without any sequential draw-order coupling --
-    the property that makes trial-level parallelism reproducible.
+    counter`` with ``counter`` reduced mod 2^64; a ``master_seed`` outside
+    [0, 2^64) raises ``ValueError`` instead of aliasing another seed's
+    streams.  Distinct counters give independent streams without any
+    sequential draw-order coupling -- the property that makes trial-level
+    parallelism reproducible.
     """
     key = np.array(_philox_key(master_seed, counter), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -229,18 +251,14 @@ def trial_counter(hypothesis: Hypothesis, trial_index: int) -> int:
 
 
 def observation_planes(
-    scene: SceneConfig,
-    signal: EffectiveSignal,
-    hypothesis: Hypothesis,
-    seed: int,
-    start: int,
-    stop: int,
+    scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int
 ) -> np.ndarray:
     """Re/Im planes of trials [start, stop), shape (stop - start, 2, n).
 
     Row j is trial ``start + j``: ``sqrt(noise_power / 2)`` times the
     draw ``stream_rng(seed, trial_counter(hypothesis, start + j))
-    .standard_normal((2, n))``, plus Re/Im of ``beta * z`` under H1.
+    .standard_normal((2, n))``, plus Re/Im of ``beta * z`` under H1, with
+    ``z`` the scene's template :attr:`SceneConfig.signal`.
     Plane 0 is the real part, plane 1 the imaginary part.  A Philox
     stream depends only on its key, so one bit generator re-keyed per
     trial (counter zeroed, buffer emptied) replays every trial's stream
@@ -248,11 +266,10 @@ def observation_planes(
     dict of plain ints, with only the key's counter word changed in place:
     numpy's state setter reads the dict element by element, and plain ints
     read far faster than numpy scalars.  The indices run up from ``start``,
-    so checking both ends range-checks them all before the first draw.
+    so checking both ends range-checks them all before the first draw; the
+    seed is checked as the generator is built.
     """
-    n = len(signal)
-    if n != scene.n_samples:
-        raise ValueError(f"template length {n} != n_rx * snapshots = {scene.n_samples}")
+    n = scene.n_samples
     if stop > start:
         trial_counter(hypothesis, stop - 1)
         first = trial_counter(hypothesis, start)
@@ -269,14 +286,14 @@ def observation_planes(
         rng.standard_normal(out=planes[j])
     planes *= math.sqrt(scene.noise_power / 2.0)
     if hypothesis is Hypothesis.H1:
-        mean = scene.beta * signal.z
+        mean = scene.beta * scene.signal.z
         planes[:, 0] += mean.real
         planes[:, 1] += mean.imag
     return planes
 
 
 def synthesize_observation(
-    scene: SceneConfig, signal: EffectiveSignal, hypothesis: Hypothesis, seed: int, trial: int
+    scene: SceneConfig, hypothesis: Hypothesis, seed: int, trial: int
 ) -> np.ndarray:
     """Trial ``trial``'s observation as one complex vector.
 
@@ -284,5 +301,5 @@ def synthesize_observation(
     per-layer metrics of ``BENCHMARK.json`` still name this function, so
     it stays until they are pointed at :func:`observation_planes`.
     """
-    re, im = observation_planes(scene, signal, hypothesis, seed, trial, trial + 1)[0]
+    re, im = observation_planes(scene, hypothesis, seed, trial, trial + 1)[0]
     return re + 1j * im

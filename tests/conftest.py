@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from quantdet import PsoConfig, SceneConfig, effective_signal, optimize_thresholds
+from quantdet import PsoConfig, SceneConfig, optimize_thresholds
 
 # Published quantizer designs for noise_power = 2.  They are the baseline
 # for objective-ratio checks, not targets for threshold recovery: the q=3
@@ -67,7 +67,7 @@ def scene():
 
 @pytest.fixture(scope="session")
 def signal(scene):
-    return effective_signal(scene)
+    return scene.signal
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from quantdet.montecarlo import (
 from quantdet.optimizer import read_checkpoint
 from quantdet.perf_theory import asymptotic_pd, fisher_information
 from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
-from quantdet.signal_model import Hypothesis, SceneConfig, effective_signal, observation_planes
+from quantdet.signal_model import Hypothesis, SceneConfig, observation_planes
 from quantdet.special import chi2_2_quantile, marcum_q1
 
 SEED = 20260819
@@ -178,7 +178,7 @@ def test_criterion_2_null_calibration(mc14):
 
 @pytest.mark.parametrize("q", (1, 2, 3))
 def test_criterion_3_theory_matches_simulation(q, mc14, scene, signal):
-    lam = mc14[q]["detector"].noncentrality(scene, signal)
+    lam = mc14[q]["detector"].noncentrality(scene)
     h1 = mc14[q]["h1"]
     diffs = {}
     for pfa in (1e-2, 1e-1):
@@ -245,9 +245,8 @@ def test_criterion_5_one_bit_penalty(cli_designs, tmp_path):
             noise_power=float(rng.uniform(0.5, 4.0)),
             beta=complex(float(rng.normal()) or 0.3, float(rng.normal())),
         )
-        sig = effective_signal(random_scene)
-        lam_1 = RaoDetector(sign_q).noncentrality(random_scene, sig)
-        lam_inf = GlrtDetector().noncentrality(random_scene, sig)
+        lam_1 = RaoDetector(sign_q).noncentrality(random_scene)
+        lam_inf = GlrtDetector().noncentrality(random_scene)
         worst = max(worst, abs(lam_1 / lam_inf - 2.0 / np.pi))
     analytic_ok = worst <= 1e-12
 
@@ -303,8 +302,8 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
         interior = np.sort(rng.uniform(-2.5 * s, 2.5 * s, size=2**bits - 1))
         interior += np.arange(interior.size) * 1e-6
         thresholds = ThresholdSet(bits=bits, interior=interior)
-        sig = effective_signal(cfg)
-        planes = observation_planes(cfg, sig, Hypothesis.H1, SEED, k, k + 1)
+        sig = cfg.signal
+        planes = observation_planes(cfg, Hypothesis.H1, SEED, k, k + 1)
         re0, im0 = bin_indices(planes[0], thresholds)
         table = bin_stats_table(thresholds, cfg.noise_power)
         closed = rao_statistic_batch(re0, im0, sig, table)
@@ -336,7 +335,7 @@ def test_criterion_7_score_covariance_is_fisher(scene, signal, cli_designs):
     cross = np.empty(n_trials)
     for start in range(0, n_trials, chunk):
         stop = min(start + chunk, n_trials)
-        planes = observation_planes(scene, signal, Hypothesis.H0, seed, start, stop)
+        planes = observation_planes(scene, Hypothesis.H0, seed, start, stop)
         re0, im0 = bin_indices(planes[:, 0], thresholds), bin_indices(planes[:, 1], thresholds)
         s_r, s_i = _score_sums(re0, im0, signal, table)
         sq_r[start:stop] = s_r * s_r
@@ -381,5 +380,5 @@ def test_criterion_8_noncentral_cdf_matches_quadrature():
 # this file matches the value frozen before the package was written
 def test_frozen_lambda_is_consistent(scene, signal):
     t_opt = ThresholdSet(bits=2, interior=FROZEN["opt_tau_q2"])
-    lam = RaoDetector(t_opt).noncentrality(scene, signal)
+    lam = RaoDetector(t_opt).noncentrality(scene)
     assert lam == pytest.approx(FROZEN["lambda_q2_m14db"], rel=1e-10)

@@ -133,6 +133,21 @@ def test_roc_flag_overrides_config(tmp_path):
     assert rows[1].split(",")[7] == "150"  # flag beat the file
 
 
+def test_q_overrides_detectors(tmp_path):
+    # with both set, by flag or in a config file, --q is the one detector
+    # and --detectors is ignored: the CSV is that of --q alone
+    common = ["--trials", "200", "--seed", "1", "--pfa-grid", "0.1"]
+    alone, both, from_file = (tmp_path / f"{name}.csv" for name in ("alone", "both", "file"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("q = 2\ndetectors = 1,inf\n")
+    assert run(["roc", "--q", "2", *common, "--out", str(alone)]) == 0
+    assert run(["roc", "--q", "2", "--detectors", "1,inf", *common, "--out", str(both)]) == 0
+    assert run(["roc", "--config", str(cfg), *common, "--out", str(from_file)]) == 0
+    rows = _read(alone).strip().split("\n")[1:]
+    assert [row.split(",")[:2] for row in rows] == [["rao", "2"]]
+    assert _read(both) == _read(alone) and _read(from_file) == _read(alone)
+
+
 def test_roc_missing_seed_fails(tmp_path):
     assert run(["roc", "--q", "1", "--trials", "100",
                 "--out", str(tmp_path / "r.csv")]) == 1
@@ -261,11 +276,11 @@ def test_theory_from_checkpoint_matches_direct_noncentrality(tmp_path, capsys):
                 "--out", str(out), "--pfa-grid", "0.01"]) == 0
     lam_col = float(_read(out).strip().split("\n")[1].split(",")[2])
     from quantdet.detectors import RaoDetector
-    from quantdet.signal_model import SceneConfig, effective_signal
+    from quantdet.signal_model import SceneConfig
 
     scene = SceneConfig(n_tx=2, n_rx=16, snapshots=8).with_snr_db(-14.0)
     ts, _ = read_checkpoint(ts_file)
-    want = RaoDetector(ts).noncentrality(scene, effective_signal(scene))
+    want = RaoDetector(ts).noncentrality(scene)
     assert lam_col == pytest.approx(want, rel=1e-12)
 
 

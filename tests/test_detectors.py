@@ -22,7 +22,6 @@ from quantdet.signal_model import (
     EffectiveSignal,
     Hypothesis,
     SceneConfig,
-    effective_signal,
     synthesize_observation,
 )
 
@@ -39,7 +38,7 @@ def q2_ref(reference_q2):
 
 def _unit_signal():
     # single real sample, g = [1], h = [0], energy 1
-    return effective_signal(SceneConfig(n_tx=1, n_rx=1, snapshots=1))
+    return SceneConfig(n_tx=1, n_rx=1, snapshots=1).signal
 
 
 def _rao(x, thresholds, signal, noise_power):
@@ -68,9 +67,9 @@ def test_one_bit_statistic_equals_sign_correlator(q1):
     # with tau = 0 the quantized Rao statistic must coincide with the
     # classic sign-correlator form |z^H (sign Re x + j sign Im x)|^2 / E
     cfg = SceneConfig(n_tx=2, n_rx=8, snapshots=4, angle=0.2).with_snr_db(-10.0)
-    sig = effective_signal(cfg)
+    sig = cfg.signal
     for counter in range(5):
-        x = synthesize_observation(cfg, sig, Hypothesis.H1, 77, counter)
+        x = synthesize_observation(cfg, Hypothesis.H1, 77, counter)
         got = _rao(x, q1, sig, cfg.noise_power)
         s = np.sign(x.real) + 1j * np.sign(x.imag)
         want = np.abs(np.conj(sig.z) @ s) ** 2 / sig.energy
@@ -82,8 +81,8 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
     # log-likelihood machinery (the full 100-instance sweep lives in the
     # acceptance suite; this is the smoke version)
     cfg = SceneConfig(n_tx=2, n_rx=2, snapshots=2, angle=0.4)
-    sig = effective_signal(cfg)
-    x = synthesize_observation(cfg, sig, Hypothesis.H0, 5, 3)
+    sig = cfg.signal
+    x = synthesize_observation(cfg, Hypothesis.H0, 5, 3)
     got = _rao(x, q2_ref, sig, 2.0)
     want = oracles.score_fi_statistic(
         bin_indices(x.real, q2_ref), bin_indices(x.imag, q2_ref),
@@ -96,8 +95,8 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
 
 def test_statistic_invariant_under_template_phase_rotation(q2_ref):
     cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=4, angle=0.3)
-    sig = effective_signal(cfg)
-    x = synthesize_observation(cfg, sig, Hypothesis.H1, 9, 0)
+    sig = cfg.signal
+    x = synthesize_observation(cfg, Hypothesis.H1, 9, 0)
     base = _rao(x, q2_ref, sig, 2.0)
     for phase in (0.3, 1.1, -2.0):
         rot = sig.z * np.exp(1j * phase)
@@ -107,7 +106,7 @@ def test_statistic_invariant_under_template_phase_rotation(q2_ref):
 
 def test_statistic_nonnegative_on_noise(q2_ref, scene, signal):
     for counter in range(20):
-        x = synthesize_observation(scene, signal, Hypothesis.H0, 31, counter)
+        x = synthesize_observation(scene, Hypothesis.H0, 31, counter)
         assert _rao(x, q2_ref, signal, scene.noise_power) >= 0.0
 
 
@@ -207,7 +206,7 @@ def test_rao_scorer_tabulates_up_to_one_tile(monkeypatch, n, tabulated):
 
 def test_score_components_match_sums(q2_ref, scene, signal):
     table = bin_stats_table(q2_ref, scene.noise_power)
-    x = synthesize_observation(scene, signal, Hypothesis.H0, 2, 2)
+    x = synthesize_observation(scene, Hypothesis.H0, 2, 2)
     re0 = bin_indices(x.real, q2_ref)
     im0 = bin_indices(x.imag, q2_ref)
     s_r, s_i = _score_sums(re0, im0, signal, table)
@@ -222,7 +221,7 @@ def test_score_components_match_sums(q2_ref, scene, signal):
 
 def test_glrt_matched_and_orthogonal_inputs():
     cfg = SceneConfig(n_tx=1, n_rx=16, snapshots=8, noise_power=2.0)
-    sig = effective_signal(cfg)  # energy 128
+    sig = cfg.signal  # energy 128
     assert sig.energy == pytest.approx(128.0, rel=1e-12)
     # x = z: |z^H z|^2 / (E * 1) = E
     assert glrt_unquantized_batch(sig.z, sig, 2.0) == pytest.approx(sig.energy, rel=1e-12)
@@ -236,7 +235,7 @@ def test_glrt_matched_and_orthogonal_inputs():
 
 
 def test_glrt_scaling_and_batch(scene, signal):
-    x = synthesize_observation(scene, signal, Hypothesis.H1, 8, 0)
+    x = synthesize_observation(scene, Hypothesis.H1, 8, 0)
     base = glrt_unquantized_batch(x, signal, scene.noise_power)
     assert glrt_unquantized_batch(3.0 * x, signal, scene.noise_power) == pytest.approx(
         9.0 * base, rel=1e-12

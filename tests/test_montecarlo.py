@@ -177,6 +177,11 @@ def test_trial_config_validation(small_scene, rao2):
         _cfg(small_scene, rao2, 10, 10, seed=1, batch_size=8)  # derived, not settable
     with pytest.raises(ValueError):
         _cfg(small_scene, "not a detector", 10, 10, seed=1)
+    # -1 and 2^64 would alias seeds 2^64 - 1 and 0; the config fails before any draw
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            _cfg(small_scene, rao2, 10, 10, seed=seed)
+    _cfg(small_scene, rao2, 10, 10, seed=2**64 - 1)
 
 
 def test_zero_trial_runs_allowed(small_scene, rao2):
@@ -199,11 +204,11 @@ def test_tile_boundary_invariance(large_scene, rao3):
     # 97 = 3 * 32 + 1 trials: one range of four tiles, the last holding one
     # row, ranges of 33 (32 + 1 rows) and 64 rows, and one-row ranges must
     # all give the untiled block's statistics byte for byte
-    signal = _signal_of(large_scene)
+    signal = large_scene.signal
     for det in (rao3, GlrtDetector()):
         cfg = _cfg(large_scene, det, 97, 97, seed=12)
         for h in (Hypothesis.H0, Hypothesis.H1):
-            planes = observation_planes(large_scene, signal, h, 12, 0, 97)
+            planes = observation_planes(large_scene, h, 12, 0, 97)
             want = det.scorer(signal, large_scene.noise_power)(planes)
             for bounds in ((0, 97), (0, 33, 97), range(98)):
                 got = _ranged_stats(cfg, h, bounds)
@@ -247,15 +252,9 @@ def test_glrt_h1_mean_matches_noncentral_moment(small_scene):
     # SNR bookkeeping end to end
     n = 20000
     _, h1 = run_trials(_cfg(small_scene, GlrtDetector(), 0, n, seed=77))
-    lam = GlrtDetector().noncentrality(small_scene, _signal_of(small_scene))
+    lam = GlrtDetector().noncentrality(small_scene)
     se = np.sqrt(np.var(h1) / n)
     assert h1.mean() == pytest.approx(2.0 + lam, abs=4 * se)
-
-
-def _signal_of(scene):
-    from quantdet.signal_model import effective_signal
-
-    return effective_signal(scene)
 
 
 # ------------------------------------------------------- thresholds/exceedance

@@ -9,7 +9,7 @@ import oracles
 from quantdet.detectors import GlrtDetector, RaoDetector
 from quantdet.perf_theory import asymptotic_pd, fisher_information
 from quantdet.quantizer import ThresholdSet, bin_stats_table
-from quantdet.signal_model import SceneConfig, effective_signal
+from quantdet.signal_model import SceneConfig
 from quantdet.special import chi2_2_quantile, marcum_q1
 
 
@@ -24,7 +24,7 @@ def q2_ref(reference_q2):
 
 
 def test_fisher_info_unit_energy_sign_quantizer(q1):
-    sig = effective_signal(SceneConfig(n_tx=1, n_rx=1, snapshots=1))
+    sig = SceneConfig(n_tx=1, n_rx=1, snapshots=1).signal
     info = fisher_information(sig, q1, noise_power=2.0)
     assert type(info) is float
     assert info == pytest.approx(2.0 / np.pi, rel=1e-12)
@@ -33,8 +33,8 @@ def test_fisher_info_unit_energy_sign_quantizer(q1):
 
 
 def test_fisher_info_scales_with_energy(q2_ref):
-    small = effective_signal(SceneConfig(n_tx=1, n_rx=4, snapshots=8))
-    big = effective_signal(SceneConfig(n_tx=1, n_rx=8, snapshots=8))
+    small = SceneConfig(n_tx=1, n_rx=4, snapshots=8).signal
+    big = SceneConfig(n_tx=1, n_rx=8, snapshots=8).signal
     i_small = fisher_information(small, q2_ref, 2.0)
     i_big = fisher_information(big, q2_ref, 2.0)
     assert i_big == pytest.approx(2.0 * i_small, rel=1e-12)
@@ -42,21 +42,21 @@ def test_fisher_info_scales_with_energy(q2_ref):
 
 def test_noncentrality_values(scene, signal, q2_ref, frozen):
     rao = RaoDetector(q2_ref)
-    lam = rao.noncentrality(scene, signal)
+    lam = rao.noncentrality(scene)
     assert type(lam) is float
     # reference design sits a hair below the frozen optimal-design value
     assert lam == pytest.approx(
         abs(scene.beta) ** 2 * signal.energy * frozen["ref_info_q2"], rel=1e-10
     )
-    assert rao.noncentrality(dataclasses.replace(scene, beta=0j), signal) == 0.0
+    assert rao.noncentrality(dataclasses.replace(scene, beta=0j)) == 0.0
     # quadratic in the amplitude
-    lam3 = rao.noncentrality(dataclasses.replace(scene, beta=3.0 * scene.beta), signal)
+    lam3 = rao.noncentrality(dataclasses.replace(scene, beta=3.0 * scene.beta))
     assert lam3 == pytest.approx(9.0 * lam, rel=1e-12)
 
 
 def test_noncentrality_optimal_design_frozen_value(scene, signal, frozen):
     t_opt = ThresholdSet(bits=2, interior=frozen["opt_tau_q2"])
-    lam = RaoDetector(t_opt).noncentrality(scene, signal)
+    lam = RaoDetector(t_opt).noncentrality(scene)
     assert lam == pytest.approx(frozen["lambda_q2_m14db"], rel=1e-10)
 
 
@@ -64,7 +64,7 @@ def test_unquantized_bound_dominates_every_quantizer(scene, signal):
     rng = np.random.default_rng(3)
     beta = 0.2 + 0.1j
     target = dataclasses.replace(scene, beta=beta)  # noise_power 2
-    lam_inf = GlrtDetector().noncentrality(target, signal)
+    lam_inf = GlrtDetector().noncentrality(target)
     assert type(lam_inf) is float
     assert lam_inf == pytest.approx(abs(beta) ** 2 * signal.energy, rel=1e-12)
     for bits in (1, 2, 3):
@@ -72,7 +72,7 @@ def test_unquantized_bound_dominates_every_quantizer(scene, signal):
             interior = np.sort(rng.uniform(-2.5, 2.5, size=2**bits - 1))
             interior += np.arange(interior.size) * 1e-6  # enforce strict increase
             t = ThresholdSet(bits=bits, interior=interior)
-            lam = RaoDetector(t).noncentrality(target, signal)
+            lam = RaoDetector(t).noncentrality(target)
             assert 0.0 < lam < lam_inf
 
 
@@ -87,9 +87,8 @@ def test_one_bit_ratio_is_two_over_pi(q1):
             noise_power=float(rng.uniform(0.5, 4.0)),
             beta=complex(float(rng.normal()) or 0.1, float(rng.normal())),
         )
-        sig = effective_signal(cfg)
-        lam_q = RaoDetector(q1).noncentrality(cfg, sig)
-        lam_inf = GlrtDetector().noncentrality(cfg, sig)
+        lam_q = RaoDetector(q1).noncentrality(cfg)
+        lam_inf = GlrtDetector().noncentrality(cfg)
         assert lam_q / lam_inf == pytest.approx(2.0 / np.pi, abs=1e-12)
 
 
@@ -101,8 +100,8 @@ def test_refinement_cannot_lose_information(scene, signal, reference_q2):
     fine_interior = tuple(sorted(reference_q2 + extra))
     fine = ThresholdSet(bits=3, interior=fine_interior)
     target = dataclasses.replace(scene, beta=0.2 + 0j)
-    lam_c = RaoDetector(coarse).noncentrality(target, signal)
-    lam_f = RaoDetector(fine).noncentrality(target, signal)
+    lam_c = RaoDetector(coarse).noncentrality(target)
+    lam_f = RaoDetector(fine).noncentrality(target)
     assert lam_f > lam_c
 
 

@@ -12,7 +12,6 @@ PUBLIC = [
     "RaoDetector",
     "SceneConfig",
     "TrialConfig",
-    "effective_signal",
     "empirical_threshold",
     "estimate_roc",
     "observation_planes",

@@ -1,10 +1,12 @@
 """Scene geometry, waveforms, and the deterministic noise streams."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 import oracles
-from quantdet import signal_model
 from quantdet.signal_model import (
     EffectiveSignal,
     Hypothesis,
@@ -194,9 +196,35 @@ def test_effective_signal_validation():
             EffectiveSignal(g=np.zeros(2), h=np.array([bad, 1.0]))
 
 
-def test_effective_signal_arrays_read_only(signal):
+def test_effective_signal_arrays_read_only(scene, signal):
     with pytest.raises(ValueError):
         signal.g[0] = 99.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scene.signal = signal
+
+
+def test_scene_signal_is_its_template_computed_once():
+    cfg = SceneConfig(n_tx=2, n_rx=3, snapshots=5, angle=0.42, beta=0.5j)
+    sig = cfg.signal
+    want = effective_signal(cfg)
+    assert sig.g.tobytes() == want.g.tobytes() and sig.h.tobytes() == want.h.tobytes()
+    assert cfg.signal is sig
+    # a copy at another amplitude computes its own, equal template
+    louder = dataclasses.replace(cfg, beta=3.0)
+    assert louder.signal is not sig
+    assert louder.signal.g.tobytes() == sig.g.tobytes()
+    assert louder.signal.h.tobytes() == sig.h.tobytes()
+    # not a field: equality, hashing, repr and the field list ignore it
+    unread = SceneConfig(n_tx=2, n_rx=3, snapshots=5, angle=0.42, beta=0.5j)
+    assert "signal" not in vars(unread) and "signal" in vars(cfg)
+    assert unread == cfg and hash(unread) == hash(cfg) and repr(unread) == repr(cfg)
+    assert "signal" not in {f.name for f in dataclasses.fields(SceneConfig)}
+    # a pickled scene, as the engine's pool ships it, carries the template
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(cfg, protocol=protocol))
+        assert back == cfg and "signal" in vars(back)
+        for got, want in ((back.signal.g, sig.g), (back.signal.h, sig.h)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable, protocol
 
 
 # -------------------------------------------------------------- noise streams
@@ -224,22 +252,19 @@ def test_trial_counter_separates_hypotheses():
         # odd n leaves Philox output buffered after each trial; it must not
         # leak into the next one
         (2**64 - 5, Hypothesis.H0, 3, 7, 3, 2.0),
-        (-12345, Hypothesis.H1, 1, 5, 3, 2.0),
         (7, Hypothesis.H1, 2**63 - 3, 2**63, 5, 2.0),
         (11, Hypothesis.H1, 0, 3, 6, 0.7),
     ],
-    ids=["h0", "h1-offset", "seed-above-2^63", "negative-seed", "last-trial-index",
-         "h1-noise-power"],
+    ids=["h0", "h1-offset", "seed-above-2^63", "last-trial-index", "h1-noise-power"],
 )
 def test_observation_planes_rows_replay_per_trial_streams(
     seed, hypothesis, start, stop, n, noise_power
 ):
     scene = SceneConfig(n_tx=2, n_rx=n, snapshots=1, angle=0.3, noise_power=noise_power,
                         beta=0.4 - 1.3j)
-    signal = effective_signal(scene)
-    planes = observation_planes(scene, signal, hypothesis, seed, start, stop)
+    planes = observation_planes(scene, hypothesis, seed, start, stop)
     assert planes.shape == (stop - start, 2, n)
-    mean = scene.beta * signal.z
+    mean = scene.beta * effective_signal(scene).z
     for j, row in enumerate(planes):
         w = stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))
         ref = np.sqrt(noise_power / 2.0) * w
@@ -249,32 +274,38 @@ def test_observation_planes_rows_replay_per_trial_streams(
         assert row.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("start, stop", [(2**63 - 2, 2**63 + 1), (-1, 3)],
-                         ids=["past-last-trial-index", "negative-start"])
-def test_observation_planes_check_the_range_before_drawing(monkeypatch, scene, signal, start, stop):
-    # both ends of the range are checked before the generator is even built
-    def no_draw(*args):
-        raise AssertionError("drew before the range check")
+@pytest.mark.parametrize(
+    "seed, start, stop, match",
+    [
+        (7, 2**63 - 2, 2**63 + 1, "trial_index out of range"),
+        (7, -1, 3, "trial_index out of range"),
+        # -1 and 2^64 would alias seeds 2^64 - 1 and 0
+        (-1, 0, 3, r"seed must lie in \[0, 2\^64\)"),
+        (2**64, 0, 3, r"seed must lie in \[0, 2\^64\)"),
+    ],
+    ids=["past-last-trial-index", "negative-start", "negative-seed", "seed-2^64"],
+)
+def test_observation_planes_check_the_range_before_drawing(
+    monkeypatch, scene, seed, start, stop, match
+):
+    # both ends of the range, and the seed, are checked before the bit
+    # generator is even built
+    def no_draw(*args, **kwargs):
+        raise AssertionError("built a generator before the checks")
 
-    monkeypatch.setattr(signal_model, "stream_rng", no_draw)
-    with pytest.raises(ValueError, match="trial_index out of range"):
-        observation_planes(scene, signal, Hypothesis.H1, 7, start, stop)
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match=match):
+        observation_planes(scene, Hypothesis.H1, seed, start, stop)
 
 
-def test_observation_planes_check_template_length(scene):
-    short = effective_signal(SceneConfig(n_tx=1, n_rx=2, snapshots=3))
-    with pytest.raises(ValueError, match="template length"):
-        observation_planes(scene, short, Hypothesis.H0, 1, 0, 2)
-
-
-def test_synthesize_deterministic_and_stream_keyed(scene, signal):
-    x1 = synthesize_observation(scene, signal, Hypothesis.H0, 3, 10)
-    x2 = synthesize_observation(scene, signal, Hypothesis.H0, 3, 10)
-    x3 = synthesize_observation(scene, signal, Hypothesis.H0, 3, 11)
+def test_synthesize_deterministic_and_stream_keyed(scene):
+    x1 = synthesize_observation(scene, Hypothesis.H0, 3, 10)
+    x2 = synthesize_observation(scene, Hypothesis.H0, 3, 10)
+    x3 = synthesize_observation(scene, Hypothesis.H0, 3, 11)
     assert np.array_equal(x1, x2)
     assert not np.array_equal(x1, x3)
     # the trial's row of planes, read as Re + j Im
-    x_re, x_im = observation_planes(scene, signal, Hypothesis.H0, 3, 9, 12)[1]
+    x_re, x_im = observation_planes(scene, Hypothesis.H0, 3, 9, 12)[1]
     assert x1.real.tobytes() == x_re.tobytes() and x1.imag.tobytes() == x_im.tobytes()
 
 
@@ -282,8 +313,7 @@ def test_synthesize_null_noise_moments():
     # one large draw: per-component variance sigma^2/2 and no Re/Im
     # correlation, each within 3 standard errors
     cfg = SceneConfig(n_tx=1, n_rx=500, snapshots=200, noise_power=2.0)
-    sig = effective_signal(cfg)
-    x_re, x_im = observation_planes(cfg, sig, Hypothesis.H0, 99, 0, 1)[0]
+    x_re, x_im = observation_planes(cfg, Hypothesis.H0, 99, 0, 1)[0]
     n = x_re.size
     for part in (x_re, x_im):
         assert abs(part.mean()) <= 3.0 / np.sqrt(n)
