@@ -34,7 +34,7 @@ import numpy as np
 from .detectors import GlrtDetector, RaoDetector
 from .experiment import ConfigError, ExperimentSpec, _format_value, load_config, parse_value
 from .montecarlo import (
-    TrialConfig, empirical_threshold, estimate_roc, exceedance, run_trials, subseed,
+    TrialConfig, _engine_pool, empirical_threshold, estimate_roc, exceedance, run_trials, subseed,
 )
 from .optimizer import PsoConfig, optimize_thresholds, read_checkpoint, write_checkpoint
 from .perf_theory import asymptotic_pd
@@ -244,22 +244,24 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
         for detector, origin in _resolve_detectors(spec, scene, (scene,))
     ]
     rows = []
-    for d_idx, (detector, origin, lam) in enumerate(resolved):
-        print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
-              f"lambda_f={lam:.6g}, trials={trials} per hypothesis")
-        cfg = TrialConfig(
-            scene=scene,
-            detector=detector,
-            n_trials_h0=trials,
-            n_trials_h1=trials,
-            seed=subseed(seed, d_idx, 0),
-            workers=spec.workers,
-        )
-        h0, h1 = run_trials(cfg)
-        curve = estimate_roc(h0, h1, lam, thresholds(h0))
-        columns = (curve.eta, curve.p_fa_hat, curve.p_d_hat, curve.p_fa_theory, curve.p_d_theory)
-        rows += [(detector.label, detector.q_label, *point, curve.n_h0, curve.n_h1)
-                 for point in zip(*columns)]
+    with _engine_pool(spec.workers):  # one pool for every detector's run
+        for d_idx, (detector, origin, lam) in enumerate(resolved):
+            print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
+                  f"lambda_f={lam:.6g}, trials={trials} per hypothesis")
+            cfg = TrialConfig(
+                scene=scene,
+                detector=detector,
+                n_trials_h0=trials,
+                n_trials_h1=trials,
+                seed=subseed(seed, d_idx, 0),
+                workers=spec.workers,
+            )
+            h0, h1 = run_trials(cfg)
+            curve = estimate_roc(h0, h1, lam, thresholds(h0))
+            columns = (curve.eta, curve.p_fa_hat, curve.p_d_hat, curve.p_fa_theory,
+                       curve.p_d_theory)
+            rows += [(detector.label, detector.q_label, *point, curve.n_h0, curve.n_h1)
+                     for point in zip(*columns)]
     count = _write_csv(out, _ROC_HEADER, rows)
     print(f"wrote {count} rows to {out}")
     return 0
@@ -295,17 +297,18 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
               "thinly sampled and the empirical threshold will be noisy", file=sys.stderr)
     eta_asym = chi2_2_quantile(spec.pfa)
     rows = []
-    for d_idx, (detector, origin) in enumerate(resolved):
-        print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}")
-        h0, _ = run_trials(TrialConfig(scene, detector, trials, 0, subseed(seed, d_idx, 0),
-                                       spec.workers))
-        eta_emp = empirical_threshold(h0, spec.pfa)
-        for s_idx, (snr_db, snr_scene) in enumerate(zip(snr_grid, scenes)):
-            _, h1 = run_trials(TrialConfig(snr_scene, detector, 0, trials,
-                                           subseed(seed, d_idx, 1 + s_idx), spec.workers))
-            p_d_asym, p_d_emp = exceedance(h1, [eta_asym, eta_emp])  # one sort
-            rows.append((detector.label, detector.q_label, snr_db, spec.pfa, eta_asym,
-                         p_d_asym, p_d_emp, trials))
+    with _engine_pool(spec.workers):  # one pool for every H0 and H1 run
+        for d_idx, (detector, origin) in enumerate(resolved):
+            print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}")
+            h0, _ = run_trials(TrialConfig(scene, detector, trials, 0, subseed(seed, d_idx, 0),
+                                           spec.workers))
+            eta_emp = empirical_threshold(h0, spec.pfa)
+            for s_idx, (snr_db, snr_scene) in enumerate(zip(snr_grid, scenes)):
+                _, h1 = run_trials(TrialConfig(snr_scene, detector, 0, trials,
+                                               subseed(seed, d_idx, 1 + s_idx), spec.workers))
+                p_d_asym, p_d_emp = exceedance(h1, [eta_asym, eta_emp])  # one sort
+                rows.append((detector.label, detector.q_label, snr_db, spec.pfa, eta_asym,
+                             p_d_asym, p_d_emp, trials))
     count = _write_csv(out, _SWEEP_HEADER, rows)
     print(f"wrote {count} rows to {out}")
     return 0

@@ -9,8 +9,13 @@ depend only on (seed, hypothesis, index) -- not on worker count, tile
 size or evaluation order -- and two runs with equal seeds agree bit
 for bit.  Each hypothesis is split into one index range per process
 the engine can start (the workers asked for, at most one per CPU); an
-engine call runs both hypotheses' ranges in-process, or on one pool of
-no more processes than ranges, in index order.
+engine call runs both hypotheses' ranges in-process, or on a process
+pool, in index order.  Every engine call inside an :func:`_engine_pool`
+block runs on that block's one pool, which forks at the first range
+submitted and is shut down when the block exits; the CLI runs all of a
+command's engine calls in one block, so it opens one pool per command.
+Out of a block an engine call opens a pool of its own, of no more
+processes than ranges.
 
 A range (the unit of parallel work) runs in tiles of
 ``max(1, TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
@@ -41,6 +46,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -108,11 +114,39 @@ def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int
     return out
 
 
+# the pool of the open _engine_pool block, else None
+_pool = None
+
+
+@contextmanager
+def _engine_pool(workers: int):
+    """Run every engine call inside the block on one process pool.
+
+    Yields the open pool: an enclosing block's if there is one, else a new
+    pool of ``workers`` processes (at most one per CPU), or None when one
+    process is enough.  The executor forks all its processes at the first
+    range submitted; a new pool is shut down, its processes joined, when
+    its block exits, on an exception too.
+    """
+    global _pool
+    if _pool is not None or _processes(workers) <= 1:
+        yield _pool
+        return
+    with ProcessPoolExecutor(max_workers=_processes(workers)) as pool:
+        _pool = pool
+        try:
+            yield pool
+        finally:
+            _pool = None
+
+
 def run_trials(cfg: TrialConfig):
     """Simulate both hypotheses; returns (h0_stats, h1_stats) arrays.
 
     H0's index ranges, then H1's, form one plan, run in-process when one
-    process is enough and else on one pool.
+    process is enough and else on the open :func:`_engine_pool` pool, so
+    on one pool per command; out of a block, on a pool of its own for
+    this call, of no more processes than ranges.
     """
     plan = [(h, a, min(a + cfg.batch_size, n))
             for h, n in ((Hypothesis.H0, cfg.n_trials_h0), (Hypothesis.H1, cfg.n_trials_h1))
@@ -121,8 +155,7 @@ def run_trials(cfg: TrialConfig):
     if processes <= 1:
         chunks = [_chunk_stats(cfg, h, a, b) for h, a, b in plan]
     else:
-        # the executor forks all max_workers processes at the first submit
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with _engine_pool(processes) as pool:
             chunks = list(pool.map(_chunk_stats, repeat(cfg), *zip(*plan)))
     stats = np.concatenate([np.empty(0), *chunks])  # H0's trials in index order, then H1's
     return stats[: cfg.n_trials_h0], stats[cfg.n_trials_h0 :]

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from quantdet import cli, selftest
+from quantdet import cli, montecarlo, selftest
+from quantdet.detectors import GlrtDetector
 from quantdet.experiment import ConfigError, parse_config
 from quantdet.montecarlo import estimate_roc
 from quantdet.optimizer import read_checkpoint
+from quantdet.quantizer import DegenerateBinError
 from quantdet.selftest import CheckResult
+from quantdet.signal_model import Hypothesis, SceneConfig
 from quantdet.special import chi2_2_quantile
 
 
@@ -235,6 +239,96 @@ def test_pd_snr_thin_tail_warns_in_one_plain_line(tmp_path, capsys):
         "warning: p_fa * trials = 20 < 100: false-alarm tail is thinly sampled "
         "and the empirical threshold will be noisy\n"
     )
+
+
+# ----------------------------------------------------------------------- pool
+
+class _CountingPool(montecarlo.ProcessPoolExecutor):
+    """The engine's executor, recording each pool built."""
+
+    built: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built.append(self)
+
+
+_CHUNK_STATS = montecarlo._chunk_stats
+
+
+def _chunk_stats_failing_under_h1(cfg, hypothesis, start, stop):
+    # pd-snr's first engine call simulates H0 only, its second H1 only
+    if hypothesis == Hypothesis.H1:
+        raise DegenerateBinError("a bin carries no mass")
+    return _CHUNK_STATS(cfg, hypothesis, start, stop)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a pool of two even on one CPU
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "built", [])
+    return _CountingPool.built
+
+
+@pytest.mark.parametrize("argv", [
+    ["pd-snr", "--detectors", "1,inf", "--pfa", "0.25", "--snr-grid=-6,-2"],
+    ["roc", "--detectors", "1,inf", "--pfa-grid", "0.1,0.3"],
+], ids=lambda argv: argv[0])
+def test_one_pool_per_command(argv, tmp_path, counting_pool):
+    # every engine call of a command (six for pd-snr, two for roc) runs on
+    # one pool, none at one worker, and the pool is shut down, its
+    # processes joined, before main returns; the bytes are those of the
+    # in-process run
+    csv = {}
+    for workers, pools in (("1", 0), ("2", 1)):
+        out = tmp_path / f"w{workers}.csv"
+        assert run([*argv, "--trials", "400", "--seed", "9", "--workers", workers,
+                    "--out", str(out)]) == 0
+        assert len(counting_pool) == pools
+        assert multiprocessing.active_children() == []
+        csv[workers] = out.read_bytes()
+    assert csv["2"] == csv["1"]
+    assert montecarlo._pool is None
+
+
+def test_pool_closes_when_an_engine_call_fails(tmp_path, counting_pool, monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_chunk_stats", _chunk_stats_failing_under_h1)
+    code = run(["pd-snr", "--detectors", "inf", "--pfa", "0.25", "--snr-grid=-6",
+                "--trials", "400", "--seed", "9", "--workers", "2",
+                "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "numerical failure: a bin carries no mass\n"
+    assert multiprocessing.active_children() == []
+    assert montecarlo._pool is None and len(counting_pool) == 1
+    # the slot is clear, so the next engine call opens a pool of its own
+    cfg = montecarlo.TrialConfig(SceneConfig(), GlrtDetector(), 400, 0, seed=9, workers=2)
+    h0, _ = montecarlo.run_trials(cfg)
+    assert h0.shape == (400,) and len(counting_pool) == 2
+    assert multiprocessing.active_children() == []
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt, or a probe that stops at the engine."""
+
+
+def test_interrupt_before_the_first_engine_call_forks_nothing(tmp_path, counting_pool,
+                                                               monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def interrupt(cfg):
+        raise _Interrupt
+
+    monkeypatch.setattr(cli, "run_trials", interrupt)
+    with pytest.raises(_Interrupt):
+        run(["pd-snr", "--detectors", "inf", "--pfa", "0.25", "--snr-grid=-6",
+             "--trials", "400", "--seed", "9", "--workers", "2",
+             "--out", str(tmp_path / "sweep.csv")])
+    assert len(counting_pool) == 1 and forks == []
+    assert montecarlo._pool is None
+    assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------- theory
