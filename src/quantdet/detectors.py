@@ -31,14 +31,19 @@ noncentrality lambda_F = |beta|^2 * E * J, with J = J1 for the quantizer
 and 2 / noise_power without it (``noncentrality``).
 
 The Rao scorer builds the bin statistics once per range and, when
-n * 4^q <= 2^16 (the values of one engine tile's plane, so the table is
-no larger than a tile's planes), a table of every sample's score terms
-for every (Re bin, Im bin) pair: a block is then scored by gathering
-terms instead of multiplying them out, with the same bits.
+n * 4^q <= ``TABLE_VALUES`` = 2^16 (a limit of its own, not tied to the
+engine's tile size: the table then takes at most 1 MiB), a table of every
+sample's score terms for every (Re bin, Im bin) pair: a block is then
+scored by gathering terms instead of multiplying them out, with the same
+bits.  Each scorer also keeps its working buffers in a scratch dict built
+with it (the Rao test's intp gather index and float gathers, products and
+differences; the GLRT's interleaved complex rows), so scoring a range's
+tiles allocates them once, at the first tile, not per tile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +67,24 @@ def _check_template(n: int, signal: EffectiveSignal) -> float:
     return energy
 
 
-# values per Re/Im plane in one engine tile (2^16 float64, 1 MiB of planes),
-# and the largest n * K^2 whose score-term table the Rao scorer builds
-TILE_VALUES = 1 << 16
+# the largest n * K^2 whose score-term table the Rao scorer builds: the
+# table then takes at most 1 MiB (2 x 2^16 float64)
+TABLE_VALUES = 1 << 16
+
+
+def _buffer(scratch: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An array of ``shape`` on the leading values of ``scratch[key]``.
+
+    The flat buffer is allocated on the first call and again only when a
+    later call needs more values, so a caller that keeps ``scratch``
+    between calls on blocks of at most one size allocates once; a
+    shorter block uses a prefix, C-contiguous like a fresh array.
+    """
+    size = math.prod(shape)
+    buf = scratch.get(key)
+    if buf is None or buf.size < size:
+        buf = scratch[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def _score_terms(signal: EffectiveSignal, table: BinStats) -> np.ndarray:
@@ -81,7 +101,8 @@ def _score_terms(signal: EffectiveSignal, table: BinStats) -> np.ndarray:
     return np.stack([g * r1 + h * r2, g * r2 - h * r1]).reshape(2, -1)
 
 
-def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats, terms=None):
+def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats, terms=None,
+                scratch=None):
     """(S_R, S_I) score components from 0-based bin indices.
 
     Index arrays may be (n,) for one observation or (batch, n); the sums
@@ -89,21 +110,38 @@ def _score_sums(re_idx0, im_idx0, signal: EffectiveSignal, table: BinStats, term
     information, the identity the self-test checks by Monte Carlo.  With
     ``terms`` (:func:`_score_terms` of the same signal and table) each
     sample's terms are gathered through its pair code ``re * K + im +
-    m * K^2`` rather than computed.
+    m * K^2`` rather than computed.  Gathers, products and differences
+    are written into the buffers of ``scratch`` (see :func:`_buffer`; a
+    new dict when None), and each gather reads an intp index buffer with
+    ``mode="clip"``: ``take`` would otherwise convert small unsigned
+    indices to a new intp array, and with ``mode="raise"`` it buffers
+    its output.  The indices must be in range, which
+    :func:`rao_statistic_batch` checks.
     """
+    scratch = {} if scratch is None else scratch
+    shape = np.shape(re_idx0)
+    idx = _buffer(scratch, "idx", shape, np.intp)
+    a = _buffer(scratch, "a", shape)
     if terms is not None:
         n_bins = table.f.shape[0]
-        code = np.multiply(re_idx0, n_bins, dtype=np.intp)
-        code += im_idx0
-        code += np.arange(0, terms.shape[1], n_bins * n_bins)
-        return terms[0].take(code).sum(axis=-1), terms[1].take(code).sum(axis=-1)
+        np.multiply(re_idx0, n_bins, out=idx, dtype=np.intp)
+        idx += im_idx0
+        idx += np.arange(0, terms.shape[1], n_bins * n_bins)
+        s_r = terms[0].take(idx, out=a, mode="clip").sum(axis=-1)
+        s_i = terms[1].take(idx, out=a, mode="clip").sum(axis=-1)
+        return s_r, s_i
     ratio = table.score_ratio
-    # take() gathers through small unsigned indices at intp speed; fancy
-    # indexing converts them to intp first
-    r1 = ratio.take(re_idx0)
-    r2 = ratio.take(im_idx0)
-    s_r = (signal.g * r1 + signal.h * r2).sum(axis=-1)
-    s_i = (signal.g * r2 - signal.h * r1).sum(axis=-1)
+    r1, r2, b = (_buffer(scratch, key, shape) for key in ("r1", "r2", "b"))
+    np.copyto(idx, re_idx0)
+    ratio.take(idx, out=r1, mode="clip")
+    np.copyto(idx, im_idx0)
+    ratio.take(idx, out=r2, mode="clip")
+    np.multiply(signal.g, r1, out=a)
+    np.multiply(signal.h, r2, out=b)
+    s_r = np.add(a, b, out=a).sum(axis=-1)
+    np.multiply(signal.g, r2, out=a)
+    np.multiply(signal.h, r1, out=b)
+    s_i = np.subtract(a, b, out=a).sum(axis=-1)
     return s_r, s_i
 
 
@@ -113,6 +151,7 @@ def rao_statistic_batch(
     signal: EffectiveSignal,
     table: BinStats,
     terms: np.ndarray | None = None,
+    scratch: dict | None = None,
 ) -> np.ndarray:
     """Closed-form Rao statistics of 0-based bin indices.
 
@@ -122,7 +161,9 @@ def rao_statistic_batch(
     is the :func:`~quantdet.quantizer.bin_stats_table` of the quantizer
     that produced the indices, each of which must lie in 0..2^q - 1.
     ``terms``, if given, is ``_score_terms(signal, table)``; it changes
-    how the sums are formed, not a bit of the result.
+    how the sums are formed, not a bit of the result.  ``scratch``, if
+    given, is a dict the caller keeps between calls, in which the working
+    buffers are allocated once (:func:`_buffer`); it changes no bit either.
     """
     re_idx0 = np.asarray(re_idx0)
     im_idx0 = np.asarray(im_idx0)
@@ -134,7 +175,7 @@ def rao_statistic_batch(
         # numpy would wrap a negative index silently, so check both ends
         if idx.size and (idx.min() < 0 or idx.max() >= n_bins):
             raise ValueError(f"bin index outside 0..{n_bins - 1} for the given table")
-    s_r, s_i = _score_sums(re_idx0, im_idx0, signal, table, terms)
+    s_r, s_i = _score_sums(re_idx0, im_idx0, signal, table, terms, scratch)
     return (s_r * s_r + s_i * s_i) / (energy * table.info_per_energy)
 
 
@@ -174,18 +215,20 @@ class RaoDetector:
     def scorer(self, signal: EffectiveSignal, noise_power: float):
         """Scoring step of one index range: (batch, 2, n) planes -> Rao statistics.
 
-        Builds the bin statistics once, and the score-term table when
-        n * 4^q <= 2^16; each call bins the block's Re and Im planes and
-        scores them with :func:`rao_statistic_batch`.
+        Builds the bin statistics once, the score-term table when
+        n * 4^q <= ``TABLE_VALUES`` (2^16), and one scratch dict whose
+        buffers every call reuses; each call bins the block's Re and Im
+        planes and scores them with :func:`rao_statistic_batch`.
         """
         ts = self.thresholds
         table = bin_stats_table(ts, noise_power)
-        small = len(signal) * ts.n_bins ** 2 <= TILE_VALUES
+        small = len(signal) * ts.n_bins ** 2 <= TABLE_VALUES
         terms = _score_terms(signal, table) if small else None
+        scratch = {}
 
         def score(planes):
             re0, im0 = bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
-            return rao_statistic_batch(re0, im0, signal, table, terms)
+            return rao_statistic_batch(re0, im0, signal, table, terms, scratch)
 
         return score
 
@@ -211,12 +254,16 @@ class GlrtDetector:
     def scorer(self, signal: EffectiveSignal, noise_power: float):
         """Scoring step of one index range: (batch, 2, n) planes -> GLRT statistics.
 
-        Each call reads the block as (batch, n) complex rows.
+        Each call interleaves the block's planes into (batch, n) complex
+        rows, in one buffer that every call reuses (:func:`_buffer`).
         """
+        scratch = {}
 
         def score(planes):
-            rows = planes.transpose(0, 2, 1).copy().view(complex)[..., 0]
-            return glrt_unquantized_batch(rows, signal, noise_power)
+            pairs = planes.transpose(0, 2, 1)
+            rows = _buffer(scratch, "rows", pairs.shape)
+            np.copyto(rows, pairs)
+            return glrt_unquantized_batch(rows.view(complex)[..., 0], signal, noise_power)
 
         return score
 

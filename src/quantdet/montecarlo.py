@@ -18,17 +18,21 @@ Out of a block an engine call opens a pool of its own, of no more
 processes than ranges.
 
 A range (the unit of parallel work) runs in tiles of
-``max(1, TILE_VALUES // n)`` trials, about 1 MiB of Re/Im planes, so a
-tile's planes, bin indices and score gathers stay in cache and a
-range's memory is one tile whatever its length.  A tile's
+``max(1, TILE_VALUES // n)`` trials, about 512 KiB of Re/Im planes, so a
+tile's planes, bin indices and score gathers stay in cache.  A range
+allocates one tile's planes, and its scorer one tile's working buffers,
+at its first tile and reuses them for every later one (a shorter last
+tile uses a prefix), so a range's memory is one tile whatever its length
+and its tiles take no fresh pages.  A tile's
 observations come from :func:`quantdet.signal_model.observation_planes`,
 which draws their noise through one Philox bit generator re-keyed for
 each trial with a state dict of plain ints: trial i's draws equal
 ``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))`` bit for
 bit.  The detector's scoring step is built once per range from the
 scene's template ``scene.signal`` (``scorer``: for the Rao test the bin
-statistics and, when n * 4^q <= 2^16, a table of score terms gathered by
-pair code instead of multiplied out) and scores each tile's planes in one
+statistics and, when n * 4^q <= 2^16, the table's own limit
+``detectors.TABLE_VALUES``, a table of score terms gathered by pair code
+instead of multiplied out) and scores each tile's planes in one
 call (bin indices for the Rao test, complex rows for the GLRT); a row's
 statistic does not depend on the rows around it, and a gathered term
 equals a computed one, so neither tiles, ranges nor the table move a bit
@@ -52,7 +56,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .detectors import TILE_VALUES, GlrtDetector, RaoDetector
+from .detectors import GlrtDetector, RaoDetector
 from .perf_theory import asymptotic_pd
 from .signal_model import (
     Hypothesis,
@@ -62,6 +66,11 @@ from .signal_model import (
     stream_rng,  # noqa: F401  (the per-trial reference; perfbench's tracer test looks it up here)
 )
 from .special import chi2_2_sf
+
+
+# values per Re/Im plane in one engine tile (2^15 float64, 512 KiB of
+# planes); 2^16-value tiles ran no faster and peaked higher in memory
+TILE_VALUES = 1 << 15
 
 
 def _processes(workers: int) -> int:
@@ -102,14 +111,19 @@ class TrialConfig:
 
 
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
-    """Statistics for trials [start, stop); the parallel unit of work."""
+    """Statistics for trials [start, stop); the parallel unit of work.
+
+    One tile's planes, and the scorer's buffers, are allocated once and
+    reused by every tile of the range; a shorter last tile uses a prefix.
+    """
     scene = cfg.scene
     tile = max(1, TILE_VALUES // scene.n_samples)
     score = cfg.detector.scorer(scene.signal, scene.noise_power)
+    buf = np.empty((min(tile, stop - start), 2, scene.n_samples))
     out = np.empty(stop - start)
     for a in range(start, stop, tile):
         b = min(a + tile, stop)
-        planes = observation_planes(scene, hypothesis, cfg.seed, a, b)
+        planes = observation_planes(scene, hypothesis, cfg.seed, a, b, out=buf[: b - a])
         out[a - start : b - start] = score(planes)
     return out
 

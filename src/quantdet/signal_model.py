@@ -251,7 +251,7 @@ def trial_counter(hypothesis: Hypothesis, trial_index: int) -> int:
 
 
 def observation_planes(
-    scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int
+    scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int, out=None
 ) -> np.ndarray:
     """Re/Im planes of trials [start, stop), shape (stop - start, 2, n).
 
@@ -259,21 +259,28 @@ def observation_planes(
     draw ``stream_rng(seed, trial_counter(hypothesis, start + j))
     .standard_normal((2, n))``, plus Re/Im of ``beta * z`` under H1, with
     ``z`` the scene's template :attr:`SceneConfig.signal`.
-    Plane 0 is the real part, plane 1 the imaginary part.  A Philox
+    Plane 0 is the real part, plane 1 the imaginary part.  The planes are
+    written into ``out`` and returned, when it is given: a C-contiguous
+    float64 array of that shape, which lets a caller reuse one buffer
+    for every tile of a range; else into a new array.  A Philox
     stream depends only on its key, so one bit generator re-keyed per
     trial (counter zeroed, buffer emptied) replays every trial's stream
     without building a generator per trial.  The re-key assigns one state
     dict of plain ints, with only the key's counter word changed in place:
     numpy's state setter reads the dict element by element, and plain ints
     read far faster than numpy scalars.  The indices run up from ``start``,
-    so checking both ends range-checks them all before the first draw; the
-    seed is checked as the generator is built.
+    so checking both ends range-checks them all before the first draw; then
+    ``out`` is checked, and the seed as the generator is built.
     """
     n = scene.n_samples
     if stop > start:
         trial_counter(hypothesis, stop - 1)
         first = trial_counter(hypothesis, start)
-    planes = np.empty((stop - start, 2, n))
+    shape = (stop - start, 2, n)
+    if out is not None and (out.shape != shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous or not out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {shape}")
+    planes = np.empty(shape) if out is None else out
     rng = stream_rng(seed)
     bits = rng.bit_generator
     key = _philox_key(seed, 0)
@@ -287,8 +294,7 @@ def observation_planes(
     planes *= math.sqrt(scene.noise_power / 2.0)
     if hypothesis is Hypothesis.H1:
         mean = scene.beta * scene.signal.z
-        planes[:, 0] += mean.real
-        planes[:, 1] += mean.imag
+        planes += np.stack([mean.real, mean.imag])  # one (2, n) block added to every row
     return planes
 
 

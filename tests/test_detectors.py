@@ -187,8 +187,9 @@ def test_score_term_table_matches_the_formula(q, rows, n, dtype, seed):
 
 @pytest.mark.parametrize("n, tabulated", [(256, True), (257, False)])
 def test_rao_scorer_tabulates_up_to_one_tile(monkeypatch, n, tabulated):
-    # q = 4 at n = 256 gives n * 4^q = 2^16, the largest table the scorer
-    # builds; one more sample keeps the direct formula.  Both score like it.
+    # q = 4 at n = 256 gives n * 4^q = 2^16 (TABLE_VALUES, the table's own
+    # limit), the largest table the scorer builds; one more sample keeps the
+    # direct formula.  Both score like it.
     built = []
     monkeypatch.setattr(detectors, "_score_terms",
                         lambda *args: built.append(args) or _score_terms(*args))
@@ -202,6 +203,24 @@ def test_rao_scorer_tabulates_up_to_one_tile(monkeypatch, n, tabulated):
     assert set(np.unique(re0)) == set(range(16))
     want = rao_statistic_batch(re0, im0, signal, bin_stats_table(ts, 2.0))
     assert score(planes).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("det, n", [("rao", 256), ("rao", 257), ("glrt", 257)],
+                         ids=["rao-table", "rao-direct", "glrt"])
+def test_scorer_buffers_carry_nothing_into_a_shorter_tile(det, n):
+    # a scorer keeps its buffers from call to call; after a full tile, a
+    # shorter last tile (and a one-row tile) must score like a fresh
+    # scorer would, so nothing of an earlier tile leaks into a later one.
+    # q = 4 gives the score-term table at n = 256 and the direct formula at 257.
+    rng = np.random.default_rng(n)
+    signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
+    detector = (GlrtDetector() if det == "glrt"
+                else RaoDetector(ThresholdSet(bits=4, interior=np.linspace(-2.0, 2.0, 15))))
+    full, short, row = (rng.normal(size=(rows, 2, n)) for rows in (64, 9, 1))
+    score = detector.scorer(signal, 2.0)
+    assert score(full).tobytes() == detector.scorer(signal, 2.0)(full).tobytes()
+    for tile in (short, row, full):
+        assert score(tile).tobytes() == detector.scorer(signal, 2.0)(tile).tobytes()
 
 
 def test_score_components_match_sums(q2_ref, scene, signal):

@@ -1,6 +1,7 @@
 """Monte Carlo engine: reproducibility, calibration, ROC estimation."""
 
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -191,7 +192,7 @@ def test_zero_trial_runs_allowed(small_scene, rao2):
 
 @pytest.fixture(scope="module")
 def large_scene():
-    # n = 2048: one tile is 2^16 // 2048 = 32 trials
+    # n = 2048: one tile is 2^15 // 2048 = 16 trials
     return SceneConfig(n_tx=4, n_rx=64, snapshots=32, noise_power=2.0).with_snr_db(-22.0)
 
 
@@ -201,9 +202,10 @@ def rao3(reference_q3):
 
 
 def test_tile_boundary_invariance(large_scene, rao3):
-    # 97 = 3 * 32 + 1 trials: one range of four tiles, the last holding one
-    # row, ranges of 33 (32 + 1 rows) and 64 rows, and one-row ranges must
-    # all give the untiled block's statistics byte for byte
+    # 97 = 6 * 16 + 1 trials: one range of seven tiles, the last holding one
+    # row in a prefix of the range's buffers, ranges of 33 (16 + 16 + 1 rows)
+    # and 64 rows, and one-row ranges must all give the untiled block's
+    # statistics byte for byte
     signal = large_scene.signal
     for det in (rao3, GlrtDetector()):
         cfg = _cfg(large_scene, det, 97, 97, seed=12)
@@ -219,7 +221,7 @@ def test_tile_boundary_invariance(large_scene, rao3):
 @pytest.mark.parametrize("trials", [1000, 6000])
 def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
     # the chunk's planes take 31.25 or 187.5 MiB at n = 2048, one tile's
-    # 1 MiB: the traced peak stays a few tiles whatever the chunk size.
+    # 512 KiB: the traced peak stays a few tiles whatever the chunk size.
     # At n = 256 and q = 4 (n * 4^q = 2^16) the range also holds the Rao
     # scorer's largest score-term table, 1 MiB.
     if det == "rao4-n256":
@@ -236,6 +238,32 @@ def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
+@pytest.mark.parametrize("det", ["rao", "glrt"])
+def test_a_range_reuses_its_buffers(large_scene, rao3, det):
+    # a range allocates one tile's planes and scoring buffers and reuses
+    # them for every tile: once a first range has warmed the allocator, a
+    # range of 189 tiles takes fewer minor page faults than a one-tile range
+    # (which allocates the same buffers) plus its 188 further tiles.  Fresh
+    # planes, gathers and index arrays per tile took tens of thousands.
+    # The buffers' own pages are not counted, as the heap may hand them back
+    # to the system between ranges.
+    import resource
+
+    tile = max(1, montecarlo.TILE_VALUES // large_scene.n_samples)
+    cfg = _cfg(large_scene, rao3 if det == "rao" else GlrtDetector(), 189 * tile, 0, seed=8)
+
+    def faults(trials):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _chunk_stats(cfg, Hypothesis.H0, 0, trials)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(tile)
+    one_tile = faults(tile)
+    extra = faults(189 * tile) - one_tile
+    assert extra < 188, f"{extra} minor faults in 188 tiles"
 
 
 # ------------------------------------------------------------------ detectors

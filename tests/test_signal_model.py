@@ -298,6 +298,46 @@ def test_observation_planes_check_the_range_before_drawing(
         observation_planes(scene, Hypothesis.H1, seed, start, stop)
 
 
+@pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+def test_observation_planes_fill_out(scene, hypothesis):
+    # with out= the planes are written into the caller's buffer, which is
+    # returned, with the bytes of the allocating call; a prefix of a larger
+    # buffer (a range's shorter last tile) serves as well
+    want = observation_planes(scene, hypothesis, 5, 10, 14)
+    buf = np.full((6, 2, scene.n_samples), np.nan)
+    for out in (buf[:4], buf[:4].copy()):
+        got = observation_planes(scene, hypothesis, 5, 10, 14, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(buf[4:]).all()
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda n: np.empty((4, 2, n)),
+        lambda n: np.empty((3, 2, n + 1)),
+        lambda n: np.empty((3, 2, n), dtype=np.float32),
+        lambda n: np.empty((3, 2, 2 * n))[..., ::2],
+        lambda n: np.empty((3, 2, n), order="F"),
+    ],
+    ids=["rows", "samples", "float32", "strided", "fortran"],
+)
+def test_observation_planes_reject_a_bad_out_before_drawing(monkeypatch, scene, make_out):
+    # trials [0, 3) need a C-contiguous float64 (3, 2, n) out; anything
+    # else raises before a generator is built, and a bad trial range is
+    # still reported first
+    def no_draw(*args, **kwargs):
+        raise AssertionError("built a generator before the checks")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    out = make_out(scene.n_samples)
+    with pytest.raises(ValueError, match="out must be"):
+        observation_planes(scene, Hypothesis.H0, 7, 0, 3, out=out)
+    with pytest.raises(ValueError, match="trial_index out of range"):
+        observation_planes(scene, Hypothesis.H0, 7, -1, 2, out=out)
+
+
 def test_synthesize_deterministic_and_stream_keyed(scene):
     x1 = synthesize_observation(scene, Hypothesis.H0, 3, 10)
     x2 = synthesize_observation(scene, Hypothesis.H0, 3, 10)
