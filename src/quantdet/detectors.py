@@ -193,7 +193,7 @@ def glrt_unquantized_batch(
     energy = _check_template(x.shape[-1], signal)
     rows = np.atleast_2d(x)
     block = np.concatenate([rows, rows]) if len(rows) == 1 else rows
-    corr = (block @ np.conj(signal.z))[: len(rows)]
+    corr = (block @ signal._conj_z)[: len(rows)]
     stat = np.abs(corr) ** 2 / (energy * noise_power / 2.0)
     return stat if x.ndim > 1 else stat[0]
 
@@ -255,14 +255,15 @@ class GlrtDetector:
         """Scoring step of one index range: (batch, 2, n) planes -> GLRT statistics.
 
         Each call interleaves the block's planes into (batch, n) complex
-        rows, in one buffer that every call reuses (:func:`_buffer`).
+        rows, one plane write for the real parts and one for the imaginary
+        parts, in one buffer that every call reuses (:func:`_buffer`).
         """
         scratch = {}
 
         def score(planes):
-            pairs = planes.transpose(0, 2, 1)
-            rows = _buffer(scratch, "rows", pairs.shape)
-            np.copyto(rows, pairs)
+            rows = _buffer(scratch, "rows", (len(planes), planes.shape[2], 2))
+            rows[..., 0] = planes[:, 0]
+            rows[..., 1] = planes[:, 1]
             return glrt_unquantized_batch(rows.view(complex)[..., 0], signal, noise_power)
 
         return score

@@ -15,18 +15,24 @@ block runs on that block's one pool, which forks at the first range
 submitted and is shut down when the block exits; the CLI runs all of a
 command's engine calls in one block, so it opens one pool per command.
 Out of a block an engine call opens a pool of its own, of no more
-processes than ranges.
+processes than ranges.  The pool stack is imported when the first pool
+is built (the module's ``__getattr__``), so a one-process run never
+loads it.
 
 A range (the unit of parallel work) runs in tiles of
-``max(1, TILE_VALUES // n)`` trials, about 512 KiB of Re/Im planes, so a
+``max(1, TILE_VALUES // n)`` trials, about 256 KiB of Re/Im planes, so a
 tile's planes, bin indices and score gathers stay in cache.  A range
 allocates one tile's planes, and its scorer one tile's working buffers,
 at its first tile and reuses them for every later one (a shorter last
 tile uses a prefix), so a range's memory is one tile whatever its length
-and its tiles take no fresh pages.  A tile's
+and its tiles take no fresh pages.  What does not change from tile to
+tile is computed once, where it belongs: the template's complex form,
+conjugate and energy on the template, the H1 mean on the scene, the
+score ratios and J1 on the bin table, and the bit generator per thread;
+a tile pays only its array work.  A tile's
 observations come from :func:`quantdet.signal_model.observation_planes`,
-which draws their noise through one Philox bit generator re-keyed for
-each trial with a state dict of plain ints: trial i's draws equal
+which draws their noise through its thread's one Philox bit generator,
+re-keyed for each trial with a state dict of plain ints: trial i's draws equal
 ``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))`` bit for
 bit.  The detector's scoring step is built once per range from the
 scene's template ``scene.signal`` (``scorer``: for the Rao test the bin
@@ -49,7 +55,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -68,9 +73,27 @@ from .signal_model import (
 from .special import chi2_2_sf
 
 
-# values per Re/Im plane in one engine tile (2^15 float64, 512 KiB of
-# planes); 2^16-value tiles ran no faster and peaked higher in memory
-TILE_VALUES = 1 << 15
+# values per Re/Im plane in one engine tile (2^14 float64, 256 KiB of
+# planes); with the per-tile fixed costs paid once per template, table or
+# range, larger tiles ran no faster and peaked higher in memory
+TILE_VALUES = 1 << 14
+
+
+def __getattr__(name):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562).
+
+    The pool stack (multiprocessing, socket, subprocess, logging) costs a
+    one-process run about 2 MB and 25 ms, so it is imported when a pool is
+    first built, or the name first read, and then kept as a module global:
+    a caller that rebinds ``montecarlo.ProcessPoolExecutor`` rebinds the
+    class :func:`_engine_pool` builds.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _processes(workers: int) -> int:
@@ -140,13 +163,15 @@ def _engine_pool(workers: int):
     pool of ``workers`` processes (at most one per CPU), or None when one
     process is enough.  The executor forks all its processes at the first
     range submitted; a new pool is shut down, its processes joined, when
-    its block exits, on an exception too.
+    its block exits, on an exception too.  A new pool is built from the
+    module attribute ``ProcessPoolExecutor``, imported at the first pool.
     """
     global _pool
     if _pool is not None or _processes(workers) <= 1:
         yield _pool
         return
-    with ProcessPoolExecutor(max_workers=_processes(workers)) as pool:
+    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    with executor(max_workers=_processes(workers)) as pool:
         _pool = pool
         try:
             yield pool

@@ -138,8 +138,7 @@ def optimize_thresholds(
     pos = _repair(pos)
     vel = rng.uniform(-0.1 * radius, 0.1 * radius, size=(_SWARM_SIZE, dim))
 
-    energy = signal.energy  # a property that re-sums g^2 and h^2 on every read
-    fitness = fisher_rows(pos, energy, noise_power)
+    fitness = fisher_rows(pos, signal.energy, noise_power)
     best_pos = pos.copy()
     best_fit = fitness.copy()
     g_idx = int(np.argmax(best_fit))
@@ -160,7 +159,7 @@ def optimize_thresholds(
         )
         np.clip(vel, -radius, radius, out=vel)
         pos = _repair(np.clip(pos + vel, -radius, radius))
-        fitness = fisher_rows(pos, energy, noise_power)
+        fitness = fisher_rows(pos, signal.energy, noise_power)
 
         improved = fitness > best_fit
         best_pos[improved] = pos[improved]

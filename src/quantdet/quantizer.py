@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,7 +150,9 @@ class BinStats:
     F'/F (the per-bin detector weight) and ``info_per_energy`` the scalar
     sum_i (F'_i^2 - F''_i F_i)/F_i, i.e. the Fisher information per unit
     of signal energy; log-concavity of the Gaussian makes every summand,
-    hence the sum, strictly positive.
+    hence the sum, strictly positive.  Both are computed at the first
+    read and kept, so a table scores every tile of a range without
+    re-deriving them.
     """
 
     f: np.ndarray
@@ -162,11 +165,13 @@ class BinStats:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @property
+    @cached_property
     def score_ratio(self) -> np.ndarray:
-        return self.f1 / self.f
+        ratio = self.f1 / self.f
+        ratio.flags.writeable = False
+        return ratio
 
-    @property
+    @cached_property
     def info_per_energy(self) -> float:
         return float(_info_per_energy(self.f, self.f1, self.f2))
 

@@ -26,8 +26,8 @@ with the master seed in [0, 2^64).
 A pair names a stream independently of how work is batched or
 distributed, so serial and parallel runs of the same experiment produce
 identical draws.  :func:`observation_planes` synthesises a range of
-trials as Re/Im planes, drawing their streams with one generator re-keyed
-per trial through a state dict of plain ints.
+trials as Re/Im planes, drawing their streams with its thread's one
+generator, re-keyed per trial through a state dict of plain ints.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -106,6 +107,15 @@ class SceneConfig:
         """
         return effective_signal(self)
 
+    @cached_property
+    def _h1_mean(self) -> np.ndarray:
+        """Re/Im planes of beta * z, shape (2, n): the H1 mean every trial adds, read-only."""
+        mean = self.beta * self.signal.z
+        return _read_only(np.stack([mean.real, mean.imag]))
+
+    def __getstate__(self):  # a pickled scene carries its template, not the mean derived from it
+        return {k: v for k, v in vars(self).items() if k != "_h1_mean"}
+
     def with_snr_db(self, snr_db: float) -> "SceneConfig":
         """Copy of the scene with |beta| rescaled to hit ``snr_db``.
 
@@ -160,6 +170,11 @@ def lfm_waveform(n_tx: int, snapshots: int) -> np.ndarray:
     return np.exp(1j * phase) / n_tx
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class EffectiveSignal:
     """Known noise-free signal template z, split into real and imaginary parts.
@@ -167,6 +182,8 @@ class EffectiveSignal:
     ``g`` and ``h`` are equal-length float arrays with Re(z) and Im(z).
     Instances are immutable (the arrays are marked read-only) so one
     template can be shared freely across threads and worker processes.
+    What the statistics read of it on every call (``z``, its conjugate,
+    ``energy``) is computed at the first read and kept.
     """
 
     g: np.ndarray
@@ -179,27 +196,28 @@ class EffectiveSignal:
             raise ValueError("g and h must be 1-D arrays of equal length")
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
             raise ValueError("signal template must be finite")
-        g = g.copy()
-        h = h.copy()
-        g.flags.writeable = False
-        h.flags.writeable = False
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", _read_only(g.copy()))
+        object.__setattr__(self, "h", _read_only(h.copy()))
 
-    def __reduce__(self):  # unpickle through __post_init__, so the arrays stay read-only
+    def __reduce__(self):  # unpickle through __post_init__: read-only arrays, nothing cached
         return EffectiveSignal, (self.g, self.h)
 
     def __len__(self) -> int:
         return self.g.shape[0]
 
-    @property
+    @cached_property
     def z(self) -> np.ndarray:
-        """Complex view g + j h (fresh array)."""
-        return self.g + 1j * self.h
+        """The complex template g + j h, computed once and read-only."""
+        return _read_only(self.g + 1j * self.h)
 
-    @property
+    @cached_property
+    def _conj_z(self) -> np.ndarray:
+        """conj(z), the matched filter of the GLRT, computed once and read-only."""
+        return _read_only(np.conj(self.z))
+
+    @cached_property
     def energy(self) -> float:
-        """sum(g^2 + h^2) = ||z||^2."""
+        """sum(g^2 + h^2) = ||z||^2, computed once."""
         return float(np.sum(self.g ** 2) + np.sum(self.h ** 2))
 
 
@@ -250,6 +268,10 @@ def trial_counter(hypothesis: Hypothesis, trial_index: int) -> int:
     return (hyp_bit << 63) | trial_index
 
 
+# each thread's (generator, fresh state dict) for observation_planes
+_thread = threading.local()
+
+
 def observation_planes(
     scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int, out=None
 ) -> np.ndarray:
@@ -264,13 +286,15 @@ def observation_planes(
     float64 array of that shape, which lets a caller reuse one buffer
     for every tile of a range; else into a new array.  A Philox
     stream depends only on its key, so one bit generator re-keyed per
-    trial (counter zeroed, buffer emptied) replays every trial's stream
-    without building a generator per trial.  The re-key assigns one state
-    dict of plain ints, with only the key's counter word changed in place:
-    numpy's state setter reads the dict element by element, and plain ints
-    read far faster than numpy scalars.  The indices run up from ``start``,
-    so checking both ends range-checks them all before the first draw; then
-    ``out`` is checked, and the seed as the generator is built.
+    trial replays every trial's stream without building a generator per
+    trial.  The re-key assigns a whole state (key, counter zeroed, buffer
+    emptied, no uint32 kept), so nothing of an earlier draw survives it,
+    and each thread keeps one generator for all its calls: a call builds
+    none.  The state is one dict of plain ints, with only the key's words
+    changed in place: numpy's state setter reads the dict element by
+    element, and plain ints read far faster than numpy scalars.  The
+    indices run up from ``start``, so checking both ends range-checks them
+    all before the first draw; then ``out`` is checked, then the seed.
     """
     n = scene.n_samples
     if stop > start:
@@ -281,20 +305,24 @@ def observation_planes(
                             or not out.flags.c_contiguous or not out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {shape}")
     planes = np.empty(shape) if out is None else out
-    rng = stream_rng(seed)
-    bits = rng.bit_generator
     key = _philox_key(seed, 0)
-    fresh = bits.state
-    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
-    fresh["buffer"] = [0, 0, 0, 0]
+    try:
+        rng, fresh = _thread.stream
+    except AttributeError:
+        rng = stream_rng(0)
+        fresh = rng.bit_generator.state  # an empty buffer, no uint32 kept
+        fresh["state"] = {"counter": [0, 0, 0, 0]}
+        fresh["buffer"] = [0, 0, 0, 0]
+        _thread.stream = rng, fresh
+    fresh["state"]["key"] = key
+    bits = rng.bit_generator
     for j in range(stop - start):
         key[0] = first + j  # trial_counter(hypothesis, start + j), checked above
         bits.state = fresh
         rng.standard_normal(out=planes[j])
     planes *= math.sqrt(scene.noise_power / 2.0)
     if hypothesis is Hypothesis.H1:
-        mean = scene.beta * scene.signal.z
-        planes += np.stack([mean.real, mean.imag])  # one (2, n) block added to every row
+        planes += scene._h1_mean  # one (2, n) block added to every row
     return planes
 
 

@@ -331,6 +331,32 @@ def test_interrupt_before_the_first_engine_call_forks_nothing(tmp_path, counting
     assert multiprocessing.active_children() == []
 
 
+def test_commands_without_a_pool_import_no_pool_stack(tmp_path):
+    # the pool stack (multiprocessing, socket, subprocess) is imported when
+    # a pool is first built, so a one-process command never loads it; a
+    # read of montecarlo.ProcessPoolExecutor imports it and keeps the class
+    # as a module global, and other names still raise AttributeError.  A
+    # fresh interpreter sees what the commands load, which this suite's own
+    # imports would hide.
+    script = (
+        "import sys\n"
+        "from quantdet import cli, montecarlo\n"
+        "assert cli.main(['roc', '--detectors', '1,inf', '--trials', '200', '--workers', '1',\n"
+        "                 '--seed', '1', '--out', 'r.csv']) == 0\n"
+        "assert cli.main(['thresholds', '--q', '2', '--seed', '7', '--out', 'q2.txt']) == 0\n"
+        "assert cli.main(['theory', '--out', 't.csv']) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "assert montecarlo.ProcessPoolExecutor is ProcessPoolExecutor\n"
+        "assert vars(montecarlo)['ProcessPoolExecutor'] is ProcessPoolExecutor\n"
+        "assert not hasattr(montecarlo, 'ThreadPoolExecutor')\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 # --------------------------------------------------------------------- theory
 
 def test_theory_needs_no_seed(tmp_path):

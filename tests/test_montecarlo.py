@@ -192,7 +192,7 @@ def test_zero_trial_runs_allowed(small_scene, rao2):
 
 @pytest.fixture(scope="module")
 def large_scene():
-    # n = 2048: one tile is 2^15 // 2048 = 16 trials
+    # n = 2048: one tile is 2^14 // 2048 = 8 trials
     return SceneConfig(n_tx=4, n_rx=64, snapshots=32, noise_power=2.0).with_snr_db(-22.0)
 
 
@@ -202,10 +202,10 @@ def rao3(reference_q3):
 
 
 def test_tile_boundary_invariance(large_scene, rao3):
-    # 97 = 6 * 16 + 1 trials: one range of seven tiles, the last holding one
-    # row in a prefix of the range's buffers, ranges of 33 (16 + 16 + 1 rows)
-    # and 64 rows, and one-row ranges must all give the untiled block's
-    # statistics byte for byte
+    # 97 = 12 * 8 + 1 trials: one range of thirteen tiles, the last holding
+    # one row in a prefix of the range's buffers, ranges of 33 (four 8-row
+    # tiles and one row) and 64 rows (eight tiles), and one-row ranges must
+    # all give the untiled block's statistics byte for byte
     signal = large_scene.signal
     for det in (rao3, GlrtDetector()):
         cfg = _cfg(large_scene, det, 97, 97, seed=12)
@@ -221,7 +221,7 @@ def test_tile_boundary_invariance(large_scene, rao3):
 @pytest.mark.parametrize("trials", [1000, 6000])
 def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
     # the chunk's planes take 31.25 or 187.5 MiB at n = 2048, one tile's
-    # 512 KiB: the traced peak stays a few tiles whatever the chunk size.
+    # 256 KiB: the traced peak stays a few tiles whatever the chunk size.
     # At n = 256 and q = 4 (n * 4^q = 2^16) the range also holds the Rao
     # scorer's largest score-term table, 1 MiB.
     if det == "rao4-n256":

@@ -2,11 +2,14 @@
 
 import dataclasses
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import oracles
+from quantdet import signal_model
 from quantdet.signal_model import (
     EffectiveSignal,
     Hypothesis,
@@ -203,6 +206,27 @@ def test_effective_signal_arrays_read_only(scene, signal):
         scene.signal = signal
 
 
+def test_template_caches_z_read_only():
+    # z, its conjugate and the energy are computed at the first read and
+    # kept: the same read-only arrays on every read, equal to g + j h
+    sig = effective_signal(SceneConfig(n_tx=2, n_rx=3, snapshots=5, angle=0.42))
+    z = sig.z
+    assert sig.z is z and not z.flags.writeable
+    assert z.tobytes() == (sig.g + 1j * sig.h).tobytes()
+    assert sig._conj_z is sig._conj_z and not sig._conj_z.flags.writeable
+    assert sig._conj_z.tobytes() == np.conj(sig.g + 1j * sig.h).tobytes()
+    assert sig.energy == float(np.sum(sig.g ** 2) + np.sum(sig.h ** 2))
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    # pickling rebuilds the template through __post_init__: read-only
+    # arrays, and nothing cached is carried along
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(sig, protocol=protocol))
+        assert not back.g.flags.writeable and not back.h.flags.writeable, protocol
+        assert {"z", "_conj_z", "energy"}.isdisjoint(vars(back)), protocol
+        assert back.z.tobytes() == z.tobytes() and not back.z.flags.writeable
+
+
 def test_scene_signal_is_its_template_computed_once():
     cfg = SceneConfig(n_tx=2, n_rx=3, snapshots=5, angle=0.42, beta=0.5j)
     sig = cfg.signal
@@ -220,9 +244,12 @@ def test_scene_signal_is_its_template_computed_once():
     assert unread == cfg and hash(unread) == hash(cfg) and repr(unread) == repr(cfg)
     assert "signal" not in {f.name for f in dataclasses.fields(SceneConfig)}
     # a pickled scene, as the engine's pool ships it, carries the template
+    # but not the H1 mean derived from it, which the copy computes read-only
+    mean = cfg._h1_mean
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(cfg, protocol=protocol))
-        assert back == cfg and "signal" in vars(back)
+        assert back == cfg and "signal" in vars(back) and "_h1_mean" not in vars(back)
+        assert back._h1_mean.tobytes() == mean.tobytes() and not back._h1_mean.flags.writeable
         for got, want in ((back.signal.g, sig.g), (back.signal.h, sig.h)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable, protocol
 
@@ -288,11 +315,12 @@ def test_observation_planes_rows_replay_per_trial_streams(
 def test_observation_planes_check_the_range_before_drawing(
     monkeypatch, scene, seed, start, stop, match
 ):
-    # both ends of the range, and the seed, are checked before the bit
-    # generator is even built
+    # both ends of the range, and the seed, are checked before a thread's
+    # first call builds its bit generator
     def no_draw(*args, **kwargs):
         raise AssertionError("built a generator before the checks")
 
+    monkeypatch.delattr(signal_model._thread, "stream", raising=False)
     monkeypatch.setattr(np.random, "Philox", no_draw)
     with pytest.raises(ValueError, match=match):
         observation_planes(scene, Hypothesis.H1, seed, start, stop)
@@ -325,17 +353,96 @@ def test_observation_planes_fill_out(scene, hypothesis):
 )
 def test_observation_planes_reject_a_bad_out_before_drawing(monkeypatch, scene, make_out):
     # trials [0, 3) need a C-contiguous float64 (3, 2, n) out; anything
-    # else raises before a generator is built, and a bad trial range is
-    # still reported first
+    # else raises before a thread's first call builds its generator, and a
+    # bad trial range is still reported first
     def no_draw(*args, **kwargs):
         raise AssertionError("built a generator before the checks")
 
+    monkeypatch.delattr(signal_model._thread, "stream", raising=False)
     monkeypatch.setattr(np.random, "Philox", no_draw)
     out = make_out(scene.n_samples)
     with pytest.raises(ValueError, match="out must be"):
         observation_planes(scene, Hypothesis.H0, 7, 0, 3, out=out)
     with pytest.raises(ValueError, match="trial_index out of range"):
         observation_planes(scene, Hypothesis.H0, 7, -1, 2, out=out)
+
+
+def _per_trial_planes(scene, hypothesis, seed, start, stop):
+    """Trials [start, stop) drawn with a fresh generator per trial."""
+    rows = []
+    for trial in range(start, stop):
+        w = stream_rng(seed, trial_counter(hypothesis, trial)).standard_normal((2, scene.n_samples))
+        row = np.sqrt(scene.noise_power / 2.0) * w
+        if hypothesis is Hypothesis.H1:
+            mean = scene.beta * (scene.signal.g + 1j * scene.signal.h)
+            row += np.stack([mean.real, mean.imag])
+        rows.append(row)
+    return np.array(rows)
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, comparable with ==."""
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+_CALLS = [
+    # (scene, hypothesis, seed, start, stop): odd n leaves Philox output
+    # buffered after a trial, and the seeds, scenes and hypotheses change
+    # from call to call
+    (SceneConfig(n_tx=2, n_rx=3, snapshots=1, beta=0.4 - 1.3j), Hypothesis.H1, 7, 5, 9),
+    (SceneConfig(n_tx=1, n_rx=8, snapshots=2, noise_power=0.7), Hypothesis.H0, 2**64 - 5, 0, 3),
+    (SceneConfig(n_tx=2, n_rx=3, snapshots=1, beta=0.4 - 1.3j), Hypothesis.H0, 7, 5, 9),
+    (SceneConfig(n_tx=3, n_rx=5, snapshots=1, angle=0.3), Hypothesis.H1, 11, 2**63 - 2, 2**63),
+    (SceneConfig(n_tx=1, n_rx=8, snapshots=2, noise_power=0.7), Hypothesis.H0, 2**64 - 5, 1, 2),
+    (SceneConfig(), Hypothesis.H1, 0, 100, 103),
+]
+
+
+def test_observation_planes_carry_no_state_between_calls():
+    # each thread keeps one generator for all its calls, and every call
+    # re-keys it whole: calls interleaved across seeds, hypotheses, scenes
+    # and ranges give the bytes of a fresh generator per trial, even after
+    # something else drew from the kept generator and left a partly used
+    # buffer and a kept uint32 behind; and after a call the generator is in
+    # the state a fresh one is in after drawing the last trial
+    for scene, hypothesis, seed, start, stop in _CALLS * 2:
+        got = observation_planes(scene, hypothesis, seed, start, stop)
+        assert got.tobytes() == _per_trial_planes(scene, hypothesis, seed, start, stop).tobytes()
+        rng = signal_model._thread.stream[0]
+        last = stream_rng(seed, trial_counter(hypothesis, stop - 1))
+        last.standard_normal((2, scene.n_samples))
+        assert _plain(rng.bit_generator.state) == _plain(last.bit_generator.state)
+        rng.bit_generator.random_raw()  # moves the buffer on by one value
+        rng.random(dtype=np.float32)  # takes half of the next value, keeps the other half
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_observation_planes_threads_draw_apart():
+    # threads drawing at once (more of them than CPUs, switching as often
+    # as the interpreter allows) each keep their own generator, so each
+    # gets the bytes of serial calls; one generator shared between them
+    # would let a re-key land between another thread's re-key and its draw
+    want = [observation_planes(*call).tobytes() for call in _CALLS] * 20
+    start = threading.Barrier(4)
+    got = {}
+
+    def draw(name):
+        start.wait(timeout=60)
+        got[name] = [observation_planes(*call).tobytes() for _ in range(20) for call in _CALLS]
+
+    threads = [threading.Thread(target=draw, args=(name,)) for name in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[name] == want for name in range(4))
 
 
 def test_synthesize_deterministic_and_stream_keyed(scene):
