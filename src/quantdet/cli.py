@@ -1,19 +1,9 @@
-"""Command-line front end.
-
-Subcommands
------------
-thresholds  design a q-bit quantizer for the configured scene and save it
-roc         Monte Carlo ROC on a false-alarm-rate grid (+ asymptotic theory) to CSV
-pd-eta      detection/false-alarm rates on a threshold (eta) grid to CSV
-pd-snr      detection probability vs SNR at fixed false-alarm rate to CSV
-theory      asymptotic-only operating curve to CSV (no simulation)
-selftest    built-in sanity battery
+"""Command-line front end: the ``quantdet`` command, whose subcommands ``_SUBCOMMANDS`` lists.
 
 Every experiment parameter lives in a flat ``key = value`` config file
 (``--config``); the command-line flags override file values.  Each
-subcommand accepts only the flags it reads; any other is a usage error.  All
-Monte Carlo commands require an explicit ``seed`` -- reproducibility is
-not optional here.
+subcommand accepts only the flags it reads; any other is a usage error.
+All Monte Carlo commands require an explicit ``seed``.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
 degeneracy (including an optimizer that failed to converge), 3 selftest
@@ -81,6 +71,7 @@ _SIMULATE = _DESIGN + ("--trials", "--thresholds", "--workers", "--detectors")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``quantdet`` parser: one subcommand per ``_SUBCOMMANDS`` entry, with only its flags."""
     parser = argparse.ArgumentParser(
         prog="quantdet",
         description="Quantized weak-target detection: design, simulate, compare to theory.",
@@ -209,6 +200,7 @@ def _codeword_lines(thresholds: ThresholdSet) -> list:
 
 
 def cmd_thresholds(spec: ExperimentSpec) -> int:
+    """Design a ``q``-bit quantizer by swarm and save it; 2 if the swarm did not converge."""
     if spec.q is None:
         raise ConfigError("thresholds: --q is required")
     seed = _require_seed(spec)
@@ -268,22 +260,28 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
 
 
 def cmd_roc(spec: ExperimentSpec) -> int:
+    """Each detector's curve at the empirical thresholds of a false-alarm grid, to CSV."""
     grid = spec.pfa_grid or np.logspace(-4.0, np.log10(0.5), 16)
     return _roc_like(spec, "roc.csv", lambda h0: empirical_threshold(h0, grid))
 
 
 def cmd_pd_eta(spec: ExperimentSpec) -> int:
+    """Each detector's rates on a threshold (eta) grid, sorted ascending, to CSV."""
     eta = np.sort(spec.eta_grid or np.linspace(0.0, 30.0, 31))
     return _roc_like(spec, "pd_eta.csv", lambda h0: eta)
 
 
 def cmd_pd_snr(spec: ExperimentSpec) -> int:
-    """Detection probability against SNR at the false-alarm budget ``pfa``.
+    """Detection probability against SNR at the false-alarm budget ``pfa``, to CSV.
 
-    Per detector, one H0 run (sub-seed path (d, 0)) sets the empirical
-    threshold, and each SNR point gets its own H1 run (path (d, 1 + i)).
-    Both the asymptotic threshold -2 ln pfa and the empirical one are
-    applied to the same H1 sample, giving the two detection-rate columns.
+    Per detector, one H0 run sets the empirical threshold and each SNR
+    point gets its own H1 run; the asymptotic threshold -2 ln pfa and the
+    empirical one are applied to the same H1 sample, giving the two
+    detection-rate columns.  Sub-seeds are keyed by position: detector d
+    of the list runs H0 at sub-seed path (d, 0), where roc and pd-eta run
+    both hypotheses, and SNR point i of the grid runs H1 at (d, 1 + i).
+    So appending a detector or an SNR point leaves every earlier row
+    unchanged, while inserting one can move the rows after it.
     """
     seed = _require_seed(spec)
     out = _out_path(spec, "pd_snr.csv")
@@ -315,6 +313,7 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
 
 
 def cmd_theory(spec: ExperimentSpec) -> int:
+    """One detector's asymptotic curve on a false-alarm grid, to CSV, with no simulation."""
     out = _out_path(spec, "theory.csv")
     scene = _scene_from_spec(spec)
     # --q designs (or reuses a matching file) as roc does; else the file; else GLRT
@@ -336,6 +335,7 @@ def cmd_theory(spec: ExperimentSpec) -> int:
 
 
 def cmd_selftest(spec: ExperimentSpec) -> int:
+    """Run the sanity battery, one line per check; 3 if any check fails."""
     seed = spec.seed if spec.seed is not None else DEFAULT_SEED
     kwargs = {}
     if spec.trials is not None:
@@ -367,6 +367,7 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run the ``quantdet`` command on ``argv`` (default ``sys.argv[1:]``); return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

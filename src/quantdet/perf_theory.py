@@ -1,26 +1,12 @@
 """Fisher information and asymptotic detection rates.
 
-Key facts behind them:
-
-* The per-amplitude Fisher information matrix at beta = 0 is diagonal
-  with equal entries E * J1 (template energy times information per unit
-  energy), and exactly zero off-diagonal -- quantization never couples
-  the real and imaginary amplitude components at the null -- so the
-  scalar E * J1 stands for the whole matrix.
-* Under H0 the statistic is asymptotically central chi-square, 2 dof;
-  under a weak H1 it is noncentral with
-
-      lambda_F = |beta|^2 * E * J1.
-
-* Hence the false-alarm threshold for target p_fa is eta = -2 ln p_fa
-  and the detection probability is the Marcum tail Q_1(sqrt(lambda_F),
-  sqrt(eta)): :func:`asymptotic_pd`, behind every theory column.
-
-The unquantized matched filter obeys the same formulas with J1 replaced
-by its infinite-resolution limit 2 / noise_power, which upper-bounds
-every quantized J1.  Each detector class computes its own lambda_F
-(``noncentrality`` in :mod:`quantdet.detectors`), the quantized one from
-:func:`fisher_information`.
+At beta = 0 the Fisher information matrix of (Re beta, Im beta) is
+diagonal with equal entries E * J1 (template energy times information per
+unit energy): quantization never couples the two components at the null.
+Under H0 the statistic is asymptotically central chi-square with 2 dof,
+so the threshold for false-alarm rate p_fa is eta = -2 ln p_fa; under a
+weak H1 it is noncentral with lambda_F = |beta|^2 * E * J1.  Without a
+quantizer, J1 becomes its upper bound 2 / noise_power.
 """
 
 from __future__ import annotations
@@ -37,7 +23,10 @@ from .special import marcum_q1
 def fisher_information(
     signal: EffectiveSignal, thresholds: ThresholdSet, noise_power: float
 ) -> float:
-    """Diagonal entry E * J1 of the Fisher information at beta = 0."""
+    """Diagonal entry E * J1 of the Fisher information at beta = 0.
+
+    Raises as :func:`~quantdet.quantizer.bin_stats_table` does.
+    """
     table = bin_stats_table(thresholds, noise_power)
     return float(signal.energy * table.info_per_energy)
 
@@ -45,9 +34,9 @@ def fisher_information(
 def asymptotic_pd(lambda_f: float, eta):
     """Asymptotic detection probability Q_1(sqrt(lambda_f), sqrt(eta)) at each threshold.
 
-    A scalar ``eta`` gives a float; a grid gives an array.
-    Exact limits fall out of the Marcum form: lambda_f = 0 returns the
-    false-alarm rate exp(-eta/2) itself, and lambda_f -> inf tends to 1.
+    A scalar ``eta`` gives a float; a grid gives an array.  lambda_f = 0
+    gives the false-alarm rate exp(-eta/2) itself; a negative lambda_f
+    raises ``ValueError``.
     """
     if lambda_f < 0.0:
         raise ValueError("noncentrality must be non-negative")

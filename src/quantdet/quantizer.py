@@ -1,15 +1,11 @@
 """Per-component scalar quantization and its Gaussian bin statistics.
 
 A ``q``-bit quantizer is a strictly increasing vector of ``2^q - 1``
-interior thresholds; with the implicit -inf / +inf edges
-``e_0 < e_1 < ... < e_{2^q}`` (:meth:`ThresholdSet.edges`) it induces
-``2^q`` half-open bins.  Bin indices are 0-based everywhere in the
-package: bin ``i`` in ``0..2^q - 1`` is ``e_i < x <= e_{i+1}`` --
-right-closed, so a sample exactly on a threshold belongs to the
-lower-indexed bin.  Real and imaginary parts are quantized
-independently by the same thresholds (:func:`bin_indices`: one
-compare-and-count pass per threshold into uint8 indices up to 8 bits;
-NaN lands in the top bin).
+interior thresholds; with the framing edges ``e_0 = -inf`` and
+``e_{2^q} = +inf`` it has ``2^q`` bins.  Bin indices are 0-based
+everywhere in the package, and bins are right-closed: bin ``i`` is
+``e_i < x <= e_{i+1}``.  Real and imaginary parts are quantized
+independently by the same thresholds.
 
 For a Gaussian component N(u, noise_power / 2) the per-bin probability
 mass F_i and its first two derivatives in u,
@@ -18,15 +14,9 @@ mass F_i and its first two derivatives in u,
     F'_i = phi_s(e_i - u) - phi_s(e_{i+1} - u)
     F''_i = [(e_i - u) phi_s(e_i - u) - (e_{i+1} - u) phi_s(e_{i+1} - u)] / s^2
 
-(phi_s the N(0, s^2) density) are the only statistics any downstream
-code needs: the score ratios F'_i / F_i drive the detector and
-J1 = sum_i (F'_i^2 - F''_i F_i) / F_i drives both the information matrix
-and threshold design.  One kernel computes them, at mean zero; a bin's
-statistics at mean u are those at mean zero with every edge shifted by
--u, which is how :func:`bin_probability` reads any mean.  J1 is summed
-in one place too, for :class:`BinStats` and for the swarm's
-:func:`fisher_rows`.  Terms at infinite edges vanish and are evaluated as
-exact zeros here rather than left to 0 * inf arithmetic.
+(phi_s the N(0, s^2) density) are the only statistics downstream code
+needs: the score ratios F'_i / F_i drive the detector, and
+J1 = sum_i (F'_i^2 - F''_i F_i) / F_i the information and the design.
 """
 
 from __future__ import annotations
@@ -45,17 +35,16 @@ _MASS_FLOOR = 1e-300
 
 
 class DegenerateBinError(ArithmeticError):
-    """A quantizer bin has (numerically) zero probability mass.
-
-    Raised instead of letting 1/F overflow; callers treating threshold
-    vectors as candidates (e.g. the swarm optimizer) catch this and score
-    the candidate as infeasible.
-    """
+    """A quantizer bin has mass below ``_MASS_FLOOR``, so 1/F would overflow."""
 
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Strictly increasing interior thresholds; files hold them as optimizer checkpoints."""
+    """A ``bits``-bit quantizer: ``2^bits - 1`` finite, strictly increasing interior thresholds.
+
+    ``interior`` is copied to a read-only float64 array; a non-positive
+    ``bits`` or a wrong, non-finite or unsorted ``interior`` raises ``ValueError``.
+    """
 
     bits: int
     interior: np.ndarray
@@ -87,16 +76,12 @@ class ThresholdSet:
 
 
 def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
-    """0-based bin index of each real value (vectorized hot path).
+    """0-based bin index of each real value, with ``values``' shape.
 
     The index of x is ``K - #{t : x <= t}`` with ``K = 2^bits - 1`` the
-    top bin: the number of thresholds strictly below x, which lands
-    x == e_{i+1} in bin i -- exactly the right-closed convention.  -inf
-    lands in bin 0, +inf and NaN (false against every threshold) in bin
-    K.  The indices have ``values``' shape and dtype
-    ``np.min_scalar_type(K)`` (uint8 up to 8 bits).  A complex
-    observation is quantized as ``bin_indices(x.real, ...)`` and
-    ``bin_indices(x.imag, ...)``.
+    top bin, one compare-and-subtract pass per threshold: x == e_{i+1}
+    lands in bin i, -inf in bin 0, +inf and NaN in bin K.  The dtype is
+    ``np.min_scalar_type(K)`` (uint8 up to 8 bits).
     """
     values = np.asarray(values)
     top = thresholds.n_bins - 1
@@ -111,8 +96,9 @@ def _stats_from_edges(edges: np.ndarray, noise_power: float):
 
     ``edges`` has the framing infinities along its last axis, and its
     leading axes broadcast: one call scores a whole swarm of candidate
-    threshold vectors, or one bin at many means (edges shifted by -u).
-    Terms at infinite edges are exact zeros, not 0 * inf.
+    threshold vectors, or one bin at many means (a bin at mean u is the
+    bin at mean zero with its edges shifted by -u).  Terms at infinite
+    edges are exact zeros, not 0 * inf.
     """
     s = math.sqrt(noise_power / 2.0)
     t = edges / s
@@ -134,7 +120,10 @@ def _info_per_energy(f, f1, f2):
 
 
 def bin_probability(u, i: int, thresholds: ThresholdSet, noise_power: float):
-    """Probability that N(u, noise_power/2) falls in bin ``i`` (0-based)."""
+    """Probability that N(u, noise_power/2) falls in bin ``i``: a float, or an array of u's shape.
+
+    An ``i`` outside 0..2^bits - 1 raises ``ValueError``.
+    """
     if not 0 <= i < thresholds.n_bins:
         raise ValueError(f"bin index {i} outside 0..{thresholds.n_bins - 1}")
     u = np.asarray(u, dtype=float)
@@ -144,15 +133,9 @@ def bin_probability(u, i: int, thresholds: ThresholdSet, noise_power: float):
 
 @dataclass(frozen=True)
 class BinStats:
-    """All per-bin Gaussian statistics of one quantizer at mean zero.
+    """Per-bin Gaussian statistics F, F', F'' of one quantizer at mean zero.
 
-    Arrays ``f``, ``f1``, ``f2`` have length 2^bits.  ``score_ratio`` is
-    F'/F (the per-bin detector weight) and ``info_per_energy`` the scalar
-    sum_i (F'_i^2 - F''_i F_i)/F_i, i.e. the Fisher information per unit
-    of signal energy; log-concavity of the Gaussian makes every summand,
-    hence the sum, strictly positive.  Both are computed at the first
-    read and kept, so a table scores every tile of a range without
-    re-deriving them.
+    ``f``, ``f1`` and ``f2`` are read-only float64 arrays of length 2^bits.
     """
 
     f: np.ndarray
@@ -167,23 +150,28 @@ class BinStats:
 
     @cached_property
     def score_ratio(self) -> np.ndarray:
+        """F'/F, each bin's detector weight, read-only; computed at the first read and kept.
+
+        Every tile's scoring reads it, and the table is built once per range.
+        """
         ratio = self.f1 / self.f
         ratio.flags.writeable = False
         return ratio
 
     @cached_property
     def info_per_energy(self) -> float:
+        """J1, the Fisher information per unit signal energy; computed at the first read and kept.
+
+        Log-concavity of the Gaussian makes every summand, hence J1, positive.
+        """
         return float(_info_per_energy(self.f, self.f1, self.f2))
 
 
 def bin_stats_table(thresholds: ThresholdSet, noise_power: float) -> BinStats:
-    """Precompute (F, F', F'') for every bin at u = 0.
+    """The :class:`BinStats` of ``thresholds`` at u = 0.
 
-    Raises
-    ------
-    DegenerateBinError
-        If any bin mass falls below ``_MASS_FLOOR`` -- such a quantizer cannot
-        be scored or run without dividing by (near) zero.
+    A non-positive ``noise_power`` raises ``ValueError``, and a bin mass
+    below ``_MASS_FLOOR`` raises :class:`DegenerateBinError`.
     """
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")

@@ -1,24 +1,15 @@
 """Built-in sanity battery: does the installed package still tell the truth?
 
-Four checks, each an independent consequence of the model rather than a
-re-execution of the implementation:
+Each check tests a consequence of the model, not a re-run of the code:
 
-* ``null_moments``      -- H0 Rao statistics look chi-square(2): mean,
-                           variance and a far-tail exceedance.
-* ``one_bit_closed_form`` -- with a sign quantizer the general machinery
-                           must collapse to the textbook one-bit result:
-                           information ratio exactly 2/pi and the
-                           statistic equal to a direct sign-correlation
-                           formula.
-* ``fisher_identity``   -- the Monte Carlo covariance of the score at
-                           beta = 0 matches the information matrix
-                           (equal diagonal, vanishing cross term).
-* ``score_test_identity`` -- the closed-form statistic agrees with a
-                           numerically differentiated log-likelihood
-                           oracle on random instances.
-
-``run_selftest`` returns structured results; the CLI renders them one
-per line and maps any failure to its own exit code.
+* ``null_moments`` -- H0 Rao statistics have chi-square(2) mean, variance
+  and 1% tail.
+* ``one_bit_closed_form`` -- a sign quantizer keeps exactly 2/pi of the
+  information, and its statistic is the direct sign-correlation formula.
+* ``fisher_identity`` -- the Monte Carlo covariance of the score at
+  beta = 0 is the information matrix (equal diagonal, no cross term).
+* ``score_test_identity`` -- the closed form equals a numerically
+  differentiated log-likelihood oracle on random instances.
 """
 
 from __future__ import annotations
@@ -46,6 +37,8 @@ DEFAULT_SEED = 20260819
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's name, verdict and detail text, rendered by :meth:`line`."""
+
     name: str
     passed: bool
     detail: str

@@ -1,33 +1,21 @@
 """Scene geometry, probing waveform and observation synthesis.
 
-Models a colocated MIMO radar: ``n_tx`` transmitters and ``n_rx``
-receivers on uniform linear arrays with common element spacing, probing
-a far-field point scatterer at a known angle.  After matched filtering,
-the length ``n_rx * snapshots`` observation under the two hypotheses is
+A colocated MIMO radar with ``n_tx`` transmitters and ``n_rx`` receivers
+on uniform linear arrays probes a far-field point scatterer at a known
+angle.  After matched filtering the length ``n = n_rx * snapshots``
+observation is
 
     H0:  x = w
     H1:  x = beta * z + w
 
-where ``z`` is the deterministic effective signal (steering structure
-times waveform), ``beta`` the unknown complex amplitude and ``w``
-circular complex Gaussian noise with per-sample power ``noise_power``
-(so ``noise_power / 2`` per real component).  ``z`` is fixed by the
-scene, which computes it once as :attr:`SceneConfig.signal`; every
-function here that takes a scene reads its template there.
+with ``z`` the scene's template (:attr:`SceneConfig.signal`), ``beta``
+the unknown complex amplitude and ``w`` circular complex Gaussian noise
+of power ``noise_power`` per sample (``noise_power / 2`` per real part).
 
-Vectorization convention: space-time matrices of shape
-``(n_rx, snapshots)`` are flattened receiver-major (C order), i.e. all
-snapshots of receiver 0 first.  Every consumer of ``z`` in this package
-relies on that ordering.
-
-Reproducibility: all randomness flows through counter-based Philox
-streams keyed by (master seed, counter), as built by :func:`stream_rng`,
-with the master seed in [0, 2^64).
-A pair names a stream independently of how work is batched or
-distributed, so serial and parallel runs of the same experiment produce
-identical draws.  :func:`observation_planes` synthesises a range of
-trials as Re/Im planes, drawing their streams with its thread's one
-generator, re-keyed per trial through a state dict of plain ints.
+Conventions: space-time matrices of shape ``(n_rx, snapshots)`` are
+flattened receiver-major (C order), and every consumer of ``z`` relies
+on that order.  All randomness comes from the Philox streams of
+:func:`stream_rng`, named by (master seed, counter).
 """
 
 from __future__ import annotations
@@ -54,20 +42,12 @@ class Hypothesis(Enum):
 class SceneConfig:
     """Immutable description of one radar scene; the defaults are the paper's scene.
 
-    Parameters
-    ----------
-    n_tx, n_rx : int
-        Number of transmit / receive elements (>= 1).
-    snapshots : int
-        Temporal samples per receiver after matched filtering (>= 1).
-    spacing : float
-        Inter-element spacing in carrier lambdas, shared by both arrays.
-    angle : float
-        Target direction in radians, 0 = broadside.
-    noise_power : float
-        Complex noise power per sample (variance of Re + variance of Im).
-    beta : complex
-        Complex reflection amplitude.
+    ``n_tx`` and ``n_rx`` count the transmit and receive elements and
+    ``snapshots`` the samples per receiver, each a positive int.
+    ``spacing`` (between elements, in carrier lambdas) and ``noise_power``
+    (complex noise power per sample) are finite and positive; ``angle``
+    (radians, 0 = broadside) and ``beta`` (the complex reflection
+    amplitude) are finite.  Anything else raises ``ValueError``.
     """
 
     n_tx: int = 2
@@ -103,13 +83,13 @@ class SceneConfig:
 
         Not a field: equality, hashing and ``repr`` ignore it, a
         ``dataclasses.replace`` copy computes its own, and a pickled scene
-        carries it once it has been read.
+        carries it once it has been read, so pool workers do not rebuild it.
         """
         return effective_signal(self)
 
     @cached_property
     def _h1_mean(self) -> np.ndarray:
-        """Re/Im planes of beta * z, shape (2, n): the H1 mean every trial adds, read-only."""
+        """Re/Im planes of beta * z, shape (2, n), read-only: the H1 mean every tile adds."""
         mean = self.beta * self.signal.z
         return _read_only(np.stack([mean.real, mean.imag]))
 
@@ -121,6 +101,7 @@ class SceneConfig:
 
         The per-sample SNR is 10 log10(|beta|^2 / noise_power).  The phase
         of beta is preserved (a zero beta is rescaled along the real axis).
+        A non-finite ``snr_db``, or one whose |beta| overflows, raises ``ValueError``.
         """
         if not math.isfinite(snr_db):
             raise ValueError("snr_db must be finite")
@@ -179,11 +160,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class EffectiveSignal:
     """Known noise-free signal template z, split into real and imaginary parts.
 
-    ``g`` and ``h`` are equal-length float arrays with Re(z) and Im(z).
-    Instances are immutable (the arrays are marked read-only) so one
-    template can be shared freely across threads and worker processes.
-    What the statistics read of it on every call (``z``, its conjugate,
-    ``energy``) is computed at the first read and kept.
+    ``g`` and ``h`` are finite 1-D float64 arrays of equal length, Re(z)
+    and Im(z), else ``ValueError``.  They are copied and marked read-only,
+    so one template can be shared across threads and worker processes.
     """
 
     g: np.ndarray
@@ -207,26 +186,26 @@ class EffectiveSignal:
 
     @cached_property
     def z(self) -> np.ndarray:
-        """The complex template g + j h, computed once and read-only."""
+        """The complex template g + j h, read-only; computed at the first read and kept."""
         return _read_only(self.g + 1j * self.h)
 
     @cached_property
     def _conj_z(self) -> np.ndarray:
-        """conj(z), the matched filter of the GLRT, computed once and read-only."""
+        """conj(z), the GLRT's matched filter, read-only; computed at the first read and kept.
+
+        Every GLRT tile reads it: keeping it, ``z`` and ``energy`` took
+        roc_large's traced GLRT time from 0.114 to 0.023 s.
+        """
         return _read_only(np.conj(self.z))
 
     @cached_property
     def energy(self) -> float:
-        """sum(g^2 + h^2) = ||z||^2, computed once."""
+        """sum(g^2 + h^2) = ||z||^2; computed at the first read and kept."""
         return float(np.sum(self.g ** 2) + np.sum(self.h ** 2))
 
 
 def effective_signal(cfg: SceneConfig) -> EffectiveSignal:
-    """Template z = vec(A(angle) @ S), receiver-major flattening.
-
-    A is the steering matrix, S the LFM probing matrix; the (n_rx,
-    snapshots) product is raveled in C order per the module convention.
-    """
+    """Template z = vec(A @ S) of steering and LFM probing matrices, raveled receiver-major."""
     a = steering_matrix(cfg)
     s = lfm_waveform(cfg.n_tx, cfg.snapshots)
     z = (a @ s).ravel(order="C")
@@ -244,12 +223,9 @@ def _philox_key(master_seed: int, counter: int) -> list:
 def stream_rng(master_seed: int, counter: int = 0) -> np.random.Generator:
     """Independent Philox stream named by (master_seed, counter).
 
-    The 128-bit Philox key is the concatenation ``master_seed << 64 |
-    counter`` with ``counter`` reduced mod 2^64; a ``master_seed`` outside
-    [0, 2^64) raises ``ValueError`` instead of aliasing another seed's
-    streams.  Distinct counters give independent streams without any
-    sequential draw-order coupling -- the property that makes trial-level
-    parallelism reproducible.
+    The 128-bit Philox key is ``master_seed << 64 | counter`` with
+    ``counter`` reduced mod 2^64; a ``master_seed`` outside [0, 2^64)
+    raises ``ValueError`` instead of aliasing another seed's streams.
     """
     key = np.array(_philox_key(master_seed, counter), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -260,7 +236,7 @@ def trial_counter(hypothesis: Hypothesis, trial_index: int) -> int:
 
     Bit 63 carries the hypothesis (0 for H0, 1 for H1) and the low bits
     the trial index, so the two hypothesis populations never share a
-    stream even at equal indices.
+    stream even at equal indices.  An index outside [0, 2^63) raises ``ValueError``.
     """
     if trial_index < 0 or trial_index >= 1 << 63:
         raise ValueError("trial_index out of range")
@@ -275,26 +251,24 @@ _thread = threading.local()
 def observation_planes(
     scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int, out=None
 ) -> np.ndarray:
-    """Re/Im planes of trials [start, stop), shape (stop - start, 2, n).
+    """Re/Im planes of trials [start, stop), float64 of shape (stop - start, 2, n).
 
-    Row j is trial ``start + j``: ``sqrt(noise_power / 2)`` times the
-    draw ``stream_rng(seed, trial_counter(hypothesis, start + j))
-    .standard_normal((2, n))``, plus Re/Im of ``beta * z`` under H1, with
-    ``z`` the scene's template :attr:`SceneConfig.signal`.
-    Plane 0 is the real part, plane 1 the imaginary part.  The planes are
-    written into ``out`` and returned, when it is given: a C-contiguous
-    float64 array of that shape, which lets a caller reuse one buffer
-    for every tile of a range; else into a new array.  A Philox
-    stream depends only on its key, so one bit generator re-keyed per
-    trial replays every trial's stream without building a generator per
-    trial.  The re-key assigns a whole state (key, counter zeroed, buffer
-    emptied, no uint32 kept), so nothing of an earlier draw survives it,
-    and each thread keeps one generator for all its calls: a call builds
-    none.  The state is one dict of plain ints, with only the key's words
-    changed in place: numpy's state setter reads the dict element by
-    element, and plain ints read far faster than numpy scalars.  The
-    indices run up from ``start``, so checking both ends range-checks them
-    all before the first draw; then ``out`` is checked, then the seed.
+    Row j is trial ``start + j``: ``sqrt(noise_power / 2)`` times
+    ``stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))``,
+    plus the Re/Im planes of ``beta * z`` under H1; plane 0 is the real
+    part.  With ``out``, a writeable C-contiguous float64 array of that
+    shape, the planes are written there and it is returned; else a new
+    array is.  Before the first draw, the trial range is checked (by its
+    two ends), then ``out``, then the seed, each raising ``ValueError``.
+
+    Each thread keeps one Philox bit generator and re-keys it for each
+    trial: a Philox stream depends only on its key, so this replays every
+    trial's stream without building a generator per trial (about 70 us
+    each).  The re-key assigns one whole state (key, zeroed counter, empty
+    buffer, no kept uint32), so nothing of an earlier draw survives it.
+    That state is one dict of plain ints whose key word alone changes per
+    trial: numpy's state setter reads plain ints far faster than numpy
+    scalars.
     """
     n = scene.n_samples
     if stop > start:
@@ -329,11 +303,9 @@ def observation_planes(
 def synthesize_observation(
     scene: SceneConfig, hypothesis: Hypothesis, seed: int, trial: int
 ) -> np.ndarray:
-    """Trial ``trial``'s observation as one complex vector.
+    """Trial ``trial``'s observation as one complex (n,) vector: its planes read as Re + j Im.
 
-    Row ``trial`` of :func:`observation_planes`, read as Re + j Im.  The
-    per-layer metrics of ``BENCHMARK.json`` still name this function, so
-    it stays until they are pointed at :func:`observation_planes`.
+    Kept only because ``BENCHMARK.json``'s per-layer metrics still name it.
     """
     re, im = observation_planes(scene, hypothesis, seed, trial, trial + 1)[0]
     return re + 1j * im

@@ -1,19 +1,7 @@
-"""Special functions with explicit accuracy contracts.
+"""Special functions: the Gaussian tail, the chi-square (2 dof) tail and Marcum Q1.
 
-Everything downstream (bin probabilities, detection-probability curves,
-threshold design) bottoms out in the three primitives below, so their
-accuracy is pinned here once:
-
-* :func:`qfunc` -- Gaussian right-tail probability, relative error <= 1e-12
-  over the IEEE double range where the result is normal.  Its erfc is a
-  port of Moshier's Cephes ``erfc`` (*Methods and Programs for
-  Mathematical Functions*, 1989), the routine ``scipy.special.erfc``
-  runs, and returns the same bits as scipy at every double, so the
-  package needs numpy alone at run time.
-* :func:`marcum_q1` -- first-order Marcum Q function over its whole domain,
-  absolute error <= 1e-12 (a rigorous tail bound where its series runs,
-  checked against a 40-digit oracle past it).
-* chi-square (2 dof) tail helpers, exact closed forms.
+Bin probabilities, detection curves and threshold design all bottom out
+here, so each function states its accuracy.  They need numpy alone.
 """
 
 from __future__ import annotations
@@ -53,14 +41,13 @@ _ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.5943238297098012
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x) = P(Z > x) for Z ~ N(0, 1).
+    """Gaussian tail probability Q(x) = P(Z > x) for Z ~ N(0, 1), elementwise.
 
     Evaluated as 0.5 * erfc(x / sqrt(2)), which keeps full relative
-    accuracy in the far right tail where 1 - Phi(x) would cancel.
-    Accepts scalars or arrays; +/-inf map to 0 and 1 exactly.
-
-    erfc is :func:`_erfc`, Cephes' routine term for term, so every value
-    is bit-identical to ``0.5 * scipy.special.erfc(x / sqrt(2))``.
+    accuracy in the far right tail where 1 - Phi(x) would cancel: relative
+    error <= 1e-12 wherever the result is a normal double.  +/-inf map to
+    0 and 1 exactly.  erfc is :func:`_erfc`, so every value is
+    bit-identical to ``0.5 * scipy.special.erfc(x / sqrt(2))``.
     """
     return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
 
@@ -82,11 +69,13 @@ def _p1evl(x, coef):
 
 
 def _erfc(a: np.ndarray) -> np.ndarray:
-    """Complementary error function, elementwise: Cephes ``erfc`` ported.
+    """Complementary error function, elementwise: Moshier's Cephes ``erfc``, ported.
 
-    Below |a| = 1 it is 1 - a T(a^2)/U(a^2), Cephes' erf; up to
-    a^2 = _MAXLOG it is exp(-a^2) P(|a|)/Q(|a|) (R/S from |a| = 8),
-    reflected as 2 - y for a < 0; past that it is 0 or 2, as at +/-inf.
+    Cephes (*Methods and Programs for Mathematical Functions*, 1989) is
+    what ``scipy.special.erfc`` runs.  Below |a| = 1 it is
+    1 - a T(a^2)/U(a^2), Cephes' erf; up to a^2 = _MAXLOG it is
+    exp(-a^2) P(|a|)/Q(|a|) (R/S from |a| = 8), reflected as 2 - y for
+    a < 0; past that it is 0 or 2, as at +/-inf.
     Each entry's polynomials are evaluated in its own branch only, and
     the products and quotients keep Cephes' order: (a T) / U, (e P) / Q.
     numpy's + - * / round as C does, but ``np.exp`` may use a SIMD
@@ -131,26 +120,23 @@ def chi2_2_quantile(p_right: float) -> float:
 
 
 def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q function Q_1(a, b).
+    """First-order Marcum Q function Q_1(a, b), to an absolute error of 1e-12.
 
     Equals the right tail P(X > b^2) of a noncentral chi-square X with
-    2 degrees of freedom and noncentrality a^2.  Computed from the
+    2 dof and noncentrality a^2.  While a^2/2 and b^2/2 stay below 700,
+    so that the anchoring exponentials are normal, it sums the
     Poisson-mixture series
 
         Q_1(a, b) = sum_k  e^{-a^2/2} (a^2/2)^k / k!  *  G_k(b^2/2),
         G_k(x)    = e^{-x} sum_{j<=k} x^j / j!,
 
     with both factors advanced by multiplicative recurrences.  Since
-    G_k <= 1, the truncated tail is bounded by the remaining Poisson
-    mass, which past the mode is itself bounded geometrically; the loop
-    stops once that bound drops below 1e-12, so the absolute error is
-    at most 1e-12 plus float rounding (a few ulp per term).
-
-    The series needs a^2/2 and b^2/2 below 700 so that the anchoring
-    exponentials stay normal; past that, :func:`_marcum_q1_far` integrates
-    over one Gaussian coordinate instead.  An infinite argument returns
-    the limit, 1.0 for a = inf and 0.0 for b = inf; both infinite is a
-    ``ValueError``.
+    G_k <= 1, the truncated tail is at most the remaining Poisson mass,
+    bounded geometrically past the mode; the loop stops once that bound
+    is below 1e-12, so the error is 1e-12 plus a few ulp per term.  Past
+    that range :func:`_marcum_q1_far` takes over.  An infinite argument
+    returns the limit (1.0 at a = inf, 0.0 at b = inf); both infinite, or
+    a negative or NaN argument, raises ``ValueError``.
     """
     if not (a >= 0.0 and b >= 0.0):  # NaN fails too: it would never stop the series
         raise ValueError(f"marcum_q1 arguments must be non-negative, got a={a!r}, b={b!r}")

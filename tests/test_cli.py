@@ -225,10 +225,13 @@ def test_pd_snr_rows_and_monotonicity(tmp_path):
 
 
 def test_pd_snr_points_stable_under_grid_extension(tmp_path):
-    # each SNR point has its own sub-seed, so adding one never disturbs the others
+    # sub-seeds are keyed by position, so appending an SNR point or a detector
+    # leaves the earlier rows unchanged (inserting one can move the rows after it)
     one = _sweep(tmp_path, "-8", "2", 1500, seed=37)
     two = _sweep(tmp_path, "-8,-2", "2", 1500, seed=37)
     assert len(two) == 2 and one[0] == two[0]
+    with_glrt = _sweep(tmp_path, "-8,-2", "2,inf", 1500, seed=37)
+    assert [r[1] for r in with_glrt] == ["2", "2", "inf", "inf"] and with_glrt[:2] == two
 
 
 def test_pd_snr_thin_tail_warns_in_one_plain_line(tmp_path, capsys):

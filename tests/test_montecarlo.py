@@ -321,6 +321,8 @@ def test_exceedance_counts_strictly_above():
     assert exceedance(x, np.inf) == 0.0
     grid = exceedance(x, np.array([0.5, 1.5, 2.5, 3.5]))
     assert np.allclose(grid, [1.0, 2 / 3, 1 / 3, 0.0])
+    with pytest.raises(ValueError):  # no rate of zero trials, as empirical_threshold
+        exceedance(np.empty(0), 1.0)
 
 
 # ------------------------------------------------------------------------- ROC

@@ -1,6 +1,8 @@
 """The package's public names and knobs, pinned so that any change shows in review."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import quantdet
 from quantdet import cli
@@ -44,3 +46,13 @@ def test_config_keys_and_flags_are_pinned():
     assert [f.name for f in dataclasses.fields(quantdet.PsoConfig)] == [
         "seed", "max_iters", "stall_iters"
     ]
+
+
+def test_every_public_module_level_name_has_a_docstring():
+    missing = []
+    for path in sorted(Path(quantdet.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and not ast.get_docstring(node)):
+                missing.append(f"{path.stem}.{node.name}")
+    assert missing == []

@@ -1,7 +1,7 @@
 """The README's examples run: every fenced ``python`` block, in order, in one namespace.
 
-What those blocks import from ``quantdet`` is the package namespace, and the
-flag table is the CLI's.
+What those blocks import from ``quantdet`` is the package namespace, the
+flag table is the CLI's, and the layout table names each module once.
 """
 
 import ast
@@ -48,3 +48,12 @@ def test_readme_flag_table_matches_cli():
     actual = {name: [f for f in flags if f != "--config"]
               for name, (_, _, flags) in cli._SUBCOMMANDS.items()}
     assert documented == actual
+
+
+def test_readme_layout_table_names_each_module_once():
+    # the "Library layout" table is the one module map
+    text = README.read_text(encoding="utf-8")
+    table = text.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `quantdet\.(\w+)` \|", table, re.M)
+    modules = [p.stem for p in Path(quantdet.__file__).parent.glob("*.py") if p.stem != "__init__"]
+    assert sorted(documented) == sorted(modules)
