@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     try:
         spec = _merged_spec(args)
         return _SUBCOMMANDS[args.command][0](spec)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

@@ -76,7 +76,7 @@ class ThresholdSet:
 
 
 def bin_indices(values: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
-    """0-based bin index of each real value, with ``values``' shape.
+    """0-based bin indices in the shape of ``values``: any, a whole (rows, 2, n) tile too.
 
     The index of x is ``K - #{t : x <= t}`` with ``K = 2^bits - 1`` the
     top bin, one compare-and-subtract pass per threshold: x == e_{i+1}

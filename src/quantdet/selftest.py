@@ -22,7 +22,6 @@ import numpy as np
 from .detectors import RaoDetector, _score_sums, rao_statistic_batch
 from .montecarlo import TrialConfig, run_trials, subseed
 from .optimizer import PsoConfig, optimize_thresholds
-from .perf_theory import fisher_information
 from .quantizer import ThresholdSet, bin_indices, bin_probability, bin_stats_table
 from .signal_model import (
     EffectiveSignal,
@@ -89,11 +88,10 @@ def _check_one_bit(seed: int) -> CheckResult:
         ratio = table.info_per_energy * scene.noise_power / 2.0
         worst_ratio = max(worst_ratio, abs(ratio - 2.0 / math.pi))
         # statistic against the direct sign-correlation form
-        x_re, x_im = observation_planes(scene, Hypothesis.H0, subseed(seed, 4), 0, 1)[0]
-        stat = rao_statistic_batch(
-            bin_indices(x_re, sign_q), bin_indices(x_im, sign_q), signal, table
-        )
-        signs = np.sign(x_re) + 1j * np.sign(x_im)
+        x = observation_planes(scene, Hypothesis.H0, subseed(seed, 4), 0, 1)[0]
+        idx = bin_indices(x, sign_q)
+        stat = rao_statistic_batch(idx[0], idx[1], signal, table)
+        signs = np.sign(x[0]) + 1j * np.sign(x[1])
         direct = abs(np.conj(signal.z) @ signs) ** 2 / signal.energy
         worst_stat = max(worst_stat, abs(stat - direct) / direct)
     ok = worst_ratio <= 1e-12 and worst_stat <= 1e-12
@@ -109,11 +107,11 @@ def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     )
     thresholds = design.thresholds
     table = bin_stats_table(thresholds, scene.noise_power)
-    info = fisher_information(signal, thresholds, scene.noise_power)
+    info = signal.energy * table.info_per_energy
     planes = observation_planes(scene, Hypothesis.H0, subseed(seed, 6), 0, trials)
-    re0, im0 = bin_indices(planes[:, 0], thresholds), bin_indices(planes[:, 1], thresholds)
+    idx = bin_indices(planes, thresholds)
     del planes  # free the planes before the score sums, which set the peak
-    s_r, s_i = _score_sums(re0, im0, signal, table)
+    s_r, s_i = _score_sums(idx[:, 0], idx[:, 1], signal, table)
     # var(S_R) estimates the diagonal with SE ~ diag * sqrt(2/n);
     # E[S_R S_I] estimates 0 with SE ~ diag / sqrt(n)
     se_diag = info * math.sqrt(2.0 / trials)

@@ -311,6 +311,21 @@ def test_pool_closes_when_an_engine_call_fails(tmp_path, counting_pool, monkeypa
     assert multiprocessing.active_children() == []
 
 
+def test_run_too_large_for_memory_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    # numpy's allocation failure is a MemoryError; the command reports it
+    # in one error line, as any other run it cannot do, and writes nothing
+    def out_of_memory(cfg, hypothesis, start, stop):
+        raise MemoryError(f"Unable to allocate {8 * (stop - start)} bytes")
+
+    monkeypatch.setattr(montecarlo, "_chunk_stats", out_of_memory)
+    out = tmp_path / "roc.csv"
+    code = run(["roc", "--detectors", "inf", "--trials", "3000", "--seed", "1",
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 24000 bytes\n"
+    assert not out.exists()
+
+
 class _Interrupt(BaseException):
     """Stands in for a KeyboardInterrupt, or a probe that stops at the engine."""
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import REFERENCE_Q2
-from quantdet import detectors
+from quantdet import detectors, montecarlo
 from quantdet.detectors import (
     GlrtDetector,
     RaoDetector,
@@ -186,7 +186,7 @@ def test_score_term_table_matches_the_formula(q, rows, n, dtype, seed):
 
 
 @pytest.mark.parametrize("n, tabulated", [(256, True), (257, False)])
-def test_rao_scorer_tabulates_up_to_one_tile(monkeypatch, n, tabulated):
+def test_rao_scorer_tabulates_up_to_table_values(monkeypatch, n, tabulated):
     # q = 4 at n = 256 gives n * 4^q = 2^16 (TABLE_VALUES, the table's own
     # limit), the largest table the scorer builds; one more sample keeps the
     # direct formula.  Both score like it.
@@ -221,6 +221,28 @@ def test_scorer_buffers_carry_nothing_into_a_shorter_tile(det, n):
     assert score(full).tobytes() == detector.scorer(signal, 2.0)(full).tobytes()
     for tile in (short, row, full):
         assert score(tile).tobytes() == detector.scorer(signal, 2.0)(tile).tobytes()
+
+
+@pytest.mark.parametrize("n", [256, 257], ids=["table", "direct"])
+def test_rao_scorer_bins_each_tile_once(monkeypatch, n):
+    # a tile's Re and Im planes are binned in one bin_indices call on the
+    # whole (rows, 2, n) block, with the statistics of binning each plane
+    # on its own: for a full engine tile, a shorter tile and a one-row tile
+    calls = []
+    monkeypatch.setattr(detectors, "bin_indices",
+                        lambda values, ts: calls.append(values.shape) or bin_indices(values, ts))
+    rng = np.random.default_rng(n)
+    ts = ThresholdSet(bits=4, interior=np.linspace(-2.0, 2.0, 15))
+    signal = EffectiveSignal(g=rng.normal(size=n), h=rng.normal(size=n))
+    table = bin_stats_table(ts, 2.0)
+    score = RaoDetector(ts).scorer(signal, 2.0)
+    for rows in (montecarlo.TILE_VALUES // n, 9, 1):
+        planes = rng.normal(size=(rows, 2, n))
+        calls.clear()
+        got = score(planes)
+        assert calls == [(rows, 2, n)]
+        re0, im0 = bin_indices(planes[:, 0], ts), bin_indices(planes[:, 1], ts)
+        assert got.tobytes() == rao_statistic_batch(re0, im0, signal, table).tobytes()
 
 
 def test_score_components_match_sums(q2_ref, scene, signal):

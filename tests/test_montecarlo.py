@@ -1,13 +1,15 @@
 """Monte Carlo engine: reproducibility, calibration, ROC estimation."""
 
 import hashlib
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quantdet import montecarlo
+import oracles
+from quantdet import detectors, montecarlo
 from quantdet.detectors import GlrtDetector, RaoDetector
 from quantdet.montecarlo import (
     TrialConfig,
@@ -283,6 +285,51 @@ def test_glrt_h1_mean_matches_noncentral_moment(small_scene):
     lam = GlrtDetector().noncentrality(small_scene)
     se = np.sqrt(np.var(h1) / n)
     assert h1.mean() == pytest.approx(2.0 + lam, abs=4 * se)
+
+
+# ---------------------------------------------------------------- exact tails
+
+def _eta_near(t, prob, p_fa):
+    """A threshold between two neighbouring values of T whose exact tail is nearest ``p_fa``.
+
+    Values equal in exact arithmetic are merged by rounding, and only gaps
+    wider than 1e-6 are used, so the last bits of the engine's T cannot
+    flip a comparison with the threshold.
+    """
+    vals = np.unique(np.round(t, 9))
+    mids = ((vals[:-1] + vals[1:]) / 2)[np.diff(vals) > 1e-6]
+    srt = np.argsort(t)
+    upper = np.append(np.cumsum(prob[srt][::-1])[::-1], 0.0)  # mass at sorted index >= j
+    tail = upper[np.searchsorted(t[srt], mids, side="right")]
+    return mids[np.argmin(np.abs(np.log(tail + 1e-300) - np.log(p_fa)))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", ["table", "direct"])
+@pytest.mark.parametrize("q, snapshots, snr_db", [(1, 2, 0.0), (1, 4, -3.0), (2, 2, 0.0)],
+                         ids=["q1-n4", "q1-n8", "q2-n4"])
+def test_rao_rates_match_exact_tails(q, snapshots, snr_db, path, workers, reference_q2,
+                                     monkeypatch):
+    # on a tiny scene T takes finitely many values, so its tail is an exact
+    # sum over every bin-index pattern (oracles.exact_rao_tail); both
+    # empirical rates lie within 4 binomial SE of it.  20,000 trials per
+    # hypothesis are 5 tiles of 4,096 at n = 4 (10 of 2,048 at n = 8), and
+    # 3 (5) per range at two workers.  TABLE_VALUES = 0 forces the direct
+    # formula in place of the score-term table.
+    if path == "direct":
+        monkeypatch.setattr(detectors, "TABLE_VALUES", 0)
+    scene = SceneConfig(n_tx=1, n_rx=2, snapshots=snapshots).with_snr_db(snr_db)
+    ts = ThresholdSet(bits=q, interior=(0.0,) if q == 1 else reference_q2)
+    trials = 20_000
+    h0, h1 = run_trials(_cfg(scene, RaoDetector(ts), trials, trials, seed=41, workers=workers))
+    t, prob = oracles.rao_atoms(scene, ts, Hypothesis.H0)
+    for p_fa in (0.1, 0.01):
+        eta = _eta_near(t, prob, p_fa)
+        for stats, hypothesis in ((h0, Hypothesis.H0), (h1, Hypothesis.H1)):
+            p = oracles.exact_rao_tail(scene, ts, eta, hypothesis)
+            assert 0.0 < p < 1.0
+            se = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(exceedance(stats, eta) - p) <= 4.0 * se, (eta, hypothesis)
 
 
 # ------------------------------------------------------- thresholds/exceedance

@@ -207,14 +207,12 @@ def test_effective_signal_arrays_read_only(scene, signal):
 
 
 def test_template_caches_z_read_only():
-    # z, its conjugate and the energy are computed at the first read and
-    # kept: the same read-only arrays on every read, equal to g + j h
+    # z and the energy are computed at the first read and kept: the same
+    # read-only array on every read, equal to g + j h
     sig = effective_signal(SceneConfig(n_tx=2, n_rx=3, snapshots=5, angle=0.42))
     z = sig.z
     assert sig.z is z and not z.flags.writeable
     assert z.tobytes() == (sig.g + 1j * sig.h).tobytes()
-    assert sig._conj_z is sig._conj_z and not sig._conj_z.flags.writeable
-    assert sig._conj_z.tobytes() == np.conj(sig.g + 1j * sig.h).tobytes()
     assert sig.energy == float(np.sum(sig.g ** 2) + np.sum(sig.h ** 2))
     with pytest.raises(ValueError):
         z[0] = 0.0
@@ -223,7 +221,7 @@ def test_template_caches_z_read_only():
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(sig, protocol=protocol))
         assert not back.g.flags.writeable and not back.h.flags.writeable, protocol
-        assert {"z", "_conj_z", "energy"}.isdisjoint(vars(back)), protocol
+        assert {"z", "energy"}.isdisjoint(vars(back)), protocol
         assert back.z.tobytes() == z.tobytes() and not back.z.flags.writeable
 
 
