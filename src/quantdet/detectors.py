@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perf_theory import fisher_information
 from .quantizer import BinStats, ThresholdSet, bin_indices, bin_stats_table
 from .signal_model import EffectiveSignal, SceneConfig
 
@@ -150,8 +149,9 @@ def rao_statistic_batch(
     energy = _check_template(re_idx0.shape[-1], signal)
     n_bins = table.f.shape[0]
     for idx in (re_idx0, im_idx0):
-        # numpy would wrap a negative index silently, so check both ends
-        if idx.size and (idx.min() < 0 or idx.max() >= n_bins):
+        # numpy would wrap a negative index silently; an unsigned index, as
+        # bin_indices returns, cannot be negative, so it skips the min() pass
+        if idx.size and (idx.max() >= n_bins or idx.dtype.kind != "u" and idx.min() < 0):
             raise ValueError(f"bin index outside 0..{n_bins - 1} for the given table")
     s_r, s_i = _score_sums(re_idx0, im_idx0, signal, table, terms, scratch)
     return (s_r * s_r + s_i * s_i) / (energy * table.info_per_energy)
@@ -214,10 +214,12 @@ class RaoDetector:
         return score
 
     def noncentrality(self, scene: SceneConfig) -> float:
-        """lambda_F = |beta|^2 * E * J1 of this quantizer on the scene's template."""
-        return abs(scene.beta) ** 2 * fisher_information(
-            scene.signal, self.thresholds, scene.noise_power
-        )
+        """lambda_F = |beta|^2 * E * J1 of this quantizer on the scene's template.
+
+        A bin of negligible mass raises ``DegenerateBinError``.
+        """
+        table = bin_stats_table(self.thresholds, scene.noise_power)
+        return abs(scene.beta) ** 2 * (scene.signal.energy * table.info_per_energy)
 
 
 @dataclass(frozen=True)

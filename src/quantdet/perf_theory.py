@@ -1,12 +1,12 @@
-"""Fisher information and asymptotic detection rates.
+"""Asymptotic detection rates.
 
-At beta = 0 the Fisher information matrix of (Re beta, Im beta) is
-diagonal with equal entries E * J1 (template energy times information per
-unit energy): quantization never couples the two components at the null.
-Under H0 the statistic is asymptotically central chi-square with 2 dof,
-so the threshold for false-alarm rate p_fa is eta = -2 ln p_fa; under a
-weak H1 it is noncentral with lambda_F = |beta|^2 * E * J1.  Without a
-quantizer, J1 becomes its upper bound 2 / noise_power.
+At beta = 0 the Fisher information of (Re beta, Im beta) is diagonal with
+equal entries E * J1, template energy times the bin table's
+``info_per_energy``; quantization never couples the two at the null.  Under
+H0 the statistic is asymptotically central chi-square with 2 dof, so the
+threshold for false-alarm rate p_fa is eta = -2 ln p_fa; under a weak H1 it
+is noncentral with lambda_F = |beta|^2 * E * J1, each detector's
+``noncentrality``.  Without a quantizer, J1 is its upper bound 2 / noise_power.
 """
 
 from __future__ import annotations
@@ -15,20 +15,7 @@ import math
 
 import numpy as np
 
-from .quantizer import ThresholdSet, bin_stats_table
-from .signal_model import EffectiveSignal
 from .special import marcum_q1
-
-
-def fisher_information(
-    signal: EffectiveSignal, thresholds: ThresholdSet, noise_power: float
-) -> float:
-    """Diagonal entry E * J1 of the Fisher information at beta = 0.
-
-    Raises as :func:`~quantdet.quantizer.bin_stats_table` does.
-    """
-    table = bin_stats_table(thresholds, noise_power)
-    return float(signal.energy * table.info_per_energy)
 
 
 def asymptotic_pd(lambda_f: float, eta):

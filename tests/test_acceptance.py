@@ -23,7 +23,7 @@ from quantdet.montecarlo import (
     subseed,
 )
 from quantdet.optimizer import read_checkpoint
-from quantdet.perf_theory import asymptotic_pd, fisher_information
+from quantdet.perf_theory import asymptotic_pd
 from quantdet.quantizer import ThresholdSet, bin_indices, bin_stats_table
 from quantdet.signal_model import Hypothesis, SceneConfig, observation_planes
 from quantdet.special import chi2_2_quantile, marcum_q1
@@ -101,7 +101,8 @@ def test_criterion_1_reference_threshold_recovery(q, cli_designs, signal):
     reference = np.asarray(REFERENCE[q])
     worst = float(np.abs(ts.interior - optimum).max())
     off_reference = float(np.abs(ts.interior - reference).max())
-    ref_obj = fisher_information(signal, ThresholdSet(bits=q, interior=reference), 2.0)
+    ref_table = bin_stats_table(ThresholdSet(bits=q, interior=reference), 2.0)
+    ref_obj = signal.energy * ref_table.info_per_energy
     ratio = design["objective"] / ref_obj
     elapsed = design["elapsed"]
     ok = worst <= TAU_TOL[q] and ratio >= 0.999 and elapsed <= 120.0
@@ -136,7 +137,7 @@ def test_criterion_1_expected_values_are_stationary(signal):
     def grad_j1(interior, h=1e-5):
         def j1(x):
             ts = ThresholdSet(bits=3, interior=x)
-            return fisher_information(signal, ts, 2.0) / signal.energy
+            return signal.energy * bin_stats_table(ts, 2.0).info_per_energy / signal.energy
 
         steps = h * np.eye(len(interior))
         return np.array([(j1(interior + e) - j1(interior - e)) / (2.0 * h) for e in steps])
@@ -327,7 +328,7 @@ def test_criterion_6_closed_form_equals_numeric_score_test():
 def test_criterion_7_score_covariance_is_fisher(scene, signal, cli_designs):
     thresholds = cli_designs[2]["thresholds"]
     table = bin_stats_table(thresholds, scene.noise_power)
-    info = fisher_information(signal, thresholds, scene.noise_power)
+    info = signal.energy * table.info_per_energy
     n_trials = 100_000
     chunk = 5_000
     seed = subseed(SEED, 11)

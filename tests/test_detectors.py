@@ -22,7 +22,7 @@ from quantdet.signal_model import (
     EffectiveSignal,
     Hypothesis,
     SceneConfig,
-    synthesize_observation,
+    observation_planes,
 )
 
 
@@ -69,7 +69,8 @@ def test_one_bit_statistic_equals_sign_correlator(q1):
     cfg = SceneConfig(n_tx=2, n_rx=8, snapshots=4, angle=0.2).with_snr_db(-10.0)
     sig = cfg.signal
     for counter in range(5):
-        x = synthesize_observation(cfg, Hypothesis.H1, 77, counter)
+        re, im = observation_planes(cfg, Hypothesis.H1, 77, counter, counter + 1)[0]
+        x = re + 1j * im
         got = _rao(x, q1, sig, cfg.noise_power)
         s = np.sign(x.real) + 1j * np.sign(x.imag)
         want = np.abs(np.conj(sig.z) @ s) ** 2 / sig.energy
@@ -82,7 +83,8 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
     # acceptance suite; this is the smoke version)
     cfg = SceneConfig(n_tx=2, n_rx=2, snapshots=2, angle=0.4)
     sig = cfg.signal
-    x = synthesize_observation(cfg, Hypothesis.H0, 5, 3)
+    re, im = observation_planes(cfg, Hypothesis.H0, 5, 3, 4)[0]
+    x = re + 1j * im
     got = _rao(x, q2_ref, sig, 2.0)
     want = oracles.score_fi_statistic(
         bin_indices(x.real, q2_ref), bin_indices(x.imag, q2_ref),
@@ -96,7 +98,8 @@ def test_statistic_matches_numeric_score_oracle(q2_ref):
 def test_statistic_invariant_under_template_phase_rotation(q2_ref):
     cfg = SceneConfig(n_tx=2, n_rx=4, snapshots=4, angle=0.3)
     sig = cfg.signal
-    x = synthesize_observation(cfg, Hypothesis.H1, 9, 0)
+    re, im = observation_planes(cfg, Hypothesis.H1, 9, 0, 1)[0]
+    x = re + 1j * im
     base = _rao(x, q2_ref, sig, 2.0)
     for phase in (0.3, 1.1, -2.0):
         rot = sig.z * np.exp(1j * phase)
@@ -106,7 +109,8 @@ def test_statistic_invariant_under_template_phase_rotation(q2_ref):
 
 def test_statistic_nonnegative_on_noise(q2_ref, scene, signal):
     for counter in range(20):
-        x = synthesize_observation(scene, Hypothesis.H0, 31, counter)
+        re, im = observation_planes(scene, Hypothesis.H0, 31, counter, counter + 1)[0]
+        x = re + 1j * im
         assert _rao(x, q2_ref, signal, scene.noise_power) >= 0.0
 
 
@@ -247,9 +251,9 @@ def test_rao_scorer_bins_each_tile_once(monkeypatch, n):
 
 def test_score_components_match_sums(q2_ref, scene, signal):
     table = bin_stats_table(q2_ref, scene.noise_power)
-    x = synthesize_observation(scene, Hypothesis.H0, 2, 2)
-    re0 = bin_indices(x.real, q2_ref)
-    im0 = bin_indices(x.imag, q2_ref)
+    re, im = observation_planes(scene, Hypothesis.H0, 2, 2, 3)[0]
+    re0 = bin_indices(re, q2_ref)
+    im0 = bin_indices(im, q2_ref)
     s_r, s_i = _score_sums(re0, im0, signal, table)
     ratio = table.score_ratio
     r1 = ratio[re0]
@@ -276,7 +280,8 @@ def test_glrt_matched_and_orthogonal_inputs():
 
 
 def test_glrt_scaling_and_batch(scene, signal):
-    x = synthesize_observation(scene, Hypothesis.H1, 8, 0)
+    re, im = observation_planes(scene, Hypothesis.H1, 8, 0, 1)[0]
+    x = re + 1j * im
     base = glrt_unquantized_batch(x, signal, scene.noise_power)
     assert glrt_unquantized_batch(3.0 * x, signal, scene.noise_power) == pytest.approx(
         9.0 * base, rel=1e-12
@@ -334,10 +339,11 @@ def test_bin_index_beyond_quantizer_raises(q1, q2_ref, signal):
     for thresholds in (q1, q2_ref):
         table = bin_stats_table(thresholds, 2.0)
         for terms in (None, _score_terms(signal, table)):
-            for bad in (-1, thresholds.n_bins):
-                row = np.zeros(n, dtype=int)
+            # unsigned indices, as bin_indices returns, are checked at the top only
+            for bad, dtype in ((-1, int), (thresholds.n_bins, int), (thresholds.n_bins, np.uint8)):
+                row = np.zeros(n, dtype=dtype)
                 row[n // 2] = bad
-                block = np.zeros((3, n), dtype=int)
+                block = np.zeros((3, n), dtype=dtype)
                 block[2, -1] = bad
                 zeros = np.zeros_like(block)
                 for re0, im0 in ((row, row * 0), (row * 0, row), (block, zeros), (zeros, block)):

@@ -12,8 +12,7 @@ from quantdet.optimizer import (
     write_checkpoint,
     _repair,
 )
-from quantdet.perf_theory import fisher_information
-from quantdet.quantizer import ThresholdSet, fisher_rows
+from quantdet.quantizer import ThresholdSet, bin_stats_table, fisher_rows
 from quantdet.signal_model import EffectiveSignal
 
 
@@ -32,12 +31,12 @@ def test_objective_equals_fisher_diagonal(signal, reference_q2):
     # the swarm's vectorized score of a candidate is the Fisher diagonal E * J1
     t = ThresholdSet(bits=2, interior=reference_q2)
     obj = fisher_rows(t.interior[None, :], signal.energy, 2.0)[0]
-    assert obj == fisher_information(signal, t, 2.0)
+    assert obj == signal.energy * bin_stats_table(t, 2.0).info_per_energy
 
 
 def test_objective_frozen_reference_value(signal, frozen):
     t = ThresholdSet(bits=2, interior=frozen["opt_tau_q2"])
-    assert fisher_information(signal, t, 2.0) == pytest.approx(
+    assert signal.energy * bin_stats_table(t, 2.0).info_per_energy == pytest.approx(
         signal.energy * frozen["opt_info_q2"], rel=1e-10
     )
 
@@ -52,7 +51,9 @@ def test_objective_degenerate_candidate_is_minus_inf(signal):
 def test_objective_prefers_reference_over_shifted(signal, reference_q2):
     good = ThresholdSet(bits=2, interior=reference_q2)
     shifted = ThresholdSet(bits=2, interior=tuple(v + 0.5 for v in reference_q2))
-    assert fisher_information(signal, good, 2.0) > fisher_information(signal, shifted, 2.0)
+    info_good = signal.energy * bin_stats_table(good, 2.0).info_per_energy
+    info_shifted = signal.energy * bin_stats_table(shifted, 2.0).info_per_energy
+    assert info_good > info_shifted
 
 
 def test_repair_enforces_strict_increase():
@@ -136,7 +137,8 @@ def test_design_objectives_hit_frozen_info(designs, signal, frozen):
 def test_design_beats_canonical_grid(designs, signal):
     for q in (1, 2, 3):
         grid = ThresholdSet(bits=q, interior=canonical_grid(q, 2.0))
-        assert designs[q].achieved_objective >= fisher_information(signal, grid, 2.0) - 1e-12
+        grid_info = signal.energy * bin_stats_table(grid, 2.0).info_per_energy
+        assert designs[q].achieved_objective >= grid_info - 1e-12
 
 
 def test_designs_nearly_antisymmetric(designs):

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from quantdet.detectors import GlrtDetector, RaoDetector
-from quantdet.perf_theory import asymptotic_pd, fisher_information
-from quantdet.quantizer import ThresholdSet, bin_stats_table
+from quantdet.perf_theory import asymptotic_pd
+from quantdet.quantizer import DegenerateBinError, ThresholdSet, bin_stats_table
 from quantdet.signal_model import SceneConfig
 from quantdet.special import chi2_2_quantile, marcum_q1
 
@@ -24,19 +24,21 @@ def q2_ref(reference_q2):
 
 
 def test_fisher_info_unit_energy_sign_quantizer(q1):
-    sig = SceneConfig(n_tx=1, n_rx=1, snapshots=1).signal
-    info = fisher_information(sig, q1, noise_power=2.0)
+    unit = SceneConfig(n_tx=1, n_rx=1, snapshots=1)  # beta = 1, noise_power = 2
+    sig = unit.signal
+    info = sig.energy * bin_stats_table(q1, 2.0).info_per_energy
     assert type(info) is float
     assert info == pytest.approx(2.0 / np.pi, rel=1e-12)
-    # exactly E * J1, the diagonal entry of the (c * I) information matrix
-    assert info == sig.energy * bin_stats_table(q1, 2.0).info_per_energy
+    # exactly E * J1, the diagonal entry of the (c * I) information matrix,
+    # which is the Rao detector's noncentrality at beta = 1
+    assert info == RaoDetector(q1).noncentrality(unit)
 
 
 def test_fisher_info_scales_with_energy(q2_ref):
     small = SceneConfig(n_tx=1, n_rx=4, snapshots=8).signal
     big = SceneConfig(n_tx=1, n_rx=8, snapshots=8).signal
-    i_small = fisher_information(small, q2_ref, 2.0)
-    i_big = fisher_information(big, q2_ref, 2.0)
+    i_small = small.energy * bin_stats_table(q2_ref, 2.0).info_per_energy
+    i_big = big.energy * bin_stats_table(q2_ref, 2.0).info_per_energy
     assert i_big == pytest.approx(2.0 * i_small, rel=1e-12)
 
 
@@ -52,6 +54,9 @@ def test_noncentrality_values(scene, signal, q2_ref, frozen):
     # quadratic in the amplitude
     lam3 = rao.noncentrality(dataclasses.replace(scene, beta=3.0 * scene.beta))
     assert lam3 == pytest.approx(9.0 * lam, rel=1e-12)
+    # a degenerate design fails here, before any trial
+    with pytest.raises(DegenerateBinError):
+        RaoDetector(ThresholdSet(2, (40.0, 41.0, 42.0))).noncentrality(scene)
 
 
 def test_noncentrality_optimal_design_frozen_value(scene, signal, frozen):
