@@ -118,10 +118,6 @@ def _scene_from_spec(spec: ExperimentSpec) -> SceneConfig:
     return scene
 
 
-def _pso_config(spec: ExperimentSpec, seed: int) -> PsoConfig:
-    return PsoConfig(seed=seed, **_same_named(spec, PsoConfig, "seed"))
-
-
 def _require_seed(spec: ExperimentSpec) -> int:
     if spec.seed is None:
         raise ConfigError("this command simulates or optimizes; pass --seed (or set it in the config)")
@@ -138,44 +134,45 @@ def _out_path(spec: ExperimentSpec, default: str) -> str:
     return out
 
 
-def _resolve_thresholds(spec, scene, bits: int):
-    """Threshold set for a q-bit detector: checkpoint file if it matches, else swarm design."""
-    if spec.thresholds_path is not None:
-        ts, _meta = read_checkpoint(spec.thresholds_path)
-        if ts.bits == bits:
-            return ts, f"file {spec.thresholds_path}"
-        print(f"warning: {spec.thresholds_path} holds a {ts.bits}-bit design; "
-              f"designing q={bits} by swarm", file=sys.stderr)
-    seed = _require_seed(spec)
-    result = optimize_thresholds(
-        bits, scene.signal, scene.noise_power,
-        _pso_config(spec, subseed(seed, _PSO_SEED_PATH, bits)),
-    )
-    tag = "swarm" if result.converged else "swarm (NOT converged)"
-    return result.thresholds, tag
+def _design(spec: ExperimentSpec, scene: SceneConfig, bits: int, seed: int):
+    """The swarm's ``bits``-bit design for ``scene``, on the spec's swarm budget."""
+    pso = PsoConfig(seed=seed, **_same_named(spec, PsoConfig, "seed"))
+    return optimize_thresholds(bits, scene.signal, scene.noise_power, pso)
 
 
-def _resolve_detectors(spec, scene, simulated) -> list:
-    """(detector, threshold origin) for ``--q``, else for each ``--detectors`` token.
+def _resolve_detectors(spec, scene, tokens, simulated=()) -> list:
+    """(detector, threshold origin, lambda_F on ``scene``) for each token: a bit depth or 'inf'.
 
-    ``--q`` wins over ``--detectors`` when both are set.
-    :class:`ExperimentSpec` has checked every token, and this checks that
-    a GLRT's |z^H x|^2, about (|beta| E)^2, and its statistic stay finite
-    in each scene of ``simulated``, before it designs any threshold.
+    :class:`ExperimentSpec` has checked every token.  Before any design,
+    this checks that a GLRT's |z^H x|^2, about (|beta| E)^2, and its
+    statistic stay finite in each scene of ``simulated``.  A q-bit
+    detector reuses the ``thresholds_path`` checkpoint when it holds a
+    q-bit design, else the swarm designs one.  lambda_F is computed here,
+    so a design with an empty bin raises ``DegenerateBinError`` before
+    any trial.
     """
-    tokens = (str(spec.q),) if spec.q is not None else spec.detectors
     for s in simulated if "inf" in tokens else ():
         peak = abs(s.beta) * s.signal.energy  # |z^H x| without noise
         if not math.isfinite(peak * peak / (s.signal.energy * s.noise_power / 2.0)):
             raise ConfigError(f"the GLRT statistic overflows at |beta| = {abs(s.beta):.6g}; "
                               "lower the SNR or drop the 'inf' detector")
+    path = spec.thresholds_path
+    saved = read_checkpoint(path)[0] if path is not None and set(tokens) != {"inf"} else None
     out = []
     for tok in tokens:
         if tok == "inf":
-            out.append((GlrtDetector(), "exact"))
-            continue
-        ts, origin = _resolve_thresholds(spec, scene, int(tok))
-        out.append((RaoDetector(ts), origin))
+            detector, origin = GlrtDetector(), "exact"
+        elif saved is not None and saved.bits == int(tok):
+            detector, origin = RaoDetector(saved), f"file {path}"
+        else:
+            if saved is not None:
+                print(f"warning: {path} holds a {saved.bits}-bit design; "
+                      f"designing q={tok} by swarm", file=sys.stderr)
+            seed = subseed(_require_seed(spec), _PSO_SEED_PATH, int(tok))
+            design = _design(spec, scene, int(tok), seed)
+            detector = RaoDetector(design.thresholds)
+            origin = "swarm" if design.converged else "swarm (NOT converged)"
+        out.append((detector, origin, detector.noncentrality(scene)))
     return out
 
 
@@ -206,9 +203,7 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
     seed = _require_seed(spec)
     out = _out_path(spec, f"thresholds_q{spec.q}.txt")
     scene = _scene_from_spec(spec)
-    result = optimize_thresholds(
-        spec.q, scene.signal, scene.noise_power, _pso_config(spec, seed)
-    )
+    result = _design(spec, scene, spec.q, seed)
     write_checkpoint(out, result, seed=seed)
     print(
         f"designed q={spec.q} quantizer: objective={result.achieved_objective!r} "
@@ -231,10 +226,8 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
     out = _out_path(spec, default_out)
     scene = _scene_from_spec(spec)
     trials = spec.trials or _DEFAULT_TRIALS
-    resolved = [
-        (detector, origin, detector.noncentrality(scene))
-        for detector, origin in _resolve_detectors(spec, scene, (scene,))
-    ]
+    tokens = (str(spec.q),) if spec.q is not None else spec.detectors  # --q wins
+    resolved = _resolve_detectors(spec, scene, tokens, (scene,))
     rows = []
     with _engine_pool(spec.workers):  # one pool for every detector's run
         for d_idx, (detector, origin, lam) in enumerate(resolved):
@@ -289,14 +282,15 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     trials = spec.trials or _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
-    resolved = _resolve_detectors(spec, scene, scenes)
+    tokens = (str(spec.q),) if spec.q is not None else spec.detectors  # --q wins
+    resolved = _resolve_detectors(spec, scene, tokens, scenes)
     if spec.pfa * trials < 100:
         print(f"warning: p_fa * trials = {spec.pfa * trials:.0f} < 100: false-alarm tail is "
               "thinly sampled and the empirical threshold will be noisy", file=sys.stderr)
     eta_asym = chi2_2_quantile(spec.pfa)
     rows = []
     with _engine_pool(spec.workers):  # one pool for every H0 and H1 run
-        for d_idx, (detector, origin) in enumerate(resolved):
+        for d_idx, (detector, origin, _) in enumerate(resolved):
             print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}")
             h0, _ = run_trials(TrialConfig(scene, detector, trials, 0, subseed(seed, d_idx, 0),
                                            spec.workers))
@@ -316,20 +310,16 @@ def cmd_theory(spec: ExperimentSpec) -> int:
     """One detector's asymptotic curve on a false-alarm grid, to CSV, with no simulation."""
     out = _out_path(spec, "theory.csv")
     scene = _scene_from_spec(spec)
-    # --q designs (or reuses a matching file) as roc does; else the file; else GLRT
-    if spec.q is not None:
-        ts, origin = _resolve_thresholds(spec, scene, spec.q)
-        detector, note = RaoDetector(ts), f" (thresholds {origin})"
-    elif spec.thresholds_path is not None:
-        detector, note = RaoDetector(read_checkpoint(spec.thresholds_path)[0]), ""
-    else:
-        detector, note = GlrtDetector(), ""
-    lam = detector.noncentrality(scene)
+    path = spec.thresholds_path  # one token: --q, else the file's bit depth, else the GLRT
+    token = (spec.q if spec.q is not None
+             else read_checkpoint(path)[0].bits if path is not None else "inf")
+    [(detector, origin, lam)] = _resolve_detectors(spec, scene, (str(token),))
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
     eta = np.array([chi2_2_quantile(p) for p in pfa_grid])
     rows = [(p, e, lam, p_d) for p, e, p_d in zip(pfa_grid, eta, asymptotic_pd(lam, eta))]
     count = _write_csv(out, _THEORY_HEADER, rows)
-    print(f"theory curve for {detector.label} q={detector.q_label}{note}, lambda_f={lam:.6g}")
+    print(f"theory curve for {detector.label} q={detector.q_label} (thresholds {origin}), "
+          f"lambda_f={lam:.6g}")
     print(f"wrote {count} rows to {out}")
     return 0
 

@@ -195,7 +195,7 @@ def read_checkpoint(path):
     """Load a checkpoint: (ThresholdSet, metadata dict of str).
 
     Metadata lines are optional, so a bare ``bits; t1,...`` file loads too.
-    A malformed or missing payload line raises ``ValueError``.
+    A malformed, missing or second payload line raises ``ValueError``.
     """
     meta: dict[str, str] = {}
     payload = None
@@ -209,8 +209,9 @@ def read_checkpoint(path):
                 if sep:
                     meta[key.strip()] = value.strip()
                 continue
+            if payload is not None:
+                raise ValueError(f"second threshold payload line in {path}: {line!r}")
             payload = line
-            break
     if payload is None:
         raise ValueError(f"no threshold payload line found in {path}")
     head, sep, body = payload.partition(";")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import RaoDetector, _score_sums, rao_statistic_batch
-from .montecarlo import TrialConfig, run_trials, subseed
+from .montecarlo import TILE_VALUES, TrialConfig, run_trials, subseed
 from .optimizer import PsoConfig, optimize_thresholds
 from .quantizer import ThresholdSet, bin_indices, bin_probability, bin_stats_table
 from .signal_model import (
@@ -108,10 +108,16 @@ def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     thresholds = design.thresholds
     table = bin_stats_table(thresholds, scene.noise_power)
     info = signal.energy * table.info_per_energy
-    planes = observation_planes(scene, Hypothesis.H0, subseed(seed, 6), 0, trials)
-    idx = bin_indices(planes, thresholds)
-    del planes  # free the planes before the score sums, which set the peak
-    s_r, s_i = _score_sums(idx[:, 0], idx[:, 1], signal, table)
+    # draw, bin and score one engine tile of trials at a time: one block
+    # of 20,000 trials' planes would set the command's peak memory
+    tile = max(1, TILE_VALUES // scene.n_samples)
+    sums = []
+    for start in range(0, trials, tile):
+        planes = observation_planes(scene, Hypothesis.H0, subseed(seed, 6), start,
+                                    min(start + tile, trials))
+        idx = bin_indices(planes, thresholds)
+        sums.append(_score_sums(idx[:, 0], idx[:, 1], signal, table))
+    s_r, s_i = (np.concatenate(parts) for parts in zip(*sums))
     # var(S_R) estimates the diagonal with SE ~ diag * sqrt(2/n);
     # E[S_R S_I] estimates 0 with SE ~ diag / sqrt(n)
     se_diag = info * math.sqrt(2.0 / trials)

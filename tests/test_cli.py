@@ -127,6 +127,34 @@ def test_roc_degenerate_threshold_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pd-snr", "--detectors", "inf,2", "--snr-grid=-10,-8,-6"],
+    ["roc", "--detectors", "inf,2"],
+], ids=lambda argv: argv[0])
+def test_empty_bin_in_any_detector_exits_2_before_any_trial(argv, tmp_path, monkeypatch,
+                                                             capsys):
+    # every detector's lambda_F is computed before the first trial, so a
+    # 2-bit file whose outer bins carry no mass stops pd-snr before the
+    # GLRT listed ahead of it runs (the GLRT alone would be five engine calls)
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return montecarlo.run_trials(cfg)
+
+    monkeypatch.setattr(cli, "run_trials", counting)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2; 40.0,41.0,42.0\n")
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--thresholds", str(bad), "--trials", "200", "--seed", "1",
+                "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+
+
 def test_roc_flag_overrides_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("trials = 300\nseed = 8\nq = 1\npfa_grid = 0.1\n")
@@ -439,6 +467,27 @@ def test_theory_q_designs_when_the_file_has_other_bits(tmp_path, capsys):
     assert _read(out) == _read(direct)
 
 
+def test_theory_q_uses_a_file_of_the_same_bits(tmp_path, capsys, monkeypatch):
+    # --q with a file of that depth reads the file, as roc does, and writes
+    # the bytes of the file alone; no swarm runs and nothing goes to stderr
+    ts_file = tmp_path / "q2.txt"
+    assert run(["thresholds", "--q", "2", "--seed", "1", "--out", str(ts_file)]) == 0
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("optimize_thresholds was called")
+
+    monkeypatch.setattr(cli, "optimize_thresholds", no_design)
+    capsys.readouterr()
+    out, alone = tmp_path / "t.csv", tmp_path / "alone.csv"
+    assert run(["theory", "--q", "2", "--thresholds", str(ts_file), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert f"theory curve for rao q=2 (thresholds file {ts_file})," in captured.out
+    assert captured.err == ""
+    assert run(["theory", "--thresholds", str(ts_file), "--out", str(alone)]) == 0
+    assert f"theory curve for rao q=2 (thresholds file {ts_file})," in capsys.readouterr().out
+    assert out.read_bytes() == alone.read_bytes()
+
+
 # SHA-256 of theory CSVs recorded from the Marcum series before the theory
 # column moved into asymptotic_pd: a change to any written bit shows here
 _THEORY_SHA256 = {
@@ -487,14 +536,19 @@ def test_theory_column_equals_estimate_roc(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["2 -0.9,0.0,0.9\n", "2; -0.9,0.9\n", "two; -0.9,0.0,0.9\n", "# seed = 1\n"],
-    ids=["no-separator", "count-mismatch", "non-integer-bits", "no-payload"],
+    ["2 -0.9,0.0,0.9\n", "2; -0.9,0.9\n", "two; -0.9,0.0,0.9\n", "# seed = 1\n",
+     "2; -0.9,0.0,0.9\n1; 0.0\n"],
+    ids=["no-separator", "count-mismatch", "non-integer-bits", "no-payload", "two-payloads"],
 )
 def test_malformed_threshold_file_exits_1_before_any_trial(content, tmp_path, monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("run_trials was called")
 
+    def no_design(*args, **kwargs):
+        raise AssertionError("optimize_thresholds was called")
+
     monkeypatch.setattr(cli, "run_trials", no_trials)
+    monkeypatch.setattr(cli, "optimize_thresholds", no_design)
     bad = tmp_path / "bad.txt"
     bad.write_text(content)
     out = tmp_path / "roc.csv"

@@ -221,6 +221,18 @@ def test_checkpoint_malformed_payload_raises(tmp_path):
             read_checkpoint(path)
 
 
+def test_checkpoint_second_payload_raises(tmp_path):
+    # one payload per file: a second one raises rather than loading the first;
+    # blank and '#' lines after the payload still load
+    path = tmp_path / "two.txt"
+    path.write_text("2; -0.9,0.0,0.9\n1; 0.0\n")
+    with pytest.raises(ValueError, match="second threshold payload"):
+        read_checkpoint(path)
+    path.write_text("2; -0.9,0.0,0.9\n\n# note = kept\n")
+    ts, meta = read_checkpoint(path)
+    assert ts.bits == 2 and meta == {"note": "kept"}
+
+
 def test_checkpoint_without_payload_raises(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# seed = 4\n\n")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from quantdet import selftest
+from quantdet.montecarlo import TILE_VALUES
 from quantdet.quantizer import BinStats, bin_stats_table
 from quantdet.selftest import CheckResult, run_selftest
+from quantdet.signal_model import SceneConfig
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +82,23 @@ def test_exceptions_become_failures(monkeypatch):
 def test_results_are_immutable(results):
     with pytest.raises(dataclasses.FrozenInstanceError):
         results[0].passed = False
+
+
+def test_fisher_identity_draws_one_tile_at_a_time(monkeypatch):
+    # the check's 20,000 trials are drawn, binned and scored one engine tile
+    # of rows at a time, and the result is that of one 20,000-row block
+    rows = []
+    draw = selftest.observation_planes
+
+    def counting(scene, hypothesis, seed, start, stop):
+        rows.append(stop - start)
+        return draw(scene, hypothesis, seed, start, stop)
+
+    monkeypatch.setattr(selftest, "observation_planes", counting)
+    tiled = selftest._check_fisher_identity(20260819, 20000)
+    assert max(rows) == TILE_VALUES // SceneConfig().n_samples
+    assert sum(rows) == 20000
+    monkeypatch.setattr(selftest, "TILE_VALUES", 20000 * SceneConfig().n_samples)
+    rows.clear()
+    assert selftest._check_fisher_identity(20260819, 20000) == tiled
+    assert rows == [20000]
