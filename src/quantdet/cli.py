@@ -140,24 +140,32 @@ def _design(spec: ExperimentSpec, scene: SceneConfig, bits: int, seed: int):
     return optimize_thresholds(bits, scene.signal, scene.noise_power, pso)
 
 
-def _resolve_detectors(spec, scene, tokens, simulated=()) -> list:
-    """(detector, threshold origin, lambda_F on ``scene``) for each token: a bit depth or 'inf'.
+def _resolve_detectors(spec, scene, tokens=None, simulated=()) -> list:
+    """(detector, threshold origin, lambda_F on ``scene``) for each of the command's detectors.
 
-    :class:`ExperimentSpec` has checked every token.  Before any design,
-    this checks that a GLRT's |z^H x|^2, about (|beta| E)^2, and its
-    statistic stay finite in each scene of ``simulated``.  A q-bit
-    detector reuses the ``thresholds_path`` checkpoint when it holds a
-    q-bit design, else the swarm designs one.  lambda_F is computed here,
-    so a design with an empty bin raises ``DegenerateBinError`` before
-    any trial.
+    This is the one reader of ``q`` and ``thresholds_path`` in roc,
+    pd-eta, pd-snr and theory.  The detectors are ``(q,)`` if ``q`` is
+    set, else ``tokens`` (bit depths and/or 'inf', checked by
+    :class:`ExperimentSpec`); theory passes none and gets the file's bit
+    depth, else 'inf'.  A given file is read, and so checked, once and
+    first.  Before any design, this checks that a GLRT's |z^H x|^2, about
+    (|beta| E)^2, and its statistic stay finite in each scene of
+    ``simulated``.  A q-bit detector reuses the file when it holds a q-bit
+    design, else the swarm designs one.  lambda_F is computed here, so a
+    design with an empty bin raises ``DegenerateBinError`` before any
+    trial.
     """
+    path = spec.thresholds_path
+    saved = read_checkpoint(path)[0] if path is not None else None
+    if spec.q is not None:  # --q wins over --detectors
+        tokens = (str(spec.q),)
+    elif tokens is None:
+        tokens = (str(saved.bits) if saved is not None else "inf",)
     for s in simulated if "inf" in tokens else ():
         peak = abs(s.beta) * s.signal.energy  # |z^H x| without noise
         if not math.isfinite(peak * peak / (s.signal.energy * s.noise_power / 2.0)):
             raise ConfigError(f"the GLRT statistic overflows at |beta| = {abs(s.beta):.6g}; "
                               "lower the SNR or drop the 'inf' detector")
-    path = spec.thresholds_path
-    saved = read_checkpoint(path)[0] if path is not None and set(tokens) != {"inf"} else None
     out = []
     for tok in tokens:
         if tok == "inf":
@@ -226,8 +234,7 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
     out = _out_path(spec, default_out)
     scene = _scene_from_spec(spec)
     trials = spec.trials or _DEFAULT_TRIALS
-    tokens = (str(spec.q),) if spec.q is not None else spec.detectors  # --q wins
-    resolved = _resolve_detectors(spec, scene, tokens, (scene,))
+    resolved = _resolve_detectors(spec, scene, spec.detectors, (scene,))
     rows = []
     with _engine_pool(spec.workers):  # one pool for every detector's run
         for d_idx, (detector, origin, lam) in enumerate(resolved):
@@ -282,8 +289,7 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     trials = spec.trials or _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
-    tokens = (str(spec.q),) if spec.q is not None else spec.detectors  # --q wins
-    resolved = _resolve_detectors(spec, scene, tokens, scenes)
+    resolved = _resolve_detectors(spec, scene, spec.detectors, scenes)
     if spec.pfa * trials < 100:
         print(f"warning: p_fa * trials = {spec.pfa * trials:.0f} < 100: false-alarm tail is "
               "thinly sampled and the empirical threshold will be noisy", file=sys.stderr)
@@ -310,10 +316,7 @@ def cmd_theory(spec: ExperimentSpec) -> int:
     """One detector's asymptotic curve on a false-alarm grid, to CSV, with no simulation."""
     out = _out_path(spec, "theory.csv")
     scene = _scene_from_spec(spec)
-    path = spec.thresholds_path  # one token: --q, else the file's bit depth, else the GLRT
-    token = (spec.q if spec.q is not None
-             else read_checkpoint(path)[0].bits if path is not None else "inf")
-    [(detector, origin, lam)] = _resolve_detectors(spec, scene, (str(token),))
+    [(detector, origin, lam)] = _resolve_detectors(spec, scene)
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
     eta = np.array([chi2_2_quantile(p) for p in pfa_grid])
     rows = [(p, e, lam, p_d) for p, e, p_d in zip(pfa_grid, eta, asymptotic_pd(lam, eta))]

@@ -121,27 +121,34 @@ _pool = None
 
 @contextmanager
 def _engine_pool(workers: int):
-    """Run every engine call inside the block on one process pool.
+    """Decide where the block's engine calls run, and yield the ``map`` that runs them there.
 
-    Yields the open pool: an enclosing block's if there is one, else a new
-    pool of ``workers`` processes (at most one per CPU), or None when one
-    process is enough.  The CLI runs all of a command's engine calls in
-    one block, so there is one pool per command, and a :func:`run_trials`
-    outside any block builds one for that call.  The executor forks at the
-    first range submitted, after every threshold design; a new pool is
-    shut down, its processes joined, when its block exits, on an exception
-    too.  One pool per command in place of one per engine call took
-    pd_snr_sweep from 12 pools to 1, and its wall time from 1.545 to 1.339 s.
+    This is the one place that decides between in-process and pool: an
+    enclosing block's open pool if there is one, else builtin ``map``
+    when one process is enough, else a new pool of ``workers`` processes
+    (at most one per CPU).  The CLI runs all of a command's engine calls
+    in one block, so there is one pool per command, and a
+    :func:`run_trials` outside any block builds one for that call.  The
+    executor forks at the first range submitted, after every threshold
+    design; a new pool is shut down, its processes joined, when its block
+    exits, on an exception too, and a worker that died raises
+    ``ChildProcessError``.  One pool per command in place of one per
+    engine call took pd_snr_sweep from 12 pools to 1, and its wall time
+    from 1.545 to 1.339 s.
     """
     global _pool
     if _pool is not None or _processes(workers) <= 1:
-        yield _pool
+        yield map if _pool is None else _pool.map
         return
+    from concurrent.futures.process import BrokenProcessPool
+
     executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     with executor(max_workers=_processes(workers)) as pool:
         _pool = pool
         try:
-            yield pool
+            yield pool.map
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(str(exc)) from exc
         finally:
             _pool = None
 
@@ -149,20 +156,17 @@ def _engine_pool(workers: int):
 def run_trials(cfg: TrialConfig):
     """Simulate both hypotheses: (h0_stats, h1_stats), float64 arrays in trial-index order.
 
-    H0's index ranges, then H1's, one range per process, form one plan of
-    :func:`_chunk_stats` calls.  It runs in-process when one process is
-    enough, else on the :func:`_engine_pool` pool, of no more processes
-    than ranges.
+    This decides how the trials split: H0's index ranges, then H1's, one
+    range per process, form one plan of :func:`_chunk_stats` calls.
+    Where the plan runs, :func:`_engine_pool` decides, asked for no more
+    processes than ranges.
     """
     plan = [(h, a, min(a + cfg.batch_size, n))
             for h, n in ((Hypothesis.H0, cfg.n_trials_h0), (Hypothesis.H1, cfg.n_trials_h1))
             for a in range(0, n, cfg.batch_size)]
-    processes = min(_processes(cfg.workers), len(plan))
-    if processes <= 1:
-        chunks = [_chunk_stats(cfg, h, a, b) for h, a, b in plan]
-    else:
-        with _engine_pool(processes) as pool:
-            chunks = list(pool.map(_chunk_stats, repeat(cfg), *zip(*plan)))
+    with _engine_pool(min(cfg.workers, len(plan))) as run:
+        # repeat is bounded so that an empty plan maps nothing
+        chunks = list(run(_chunk_stats, repeat(cfg, len(plan)), *zip(*plan)))
     stats = np.concatenate([np.empty(0), *chunks])  # H0's trials in index order, then H1's
     return stats[: cfg.n_trials_h0], stats[cfg.n_trials_h0 :]
 

@@ -5,7 +5,8 @@ Each check tests a consequence of the model, not a re-run of the code:
 * ``null_moments`` -- H0 Rao statistics have chi-square(2) mean, variance
   and 1% tail.
 * ``one_bit_closed_form`` -- a sign quantizer keeps exactly 2/pi of the
-  information, and its statistic is the direct sign-correlation formula.
+  information, and the engine's scorer gives the direct sign-correlation
+  formula.
 * ``fisher_identity`` -- the Monte Carlo covariance of the score at
   beta = 0 is the information matrix (equal diagonal, no cross term).
 * ``score_test_identity`` -- the closed form equals a numerically
@@ -87,10 +88,10 @@ def _check_one_bit(seed: int) -> CheckResult:
         # information ratio against the unquantized limit 2 / noise_power
         ratio = table.info_per_energy * scene.noise_power / 2.0
         worst_ratio = max(worst_ratio, abs(ratio - 2.0 / math.pi))
-        # statistic against the direct sign-correlation form
-        x = observation_planes(scene, Hypothesis.H0, subseed(seed, 4), 0, 1)[0]
-        idx = bin_indices(x, sign_q)
-        stat = rao_statistic_batch(idx[0], idx[1], signal, table)
+        # the engine's scoring path against the direct sign-correlation form
+        planes = observation_planes(scene, Hypothesis.H0, subseed(seed, 4), 0, 1)
+        stat = RaoDetector(sign_q).scorer(signal, scene.noise_power)(planes)[0]
+        x = planes[0]
         signs = np.sign(x[0]) + 1j * np.sign(x[1])
         direct = abs(np.conj(signal.z) @ signs) ** 2 / signal.energy
         worst_stat = max(worst_stat, abs(stat - direct) / direct)

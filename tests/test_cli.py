@@ -155,6 +155,30 @@ def test_empty_bin_in_any_detector_exits_2_before_any_trial(argv, tmp_path, monk
     assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [None, "2 -0.9,0.0,0.9\n"], ids=["missing", "malformed"])
+@pytest.mark.parametrize("argv", [
+    ["roc", "--detectors", "inf"],
+    ["pd-snr", "--detectors", "inf", "--snr-grid=-10"],
+], ids=lambda argv: argv[0])
+def test_glrt_only_run_checks_its_threshold_file_before_any_trial(argv, content, tmp_path,
+                                                                  monkeypatch, capsys):
+    # a given --thresholds is read and checked even when no detector is
+    # quantized, so a missing or malformed file exits 1 before any trial
+    calls = []
+    monkeypatch.setattr(cli, "run_trials", calls.append)
+    path = tmp_path / "q.txt"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--thresholds", str(path), "--trials", "50", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert calls == []
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_roc_flag_overrides_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("trials = 300\nseed = 8\nq = 1\npfa_grid = 0.1\n")
@@ -354,6 +378,26 @@ def test_run_too_large_for_memory_exits_1_in_one_line(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+def _chunk_stats_dying(cfg, hypothesis, start, stop):
+    os._exit(9)  # the worker process dies mid-range
+
+
+def test_dead_worker_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    # a pool whose worker died is reported as any other run the command
+    # cannot do: one error line, no output file, the pool's slot cleared
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a pool of two even on one CPU
+    monkeypatch.setattr(montecarlo, "_chunk_stats", _chunk_stats_dying)
+    out = tmp_path / "roc.csv"
+    code = run(["roc", "--detectors", "inf", "--trials", "400", "--workers", "2",
+                "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert montecarlo._pool is None
+    assert multiprocessing.active_children() == []
+
+
 class _Interrupt(BaseException):
     """Stands in for a KeyboardInterrupt, or a probe that stops at the engine."""
 
@@ -486,6 +530,22 @@ def test_theory_q_uses_a_file_of_the_same_bits(tmp_path, capsys, monkeypatch):
     assert run(["theory", "--thresholds", str(ts_file), "--out", str(alone)]) == 0
     assert f"theory curve for rao q=2 (thresholds file {ts_file})," in capsys.readouterr().out
     assert out.read_bytes() == alone.read_bytes()
+
+
+def test_theory_reads_its_threshold_file_once(tmp_path, monkeypatch, capsys):
+    # the file both picks the detector (its bit depth) and supplies its design
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return read_checkpoint(path)
+
+    monkeypatch.setattr(cli, "read_checkpoint", counting)
+    ts_file = tmp_path / "q2.txt"
+    ts_file.write_text("2; -0.9,0.0,0.9\n")
+    assert run(["theory", "--thresholds", str(ts_file), "--out", str(tmp_path / "t.csv")]) == 0
+    assert reads == [str(ts_file)]
+    assert f"theory curve for rao q=2 (thresholds file {ts_file})," in capsys.readouterr().out
 
 
 # SHA-256 of theory CSVs recorded from the Marcum series before the theory

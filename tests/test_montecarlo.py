@@ -157,6 +157,49 @@ def test_one_range_per_worker(small_scene, rao2, monkeypatch, trials, workers, p
     assert h0.shape == (n0,) and h1.shape == (n1,)
 
 
+class _RecordingPool(montecarlo.ProcessPoolExecutor):
+    """The engine's executor, recording the ranges each ``map`` call is given."""
+
+    mapped: list = []
+
+    def map(self, fn, *iterables):
+        iterables = [list(it) for it in iterables]
+        self.mapped.append(list(zip(*iterables[-2:])))
+        return super().map(fn, *iterables)
+
+
+def test_one_range_call_runs_on_an_open_pool(small_scene, rao2, monkeypatch):
+    # _engine_pool alone decides where a call runs: inside an open block a
+    # one-range call runs on that block's pool, with the bytes of a call
+    # outside any block
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "mapped", [])
+    cfg = _cfg(small_scene, rao2, 300, 0, seed=5)
+    alone = run_trials(cfg)
+    assert _RecordingPool.mapped == []
+    with montecarlo._engine_pool(2) as run:
+        assert run == montecarlo._pool.map
+        pooled = run_trials(cfg)
+    assert _RecordingPool.mapped == [[(0, 300)]]
+    assert montecarlo._pool is None
+    for a, b in zip(alone, pooled):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("in_block", [False, True], ids=["alone", "in-block"])
+def test_zero_trial_call_returns_two_empty_arrays(small_scene, rao2, monkeypatch, in_block):
+    # an empty plan maps nothing, in-process or on an open pool
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "opened", [])
+    with montecarlo._engine_pool(4 if in_block else 1):
+        h0, h1 = run_trials(_cfg(small_scene, rao2, 0, 0, seed=1, workers=4))
+    for stats in (h0, h1):
+        assert stats.shape == (0,) and stats.dtype == np.float64
+    assert [ranges for _, ranges in _SerialPool.opened] == ([[]] if in_block else [])
+
+
 def test_null_trials_independent_of_beta(small_scene, rao2):
     # H0 never touches beta, so rescaling the target must not move it
     loud = small_scene.with_snr_db(0.0)

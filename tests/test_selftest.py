@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from quantdet import selftest
+from quantdet import detectors, selftest
 from quantdet.montecarlo import TILE_VALUES
 from quantdet.quantizer import BinStats, bin_stats_table
 from quantdet.selftest import CheckResult, run_selftest
@@ -66,6 +66,24 @@ def test_corrupted_table_is_caught(monkeypatch):
         r"max\|ratio-2/pi\|=(\S+) max_rel_stat_err=(\S+)", by_name["one_bit_closed_form"].detail
     )
     assert one_bit and max(float(one_bit[1]), float(one_bit[2])) > 1e-12
+
+
+def test_corrupted_score_terms_are_caught(monkeypatch):
+    # the one-bit check scores through the engine's scorer, so a score-term
+    # table that disagrees with the computed terms (every other S_R column
+    # off by 5%) fails it on its statistic
+    score_terms = detectors._score_terms
+
+    def skewed(signal, table):
+        terms = score_terms(signal, table)
+        terms[0, ::2] *= 1.05
+        return terms
+
+    monkeypatch.setattr(detectors, "_score_terms", skewed)
+    result = selftest._check_one_bit(20260819)
+    assert not result.passed
+    one_bit = re.fullmatch(r"max\|ratio-2/pi\|=(\S+) max_rel_stat_err=(\S+)", result.detail)
+    assert one_bit and float(one_bit[1]) <= 1e-12 and float(one_bit[2]) > 1e-12
 
 
 def test_exceptions_become_failures(monkeypatch):
