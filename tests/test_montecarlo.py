@@ -2,8 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,9 +251,10 @@ def rao3(reference_q3):
 
 def test_tile_boundary_invariance(large_scene, rao3):
     # 97 = 12 * 8 + 1 trials: one range of thirteen tiles, the last holding
-    # one row in a prefix of the range's buffers, ranges of 33 (four 8-row
-    # tiles and one row) and 64 rows (eight tiles), and one-row ranges must
-    # all give the untiled block's statistics byte for byte
+    # one row in new planes and in a prefix of the scorer's buffers, ranges
+    # of 33 (four 8-row tiles and one row) and 64 rows (eight tiles), and
+    # one-row ranges must all give the untiled block's statistics byte for
+    # byte
     signal = large_scene.signal
     for det in (rao3, GlrtDetector()):
         cfg = _cfg(large_scene, det, 97, 97, seed=12)
@@ -288,13 +292,15 @@ def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
 @pytest.mark.parametrize("det", ["rao", "glrt"])
 def test_a_range_reuses_its_buffers(large_scene, rao3, det):
-    # a range allocates one tile's planes and scoring buffers and reuses
-    # them for every tile: once a first range has warmed the allocator, a
-    # range of 189 tiles takes fewer minor page faults than a one-tile range
-    # (which allocates the same buffers) plus its 188 further tiles.  Fresh
-    # planes, gathers and index arrays per tile took tens of thousands.
-    # The buffers' own pages are not counted, as the heap may hand them back
-    # to the system between ranges.
+    # a range keeps the scorer's buffers (the Rao test's index and gather
+    # arrays, the GLRT's complex rows) and reuses them for every tile; it
+    # keeps no planes, which are new per tile and freed once scored.  Once
+    # a first range has warmed the allocator, a range of 189 tiles takes
+    # fewer minor page faults than a one-tile range (which allocates the
+    # same buffers) plus its 188 further tiles.  The buffers' own pages are
+    # not counted, as the heap may hand them back to the system between
+    # ranges.  This process's heap can meet the bound without the buffers
+    # too; the next test checks a command in a fresh interpreter.
     import resource
 
     tile = max(1, montecarlo.TILE_VALUES // large_scene.n_samples)
@@ -309,6 +315,40 @@ def test_a_range_reuses_its_buffers(large_scene, rao3, det):
     one_tile = faults(tile)
     extra = faults(189 * tile) - one_tile
     assert extra < 188, f"{extra} minor faults in 188 tiles"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
+@pytest.mark.parametrize("det", ["3", "inf"], ids=["rao", "glrt"])
+def test_a_command_reuses_its_buffers_in_a_fresh_interpreter(tmp_path, large_scene, det):
+    # whether a tile that frees its arrays takes fresh pages depends on the
+    # heap's history, which this suite's own allocations change: on glibc
+    # 2.36 the test above passed, alone and in the whole suite, with every
+    # scorer buffer removed.  So a command runs in a fresh interpreter, on
+    # one detector: once a first run has warmed the allocator, a roc run of
+    # 101 tiles per hypothesis takes fewer minor page faults than a
+    # one-tile run plus its 200 further tiles.  Without the Rao scorer's
+    # buffers the Rao run took about 29,000 more, and with a new GLRT
+    # interleave array per tile the GLRT run took about 19,000 more.
+    tile = max(1, montecarlo.TILE_VALUES // large_scene.n_samples)
+    (tmp_path / "large.cfg").write_text("n_tx = 4\nn_rx = 64\nsnapshots = 32\n")
+    script = (
+        "import resource\n"
+        "from quantdet import cli\n"
+        "def faults(trials):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"    assert cli.main(['roc', '--config', 'large.cfg', '--detectors', '{det}',\n"
+        "                     '--snr-db=-22', '--trials', str(trials), '--workers', '1',\n"
+        "                     '--seed', '1', '--out', 'r.csv']) == 0\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        f"faults({tile})\n"
+        f"one_tile = faults({tile})\n"
+        f"print(faults({101 * tile}) - one_tile)\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    extra = int(done.stdout.splitlines()[-1])
+    assert extra < 200, f"{extra} minor faults in 200 tiles"
 
 
 # ------------------------------------------------------------------ detectors

@@ -4,8 +4,12 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import quantdet
 from quantdet import cli
+from quantdet.detectors import GlrtDetector
 from quantdet.experiment import ExperimentSpec
 
 PUBLIC = [
@@ -46,6 +50,36 @@ def test_config_keys_and_flags_are_pinned():
     assert [f.name for f in dataclasses.fields(quantdet.PsoConfig)] == [
         "seed", "max_iters", "stall_iters"
     ]
+
+
+def _trial_config(**count):
+    counts = {"n_trials_h0": 10, "n_trials_h1": 10, **count}
+    return quantdet.TrialConfig(scene=quantdet.SceneConfig(), detector=GlrtDetector(), seed=1,
+                                **counts)
+
+
+def _pso_config(**count):
+    return quantdet.PsoConfig(seed=1, **count)
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (_trial_config, "n_trials_h0", 10.0),
+        (_trial_config, "n_trials_h1", np.float64(10.0)),
+        (_trial_config, "workers", 1.5),
+        (_trial_config, "workers", "2"),
+        (_pso_config, "max_iters", 10.0),
+        (_pso_config, "stall_iters", 2.5),
+    ],
+)
+def test_configs_reject_a_non_integer_count_when_built(build, field, value):
+    # a count that is not an integer fails when the config is built, not
+    # with a TypeError inside the engine or after some swarm iterations;
+    # numpy integers are counts too
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        build(**{field: value})
+    build(**{field: np.int64(3)})
 
 
 def test_every_public_module_level_name_has_a_docstring():
