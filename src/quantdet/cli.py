@@ -184,15 +184,11 @@ def _resolve_detectors(spec, scene, tokens=None, simulated=()) -> list:
     return out
 
 
-def _write_csv(path: str, header, rows) -> int:
-    count = 0
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_value(v) for v in row])
-            count += 1
-    return count
+        writer.writerows([_format_value(v) for v in row] for row in rows)
 
 
 def _codeword_lines(thresholds: ThresholdSet) -> list:
@@ -254,8 +250,8 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
                        curve.p_d_theory)
             rows += [(detector.label, detector.q_label, *point, curve.n_h0, curve.n_h1)
                      for point in zip(*columns)]
-    count = _write_csv(out, _ROC_HEADER, rows)
-    print(f"wrote {count} rows to {out}")
+    _write_csv(out, _ROC_HEADER, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -307,8 +303,8 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
                 p_d_asym, p_d_emp = exceedance(h1, [eta_asym, eta_emp])  # one sort
                 rows.append((detector.label, detector.q_label, snr_db, spec.pfa, eta_asym,
                              p_d_asym, p_d_emp, trials))
-    count = _write_csv(out, _SWEEP_HEADER, rows)
-    print(f"wrote {count} rows to {out}")
+    _write_csv(out, _SWEEP_HEADER, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -320,10 +316,10 @@ def cmd_theory(spec: ExperimentSpec) -> int:
     pfa_grid = spec.pfa_grid or tuple(np.logspace(-4.0, np.log10(0.5), 25))
     eta = np.array([chi2_2_quantile(p) for p in pfa_grid])
     rows = [(p, e, lam, p_d) for p, e, p_d in zip(pfa_grid, eta, asymptotic_pd(lam, eta))]
-    count = _write_csv(out, _THEORY_HEADER, rows)
+    _write_csv(out, _THEORY_HEADER, rows)
     print(f"theory curve for {detector.label} q={detector.q_label} (thresholds {origin}), "
           f"lambda_f={lam:.6g}")
-    print(f"wrote {count} rows to {out}")
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 

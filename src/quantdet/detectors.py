@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -186,10 +187,7 @@ class RaoDetector:
     """Quantized Rao detector with a fixed threshold design."""
 
     thresholds: ThresholdSet
-
-    @property
-    def label(self) -> str:
-        return "rao"
+    label: ClassVar[str] = "rao"
 
     @property
     def q_label(self) -> str:
@@ -230,13 +228,8 @@ class RaoDetector:
 class GlrtDetector:
     """Unquantized matched-filter GLRT (infinite-resolution benchmark)."""
 
-    @property
-    def label(self) -> str:
-        return "glrt"
-
-    @property
-    def q_label(self) -> str:
-        return "inf"
+    label: ClassVar[str] = "glrt"
+    q_label: ClassVar[str] = "inf"
 
     def scorer(self, signal: EffectiveSignal, noise_power: float):
         """Scoring step of one index range: (batch, 2, n) float64 planes -> (batch,) statistics.

@@ -119,18 +119,6 @@ def _info_per_energy(f, f1, f2):
         return ((f1 ** 2 - f2 * f) / f).sum(axis=-1)
 
 
-def bin_probability(u, i: int, thresholds: ThresholdSet, noise_power: float):
-    """Probability that N(u, noise_power/2) falls in bin ``i``: a float, or an array of u's shape.
-
-    An ``i`` outside 0..2^bits - 1 raises ``ValueError``.
-    """
-    if not 0 <= i < thresholds.n_bins:
-        raise ValueError(f"bin index {i} outside 0..{thresholds.n_bins - 1}")
-    u = np.asarray(u, dtype=float)
-    out = _stats_from_edges(thresholds.edges()[i : i + 2] - u[..., None], noise_power)[0][..., 0]
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class BinStats:
     """Per-bin Gaussian statistics F, F', F'' of one quantizer at mean zero.

@@ -21,22 +21,22 @@ _MARCUM_ATOL = 1e-12  # the series stops once its remaining Poisson mass is belo
 _HERMITE_NODES = 32  # Gauss-Hermite order of marcum_q1 past the series' range
 
 # Cephes ndtr.c: erfc's rational approximations on [1, 8) (P/Q) and from 8
-# on (R/S), erf's on [0, 1) (T/U, in a^2), highest power first; Q, S and U
-# omit their leading 1.0.  erfc is 0 (or 2) once a^2 exceeds _MAXLOG.
+# on (R/S), erf's on [0, 1) (T/U, in a^2), highest power first.  erfc is 0
+# (or 2) once a^2 exceeds _MAXLOG.
 _MAXLOG = 7.09782712893383996843e2
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
 
 
@@ -56,14 +56,6 @@ def _polevl(x, coef):
     """Cephes polevl: Horner's rule, one multiply then one add per step."""
     acc = coef[0] * x + coef[1]
     for c in coef[2:]:
-        acc = acc * x + c
-    return acc
-
-
-def _p1evl(x, coef):
-    """Cephes p1evl: :func:`_polevl` with an implicit leading coefficient 1.0."""
-    acc = x + coef[0]
-    for c in coef[1:]:
         acc = acc * x + c
     return acc
 
@@ -89,14 +81,14 @@ def _erfc(a: np.ndarray) -> np.ndarray:
     out[np.isnan(a)] = np.nan
     near = x < 1.0
     zn = z[near]
-    out[near] = 1.0 - a[near] * _polevl(zn, _ERF_T) / _p1evl(zn, _ERF_U)
+    out[near] = 1.0 - a[near] * _polevl(zn, _ERF_T) / _polevl(zn, _ERF_U)
     mid = (x >= 1.0) & (z <= _MAXLOG)
     xm = x[mid]
     y = np.fromiter(map(math.exp, (-z[mid]).tolist()), float, xm.size)
     for part, num, den in ((xm < 8.0, _ERFC_P, _ERFC_Q), (xm >= 8.0, _ERFC_R, _ERFC_S)):
         if part.any():  # the R/S branch (a^2 >= 64) is seldom reached
             xp = xm[part]
-            y[part] = y[part] * _polevl(xp, num) / _p1evl(xp, den)
+            y[part] = y[part] * _polevl(xp, num) / _polevl(xp, den)
     out[mid] = np.where(a[mid] < 0.0, 2.0 - y, y)
     return out
 

@@ -1,5 +1,6 @@
 """Monte Carlo engine: reproducibility, calibration, ROC estimation."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -290,40 +291,15 @@ def test_chunk_peak_is_one_tile(large_scene, rao3, det, trials):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
-@pytest.mark.parametrize("det", ["rao", "glrt"])
-def test_a_range_reuses_its_buffers(large_scene, rao3, det):
-    # a range keeps the scorer's buffers (the Rao test's index and gather
-    # arrays, the GLRT's complex rows) and reuses them for every tile; it
-    # keeps no planes, which are new per tile and freed once scored.  Once
-    # a first range has warmed the allocator, a range of 189 tiles takes
-    # fewer minor page faults than a one-tile range (which allocates the
-    # same buffers) plus its 188 further tiles.  The buffers' own pages are
-    # not counted, as the heap may hand them back to the system between
-    # ranges.  This process's heap can meet the bound without the buffers
-    # too; the next test checks a command in a fresh interpreter.
-    import resource
-
-    tile = max(1, montecarlo.TILE_VALUES // large_scene.n_samples)
-    cfg = _cfg(large_scene, rao3 if det == "rao" else GlrtDetector(), 189 * tile, 0, seed=8)
-
-    def faults(trials):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        _chunk_stats(cfg, Hypothesis.H0, 0, trials)
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-    faults(tile)
-    one_tile = faults(tile)
-    extra = faults(189 * tile) - one_tile
-    assert extra < 188, f"{extra} minor faults in 188 tiles"
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
 @pytest.mark.parametrize("det", ["3", "inf"], ids=["rao", "glrt"])
 def test_a_command_reuses_its_buffers_in_a_fresh_interpreter(tmp_path, large_scene, det):
-    # whether a tile that frees its arrays takes fresh pages depends on the
+    # a range keeps the scorer's buffers (the Rao test's index and gather
+    # arrays, the GLRT's complex rows) and reuses them for every tile; it
+    # keeps no planes, which are new per tile and freed once scored.
+    # Whether a tile that frees its arrays takes fresh pages depends on the
     # heap's history, which this suite's own allocations change: on glibc
-    # 2.36 the test above passed, alone and in the whole suite, with every
-    # scorer buffer removed.  So a command runs in a fresh interpreter, on
+    # 2.36 an in-process count over one range stayed under one fault per
+    # tile with every scorer buffer removed.  So a command runs in a fresh interpreter, on
     # one detector: once a first run has warmed the allocator, a roc run of
     # 101 tiles per hypothesis takes fewer minor page faults than a
     # one-tile run plus its 200 further tiles.  Without the Rao scorer's
@@ -357,6 +333,16 @@ def test_detector_labels(rao2):
     assert rao2.label == "rao" and rao2.q_label == "2"
     g = GlrtDetector()
     assert g.label == "glrt" and g.q_label == "inf"
+
+
+def test_constant_labels_are_not_fields(rao2):
+    # the constant labels are class attributes: the fields, repr and
+    # equality are the thresholds alone (Rao) or nothing (GLRT)
+    assert [f.name for f in dataclasses.fields(RaoDetector)] == ["thresholds"]
+    assert dataclasses.fields(GlrtDetector) == ()
+    assert repr(GlrtDetector()) == "GlrtDetector()" and GlrtDetector() == GlrtDetector()
+    assert repr(rao2) == f"RaoDetector(thresholds={rao2.thresholds!r})"
+    assert RaoDetector.label == "rao" and GlrtDetector.q_label == "inf"
 
 
 def test_glrt_h1_mean_matches_noncentral_moment(small_scene):

@@ -10,9 +10,9 @@ from quantdet.quantizer import (
     DegenerateBinError,
     ThresholdSet,
     bin_indices,
-    bin_probability,
     bin_stats_table,
 )
+from quantdet.selftest import _mass
 
 
 @pytest.fixture
@@ -125,24 +125,26 @@ def test_bin_indices_match_searchsorted(case):
 
 # ----------------------------------------------------------- cell probability
 
+def _masses_at(u, thresholds, noise_power):
+    """F of every bin at mean u: the mean-zero table of the thresholds shifted by -u."""
+    shifted = ThresholdSet(bits=thresholds.bits, interior=thresholds.interior - u)
+    return bin_stats_table(shifted, noise_power).f
+
+
 def test_bin_probability_symmetric_half(q1):
-    assert bin_probability(0.0, 0, q1, noise_power=2.0) == pytest.approx(0.5, abs=1e-15)
-    assert bin_probability(0.0, 1, q1, noise_power=2.0) == pytest.approx(0.5, abs=1e-15)
-    for outside in (-1, 2):  # bins are 0-based: 0..2^q - 1
-        with pytest.raises(ValueError):
-            bin_probability(0.0, outside, q1, noise_power=2.0)
+    assert np.allclose(_masses_at(0.0, q1, 2.0), [0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 def test_bin_probability_against_mpmath(q2_ref, reference_q2):
     # middle cell mass at mean zero is Phi(b) - Phi(a) with unit sigma
-    got = bin_probability(0.0, 1, q2_ref, noise_power=2.0)
+    got = _masses_at(0.0, q2_ref, 2.0)[1]
     ref = oracles.normal_cdf_mp(reference_q2[1]) - oracles.normal_cdf_mp(reference_q2[0])
     assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_bin_probability_sums_to_one(q3_ref):
     for u in (-2.3, -0.4, 0.0, 1.7, 5.0):
-        total = sum(bin_probability(u, i, q3_ref, 2.0) for i in range(8))
+        total = sum(_masses_at(u, q3_ref, 2.0))
         assert total == pytest.approx(1.0, abs=1e-14)
 
 
@@ -151,8 +153,7 @@ def test_bin_probability_mc_frequency(q2_ref):
     u = 0.37
     x = rng.normal(loc=u, scale=1.0, size=100_000)
     idx = bin_indices(x, q2_ref)
-    for i in range(4):
-        p = bin_probability(u, i, q2_ref, noise_power=2.0)
+    for i, p in enumerate(_masses_at(u, q2_ref, 2.0)):
         freq = np.mean(idx == i)
         se = np.sqrt(p * (1 - p) / x.size)
         assert abs(freq - p) <= 3 * se, i
@@ -183,10 +184,8 @@ def test_bin_derivatives_match_finite_differences(q3_ref):
     eps = 1e-5
     for u in (-1.2, -0.3, 0.0, 0.8, 2.1):
         d1s, d2s = _derivatives_at(u, q3_ref, 2.0)
-        for i in range(8):
-            f_plus = bin_probability(u + eps, i, q3_ref, 2.0)
-            f_minus = bin_probability(u - eps, i, q3_ref, 2.0)
-            f_mid = bin_probability(u, i, q3_ref, 2.0)
+        fps, fms, f0s = (_masses_at(v, q3_ref, 2.0) for v in (u + eps, u - eps, u))
+        for i, (f_plus, f_minus, f_mid) in enumerate(zip(fps, fms, f0s)):
             d1_num = (f_plus - f_minus) / (2 * eps)
             d2_num = (f_plus - 2 * f_mid + f_minus) / eps**2
             assert d1s[i] == pytest.approx(d1_num, abs=5e-9)
@@ -222,33 +221,31 @@ def test_stats_table_partition_identities(q3_ref):
 
 
 def test_stats_table_matches_scalar_api(q2_ref):
-    # masses against the scalar bin_probability, derivatives against the
-    # closed forms phi(e_i) - phi(e_i+1) and e_i phi(e_i) - e_i+1 phi(e_i+1)
-    # (unit sigma at noise_power 2) with scipy's normal density
+    # masses against Q(e_i) - Q(e_i+1), derivatives against the closed
+    # forms phi(e_i) - phi(e_i+1) and e_i phi(e_i) - e_i+1 phi(e_i+1) (unit
+    # sigma at noise_power 2), with scipy's normal tail and density
     t = bin_stats_table(q2_ref, noise_power=2.0)
     e = q2_ref.edges()
+    tail = stats.norm.sf(e)
     dens = stats.norm.pdf(e)
     tdens = np.where(np.isfinite(e), e, 0.0) * dens
     for i in range(4):
-        assert t.f[i] == bin_probability(0.0, i, q2_ref, 2.0)
+        assert t.f[i] == pytest.approx(tail[i] - tail[i + 1], rel=1e-14)
         assert t.f1[i] == pytest.approx(dens[i] - dens[i + 1], rel=1e-14)
         assert t.f2[i] == pytest.approx(tdens[i] - tdens[i + 1], rel=1e-13, abs=1e-16)
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
 def test_bin_probability_is_the_table_at_shifted_edges(bits):
-    # one kernel: F_i at mean u is the mean-zero table of the thresholds
-    # shifted by -u, bit for bit, for scalar and array u alike
+    # the selftest oracle's mass Q((e_i - u)/s) - Q((e_i+1 - u)/s), built
+    # on qfunc alone, is the mean-zero table of the thresholds shifted by
+    # -u, bit for bit
     rng = np.random.default_rng(bits)
     ts = ThresholdSet(bits=bits, interior=np.linspace(-2.5, 2.5, 2**bits + 1)[1:-1] + 0.1)
-    us = rng.normal(0.0, 1.5, 4)
-    at_zero = bin_stats_table(ts, 1.3)
-    for i in range(ts.n_bins):
-        assert bin_probability(0.0, i, ts, 1.3) == at_zero.f[i]
-        column = bin_probability(us, i, ts, 1.3)
-        for k, u in enumerate(us):
-            shifted = bin_stats_table(ThresholdSet(bits=bits, interior=ts.interior - u), 1.3)
-            assert bin_probability(float(u), i, ts, 1.3) == column[k] == shifted.f[i]
+    for u in (0.0, *rng.normal(0.0, 1.5, 4)):
+        shifted = _masses_at(u, ts, 1.3)
+        for i in range(ts.n_bins):
+            assert _mass(float(u), i, ts, 1.3) == shifted[i], (u, i)
 
 
 def test_stats_table_score_ratio(q2_ref):

@@ -120,3 +120,38 @@ def test_fisher_identity_draws_one_tile_at_a_time(monkeypatch):
     rows.clear()
     assert selftest._check_fisher_identity(20260819, 20000) == tiled
     assert rows == [20000]
+
+
+@pytest.mark.parametrize("seed", [2, 5, 6, 8])
+def test_null_moments_bounds_follow_the_trial_budget(seed):
+    # at 10,000 trials the standard errors exceed the 1e5-trial bounds:
+    # seed 2 reads var=3.7914 and pfa@1%=0.00770, within 3 standard errors
+    assert selftest._check_null_moments(seed, 10_000).passed
+
+
+def test_null_moments_catches_a_scaled_statistic(monkeypatch):
+    # a statistic 10% too large at 10,000 trials is outside the widened bounds
+    run_trials = selftest.run_trials
+
+    def scaled(cfg):
+        h0, h1 = run_trials(cfg)
+        return h0 * 1.1, h1
+
+    monkeypatch.setattr(selftest, "run_trials", scaled)
+    assert not selftest._check_null_moments(2, 10_000).passed
+
+
+def test_one_design_per_run(monkeypatch):
+    # null_moments and fisher_identity share one swarm design
+    calls = []
+    design = selftest.optimize_thresholds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(selftest, "optimize_thresholds", counting)
+    selftest._design.cache_clear()
+    results = run_selftest(seed=20260819, trials=2000)
+    assert len(calls) == 1
+    assert results[0].passed and results[2].passed
