@@ -63,7 +63,7 @@ _FLAGS = {
     "--detectors": ("detectors", "comma list of bit depths and/or 'inf' (default 1,2,3,inf); "
                                  "ignored when --q is set"),
     "--pfa-grid": ("pfa_grid", "comma list of false-alarm rates"),
-    "--eta-grid": ("eta_grid", "comma list of statistic thresholds"),
+    "--eta-grid": ("eta_grid", "comma list of statistic thresholds, in place of --pfa-grid"),
     "--snr-grid": ("snr_grid_db", "comma list of SNR points in dB"),
 }
 _DESIGN = ("--config", "--q", "--seed", "--out")
@@ -144,7 +144,7 @@ def _resolve_detectors(spec, scene, tokens=None, simulated=()) -> list:
     """(detector, threshold origin, lambda_F on ``scene``) for each of the command's detectors.
 
     This is the one reader of ``q`` and ``thresholds_path`` in roc,
-    pd-eta, pd-snr and theory.  The detectors are ``(q,)`` if ``q`` is
+    pd-snr and theory.  The detectors are ``(q,)`` if ``q`` is
     set, else ``tokens`` (bit depths and/or 'inf', checked by
     :class:`ExperimentSpec`); theory passes none and gets the file's bit
     depth, else 'inf'.  A given file is read, and so checked, once and
@@ -224,28 +224,31 @@ def cmd_thresholds(spec: ExperimentSpec) -> int:
     return 0
 
 
-def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
-    """Each detector's curve at the thresholds ``thresholds(h0)`` picks from its H0 sample."""
+def cmd_roc(spec: ExperimentSpec) -> int:
+    """Each detector's rates at a set of statistic thresholds (eta), to CSV.
+
+    The thresholds are ``eta_grid`` sorted ascending when it is set, else
+    the empirical thresholds of ``pfa_grid`` on each detector's H0 sample;
+    setting both is a ``ConfigError``.
+    """
+    if spec.pfa_grid is not None and spec.eta_grid is not None:
+        raise ConfigError("roc: set pfa_grid or eta_grid, not both")
     seed = _require_seed(spec)
-    out = _out_path(spec, default_out)
+    out = _out_path(spec, "roc.csv")
     scene = _scene_from_spec(spec)
     trials = spec.trials or _DEFAULT_TRIALS
+    pfa_grid = spec.pfa_grid or np.logspace(-4.0, np.log10(0.5), 16)
+    eta = None if spec.eta_grid is None else np.sort(spec.eta_grid)
     resolved = _resolve_detectors(spec, scene, spec.detectors, (scene,))
     rows = []
     with _engine_pool(spec.workers):  # one pool for every detector's run
         for d_idx, (detector, origin, lam) in enumerate(resolved):
             print(f"detector {detector.label} q={detector.q_label}: thresholds {origin}, "
                   f"lambda_f={lam:.6g}, trials={trials} per hypothesis")
-            cfg = TrialConfig(
-                scene=scene,
-                detector=detector,
-                n_trials_h0=trials,
-                n_trials_h1=trials,
-                seed=subseed(seed, d_idx, 0),
-                workers=spec.workers,
-            )
-            h0, h1 = run_trials(cfg)
-            curve = estimate_roc(h0, h1, lam, thresholds(h0))
+            h0, h1 = run_trials(TrialConfig(scene, detector, trials, trials,
+                                            subseed(seed, d_idx, 0), spec.workers))
+            at = empirical_threshold(h0, pfa_grid) if eta is None else eta
+            curve = estimate_roc(h0, h1, lam, at)
             columns = (curve.eta, curve.p_fa_hat, curve.p_d_hat, curve.p_fa_theory,
                        curve.p_d_theory)
             rows += [(detector.label, detector.q_label, *point, curve.n_h0, curve.n_h1)
@@ -255,18 +258,6 @@ def _roc_like(spec: ExperimentSpec, default_out: str, thresholds) -> int:
     return 0
 
 
-def cmd_roc(spec: ExperimentSpec) -> int:
-    """Each detector's curve at the empirical thresholds of a false-alarm grid, to CSV."""
-    grid = spec.pfa_grid or np.logspace(-4.0, np.log10(0.5), 16)
-    return _roc_like(spec, "roc.csv", lambda h0: empirical_threshold(h0, grid))
-
-
-def cmd_pd_eta(spec: ExperimentSpec) -> int:
-    """Each detector's rates on a threshold (eta) grid, sorted ascending, to CSV."""
-    eta = np.sort(spec.eta_grid or np.linspace(0.0, 30.0, 31))
-    return _roc_like(spec, "pd_eta.csv", lambda h0: eta)
-
-
 def cmd_pd_snr(spec: ExperimentSpec) -> int:
     """Detection probability against SNR at the false-alarm budget ``pfa``, to CSV.
 
@@ -274,14 +265,14 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     point gets its own H1 run; the asymptotic threshold -2 ln pfa and the
     empirical one are applied to the same H1 sample, giving the two
     detection-rate columns.  Sub-seeds are keyed by position: detector d
-    of the list runs H0 at sub-seed path (d, 0), where roc and pd-eta run
-    both hypotheses, and SNR point i of the grid runs H1 at (d, 1 + i).
+    of the list runs H0 at sub-seed path (d, 0), where roc runs both
+    hypotheses, and SNR point i of the grid runs H1 at (d, 1 + i).
     So appending a detector or an SNR point leaves every earlier row
     unchanged, while inserting one can move the rows after it.
     """
     seed = _require_seed(spec)
     out = _out_path(spec, "pd_snr.csv")
-    scene = _scene_from_spec(spec)
+    scene = _scene_from_spec(dataclasses.replace(spec, snr_db=None))  # SNRs: the grid's alone
     trials = spec.trials or _DEFAULT_TRIALS
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
@@ -342,10 +333,8 @@ def cmd_selftest(spec: ExperimentSpec) -> int:
 # name -> (handler, help, flags)
 _SUBCOMMANDS = {
     "thresholds": (cmd_thresholds, "design quantizer thresholds by swarm search", _DESIGN),
-    "roc": (cmd_roc, "simulate ROC curves on a false-alarm grid and write CSV",
-            _SIMULATE + ("--snr-db", "--pfa-grid")),
-    "pd-eta": (cmd_pd_eta, "simulate rates on a threshold grid and write CSV",
-               _SIMULATE + ("--snr-db", "--eta-grid")),
+    "roc": (cmd_roc, "simulate rates on a false-alarm or threshold grid and write CSV",
+            _SIMULATE + ("--snr-db", "--pfa-grid", "--eta-grid")),
     "pd-snr": (cmd_pd_snr, "simulate detection probability vs SNR and write CSV",
                _SIMULATE + ("--pfa", "--snr-grid")),
     "theory": (cmd_theory, "write the asymptotic operating curve (no simulation)",

@@ -15,12 +15,8 @@ import math
 import typing
 from dataclasses import dataclass
 
-from .optimizer import PsoConfig
+from .optimizer import MAX_BITS, PsoConfig
 from .signal_model import SceneConfig
-
-# largest bit depth any command accepts: the swarm searches 2^q - 1 thresholds
-# per particle, so a larger q would mean a huge design (q = 30: ~430 GB)
-MAX_BITS = 8
 
 
 class ConfigError(ValueError):

@@ -23,6 +23,11 @@ import numpy as np
 from .quantizer import ThresholdSet, fisher_rows
 from .signal_model import EffectiveSignal
 
+# Largest bit depth of any design, made or read: the swarm searches 2^q - 1
+# thresholds per particle (q = 30: ~430 GB), and binning takes one pass per
+# threshold.
+MAX_BITS = 8
+
 # Minimum post-repair gap between neighbouring thresholds.  Large enough
 # to keep bins numerically distinct, small enough never to move an
 # optimum that has genuinely separated thresholds.
@@ -106,10 +111,11 @@ def optimize_thresholds(
     optimum not being a uniform grid.  Every particle stays in the box
     +/- 5 sigma_component, beyond which thresholds see essentially no
     probability mass; so the design scales with sigma_component.
-    ``bits`` < 1 or a non-positive ``noise_power`` raises ``ValueError``.
+    ``bits`` outside ``1..MAX_BITS`` or a non-positive ``noise_power``
+    raises ``ValueError``.
     """
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
     dim = 2 ** bits - 1
@@ -195,7 +201,8 @@ def read_checkpoint(path):
     """Load a checkpoint: (ThresholdSet, metadata dict of str).
 
     Metadata lines are optional, so a bare ``bits; t1,...`` file loads too.
-    A malformed, missing or second payload line raises ``ValueError``.
+    A malformed, missing or second payload line, or a bit depth outside
+    ``1..MAX_BITS`` (checked before ``2^bits`` is formed), raises ``ValueError``.
     """
     meta: dict[str, str] = {}
     payload = None
@@ -217,5 +224,8 @@ def read_checkpoint(path):
     head, sep, body = payload.partition(";")
     if not sep:
         raise ValueError(f"threshold line missing ';' separator: {payload!r}")
+    bits = int(head)
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"threshold file bit depth must be in 1..{MAX_BITS}, got {bits}")
     values = [float(tok) for tok in body.split(",")] if body.strip() else []
-    return ThresholdSet(bits=int(head), interior=np.array(values, dtype=float)), meta
+    return ThresholdSet(bits=bits, interior=np.array(values, dtype=float)), meta

@@ -8,6 +8,7 @@ finite differences) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -15,6 +16,9 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 from scipy import stats
+
+from quantdet.detectors import RaoDetector
+from quantdet.signal_model import Hypothesis, observation_planes
 
 mpmath.mp.dps = 40
 
@@ -128,6 +132,32 @@ def exact_rao_tail(scene, thresholds, eta, hypothesis) -> float:
     """P(T > eta) under ``hypothesis``, summed exactly over every bin-index pattern."""
     t, prob = rao_atoms(scene, thresholds, hypothesis)
     return float(prob[t > eta].sum())
+
+
+def is_null_tail(scene, thresholds, eta, trials, seed):
+    """(estimate, SE) of the Rao detector's H0 tail P(T > eta), by importance sampling.
+
+    Trial k is the engine's H0 draw (``observation_planes``, stream
+    ``seed``) shifted by a e^{j theta_k} z, with theta_k uniform and a
+    chosen so that a^2 E J1 = eta - 2 (``eta`` > 2): the shifted
+    statistic's mean, about 2 + a^2 E J1, then sits near ``eta``.  Each
+    trial is scored by the detector's own scorer and weighted by the
+    phase-averaged likelihood ratio exp(a^2 E / N0) / I0(2 a |z^H x| / N0),
+    with I0 exponentially rescaled (scipy ``i0e``) to stay finite.
+    """
+    detector = RaoDetector(thresholds)
+    signal, n0 = scene.signal, scene.noise_power
+    a = math.sqrt((eta - 2.0) / detector.noncentrality(dataclasses.replace(scene, beta=1.0)))
+    planes = observation_planes(scene, Hypothesis.H0, seed, 0, trials)
+    theta = np.random.default_rng([seed, 1]).uniform(0.0, 2.0 * math.pi, trials)
+    shift = a * np.exp(1j * theta)[:, None] * signal.z
+    planes[:, 0] += shift.real
+    planes[:, 1] += shift.imag
+    stats = detector.scorer(signal, n0)(planes)
+    y = 2.0 * a * np.abs((planes[:, 0] + 1j * planes[:, 1]) @ np.conj(signal.z)) / n0
+    weights = np.exp(a * a * signal.energy / n0 - y) / sp.i0e(y)
+    hits = np.where(stats > eta, weights, 0.0)
+    return float(hits.mean()), float(hits.std(ddof=1) / math.sqrt(trials))
 
 
 def ncx2_2_sf_quadrature(x: float, lam: float) -> float:

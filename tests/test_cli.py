@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from quantdet import cli, montecarlo, selftest
+from quantdet import cli, montecarlo, optimizer, selftest
 from quantdet.detectors import GlrtDetector
 from quantdet.experiment import ConfigError, parse_config
 from quantdet.montecarlo import estimate_roc
@@ -100,8 +100,8 @@ def test_roc_reuses_threshold_file(tmp_path, capsys):
     ts_file = tmp_path / "q2.txt"
     assert run(["thresholds", "--q", "2", "--seed", "5", "--out", str(ts_file)]) == 0
     capsys.readouterr()
-    out = tmp_path / "pd_eta.csv"
-    code = run(["pd-eta", "--q", "2", "--trials", "200", "--seed", "6",
+    out = tmp_path / "roc.csv"
+    code = run(["roc", "--q", "2", "--trials", "200", "--seed", "6",
                 "--thresholds", str(ts_file), "--eta-grid", "2,6",
                 "--out", str(out)])
     assert code == 0
@@ -109,7 +109,7 @@ def test_roc_reuses_threshold_file(tmp_path, capsys):
     assert f"thresholds file {ts_file}" in captured.out
     assert captured.err == ""
     # a depth the file does not hold is designed, and stderr says so
-    code = run(["pd-eta", "--detectors", "1,2", "--trials", "200", "--seed", "6",
+    code = run(["roc", "--detectors", "1,2", "--trials", "200", "--seed", "6",
                 "--thresholds", str(ts_file), "--eta-grid", "2,6", "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr()
@@ -204,6 +204,61 @@ def test_q_overrides_detectors(tmp_path):
     assert _read(both) == _read(alone) and _read(from_file) == _read(alone)
 
 
+# SHA-256 of CSVs written by the pd-eta command before it was folded into
+# roc --eta-grid: the fold moved no byte
+_ETA_GRID_SHA256 = {
+    "default scene": "1fe7f3ce4b67504c35ea0404561abef0e3731b727631c72b514b0964acf56779",
+    "large scene": "1285b712db030c894d519a48b07a633a208e6b3bb0d510557f18034d3c435bc8",
+}
+_LARGE_SCENE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "large_scene.cfg"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("default scene", ["--detectors", "1,inf", "--snr-db=-14", "--eta-grid=10,0,2,4,6,8",
+                           "--trials", "2000", "--seed", "3"]),
+        ("large scene", ["--config", str(_LARGE_SCENE_CFG), "--q", "3", "--snr-db=-22",
+                         "--eta-grid=1,5,9", "--trials", "300", "--seed", "4", "--workers", "2"]),
+    ],
+)
+def test_roc_eta_grid_matches_pinned_bytes(name, argv, tmp_path):
+    # the grid is sorted ascending, so the first case's rows run 0, 2, ..., 10
+    out = tmp_path / "roc.csv"
+    assert run(["roc", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _ETA_GRID_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["roc", "--q", "1", "--trials", "200", "--seed", "3", "--pfa-grid", "0.1",
+          "--eta-grid", "4"], None),
+        (["roc", "--q", "1", "--trials", "200", "--seed", "3", "--eta-grid", "4"],
+         "pfa_grid = 0.1\n"),
+        (["roc", "--q", "1", "--trials", "200", "--seed", "3", "--pfa-grid", "0.1"],
+         "eta_grid = 4\n"),
+    ],
+    ids=["roc --pfa-grid 0.1 --eta-grid 4", "roc --eta-grid, config pfa_grid",
+         "roc --pfa-grid, config eta_grid"],
+)
+def test_roc_takes_one_grid(argv, config, tmp_path, monkeypatch, capsys):
+    # a false-alarm grid and a threshold grid together, by flag or config,
+    # exit 1 before any design or trial, and nothing is written
+    def never(*args, **kwargs):
+        raise AssertionError("a design or a trial ran")
+
+    monkeypatch.setattr(cli, "optimize_thresholds", never)
+    monkeypatch.setattr(cli, "run_trials", never)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", "exp.cfg"]
+    assert run(argv) == 1
+    assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config else [])
+    assert capsys.readouterr() == ("", "error: roc: set pfa_grid or eta_grid, not both\n")
+
+
 def test_roc_missing_seed_fails(tmp_path):
     assert run(["roc", "--q", "1", "--trials", "100",
                 "--out", str(tmp_path / "r.csv")]) == 1
@@ -214,14 +269,16 @@ def test_roc_bad_detector_token(tmp_path):
                 "--out", str(tmp_path / "r.csv")]) == 1
 
 
-# --------------------------------------------------------------- pd-eta / pd-snr
-
-def test_pd_eta_default_output_name(tmp_path, monkeypatch):
+def test_roc_eta_grid_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = run(["pd-eta", "--q", "1", "--trials", "200", "--seed", "3",
-                "--eta-grid", "1,5,9"])
+    code = run(["roc", "--q", "1", "--trials", "200", "--seed", "3", "--eta-grid", "1,5,9"])
     assert code == 0
-    assert (tmp_path / "pd_eta.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["roc.csv"]
+    etas = [line.split(",")[2] for line in _read(tmp_path / "roc.csv").strip().split("\n")[1:]]
+    assert etas == ["1.0", "5.0", "9.0"]
+
+
+# --------------------------------------------------------------------- pd-snr
 
 
 def test_pd_snr_rows_and_header(tmp_path):
@@ -284,6 +341,18 @@ def test_pd_snr_points_stable_under_grid_extension(tmp_path):
     assert len(two) == 2 and one[0] == two[0]
     with_glrt = _sweep(tmp_path, "-8,-2", "2,inf", 1500, seed=37)
     assert [r[1] for r in with_glrt] == ["2", "2", "inf", "inf"] and with_glrt[:2] == two
+
+
+def test_pd_snr_ignores_a_config_snr_db(tmp_path):
+    # pd-snr takes every SNR from its grid, so a config's snr_db, even one
+    # whose |beta| would overflow, changes no byte
+    cfg, plain, keyed = tmp_path / "exp.cfg", tmp_path / "plain.csv", tmp_path / "keyed.csv"
+    cfg.write_text("snr_db = 4000\n")
+    argv = ["pd-snr", "--detectors", "1,inf", "--pfa", "0.1", "--snr-grid=-8", "--trials", "500",
+            "--seed", "5"]
+    assert run([*argv, "--out", str(plain)]) == 0
+    assert run([*argv, "--config", str(cfg), "--out", str(keyed)]) == 0
+    assert keyed.read_bytes() == plain.read_bytes()
 
 
 def test_pd_snr_thin_tail_warns_in_one_plain_line(tmp_path, capsys):
@@ -617,6 +686,29 @@ def test_malformed_threshold_file_exits_1_before_any_trial(content, tmp_path, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bits", [0, 9, 64])
+@pytest.mark.parametrize("command", ["roc", "theory"])
+def test_threshold_file_bit_depth_bounded_before_any_design(command, bits, tmp_path,
+                                                            monkeypatch, capsys):
+    # a file's bit depth must lie in 1..8, as --q's does; 2^bits is never
+    # formed for one outside (a 9-bit file holds its full 511 thresholds)
+    def never(*args, **kwargs):
+        raise AssertionError("a design or a trial ran")
+
+    monkeypatch.setattr(cli, "optimize_thresholds", never)
+    monkeypatch.setattr(cli, "run_trials", never)
+    monkeypatch.setattr(optimizer, "ThresholdSet", never)
+    count = 2 ** bits - 1 if bits == 9 else 1
+    path = tmp_path / "q.txt"
+    path.write_text(f"{bits}; " + ",".join(str(k / 100) for k in range(count)) + "\n")
+    out = tmp_path / "o.csv"
+    assert run([command, "--thresholds", str(path), "--seed", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: threshold file bit depth must be in 1..8, got {bits}\n"
+
+
 # ------------------------------------------------------------------- selftest
 
 def test_selftest_pass_exit_zero(monkeypatch, capsys):
@@ -704,11 +796,11 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["roc", "--q", "9", "--seed", "1"], None),
         (["pd-snr", "--detectors", "1,9", "--seed", "1"], None),
         (["theory", "--q", "9", "--seed", "1"], None),
-        (["pd-eta", "--seed", "1"], "detectors = 2,x\n"),
+        (["roc", "--seed", "1"], "detectors = 2,x\n"),
         (["roc", "--pfa-grid=0.1,nan", "--seed", "1"], None),
         (["pd-snr", "--snr-grid=-6,nan", "--trials", "20000", "--seed", "1"], None),
-        (["pd-eta", "--eta-grid=1,nan", "--seed", "1"], None),
-        (["pd-eta", "--eta-grid=-5,1", "--seed", "1"], None),
+        (["roc", "--eta-grid=1,nan", "--seed", "1"], None),
+        (["roc", "--eta-grid=-5,1", "--seed", "1"], None),
         (["theory", "--snr-db=4000"], None),
         (["pd-snr", "--snr-grid=4000", "--seed", "1"], None),
         (["roc", "--seed", "1"], "pfa_grid = 0.5,1.0\n"),
@@ -718,7 +810,7 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["selftest", "--seed", "-1"], None),
         (["thresholds", "--q", "2", "--seed", "1"], "inertia = nan\n"),
         (["roc", "--detectors", "inf", "--pfa-grid=", "--trials", "300", "--seed", "1"], None),
-        (["pd-eta", "--detectors", "inf", "--eta-grid=", "--trials", "300", "--seed", "1"], None),
+        (["roc", "--detectors", "inf", "--eta-grid=", "--trials", "300", "--seed", "1"], None),
         (["pd-snr", "--snr-grid=", "--seed", "1"], None),
         (["theory", "--pfa-grid="], None),
         (["theory", "--out="], None),
@@ -729,7 +821,7 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["thresholds", "--q", "3", "--seed", "1", "--out", "missing/q3.txt"], None),
         (["roc", "--detectors", "1,inf", "--trials", "2000", "--seed", "1",
           "--out", "missing/roc.csv"], None),
-        (["pd-eta", "--detectors", "inf", "--trials", "300", "--seed", "1", "--out", "."], None),
+        (["roc", "--detectors", "inf", "--trials", "300", "--seed", "1", "--out", "."], None),
         (["pd-snr", "--detectors", "inf", "--trials", "300", "--seed", "1",
           "--out", "missing/pd_snr.csv"], None),
         (["theory", "--q", "2", "--seed", "1", "--out", "."], None),
@@ -737,21 +829,21 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["pd-snr", "--pfa", "1", "--seed", "1"], None),
         (["pd-snr", "--seed", "1"], "pfa = 1.0\n"),
         (["roc", "--detectors", "1,inf", "--snr-db=3044", "--seed", "1"], None),
-        (["pd-eta", "--detectors", "1,inf", "--seed", "1"], "snr_db = 3044\n"),
+        (["roc", "--detectors", "1,inf", "--seed", "1"], "snr_db = 3044\n"),
         (["pd-snr", "--snr-grid=-6,3044", "--seed", "1"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
-         "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "pd-eta --eta-grid=1,nan",
-         "pd-eta --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
+         "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "roc --eta-grid=1,nan",
+         "roc --eta-grid=-5,1", "theory --snr-db=4000", "pd-snr --snr-grid=4000",
          "config pfa_grid = 0.5,1.0",
          "config command = roc", "roc --seed -1", "pd-snr --seed -1", "selftest --seed -1",
-         "config inertia = nan", "roc --pfa-grid=", "pd-eta --eta-grid=",
+         "config inertia = nan", "roc --pfa-grid=", "roc --eta-grid=",
          "pd-snr --snr-grid=", "theory --pfa-grid=", "theory --out=", "config out =",
          "roc --thresholds=", "selftest --trials 1", "theory --config=",
-         "thresholds --out missing/q3.txt", "roc --out missing/roc.csv", "pd-eta --out .",
+         "thresholds --out missing/q3.txt", "roc --out missing/roc.csv", "roc --out .",
          "pd-snr --out missing/pd_snr.csv", "theory --out .", "pd-snr --pfa 0",
          "pd-snr --pfa 1", "config pfa = 1.0", "roc glrt --snr-db=3044",
-         "pd-eta glrt config snr_db = 3044", "pd-snr glrt --snr-grid=-6,3044"],
+         "roc glrt config snr_db = 3044", "pd-snr glrt --snr-grid=-6,3044"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, every grid value
@@ -781,7 +873,7 @@ _BIG_SCENE = "n_tx = 4\nn_rx = 64\nsnapshots = 64\n"  # n = 16384: lambda_f = 20
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["pd-eta", "--detectors", "inf", "--seed", "1", "--trials", "20000",
+        (["roc", "--detectors", "inf", "--seed", "1", "--trials", "20000",
           "--eta-grid=2000", "--snr-db=10"], None),
         (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=20"], None),
         (["theory", "--snr-db=0"], _BIG_SCENE),
@@ -790,7 +882,7 @@ _BIG_SCENE = "n_tx = 4\nn_rx = 64\nsnapshots = 64\n"  # n = 16384: lambda_f = 20
         (["theory", "--snr-db=200"], None),
         (["roc", "--detectors", "inf", "--seed", "1", "--snr-db=200"], None),
     ],
-    ids=["pd-eta --eta-grid=2000 --snr-db=10", "roc --snr-db=20",
+    ids=["roc --eta-grid=2000 --snr-db=10", "roc --snr-db=20",
          "theory 4x64x64 at 0 dB", "roc 4x64x64 at 0 dB",
          "theory --snr-db=200", "roc --snr-db=200"],
 )
@@ -873,10 +965,10 @@ def test_config_file_missing_exits_one(tmp_path):
         ["thresholds", "--q", "1", "--seed", "1", "--trials", "5"],
         ["thresholds", "--q", "1", "--seed", "1", "--thresholds", "q1.txt"],
         ["roc", "--q", "1", "--seed", "1", "--pfa", "0.1"],
-        ["pd-eta", "--q", "1", "--seed", "1", "--snr-grid=-3"],
         ["pd-snr", "--q", "1", "--seed", "1", "--pfa-grid", "0.1"],
         ["pd-snr", "--q", "1", "--seed", "1", "--eta-grid", "4"],
-        ["roc", "--q", "1", "--seed", "1", "--eta-grid", "4"],
+        # pd-eta is folded into roc --eta-grid: the old command is a usage error
+        ["pd-eta", "--q", "1", "--seed", "1", "--snr-grid=-3"],
         ["pd-eta", "--q", "1", "--seed", "1", "--pfa-grid", "0.1"],
         ["pd-snr", "--q", "1", "--seed", "1", "--snr-db=-3"],
         ["thresholds", "--q", "1", "--seed", "1", "--snr-db=-3"],

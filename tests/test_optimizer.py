@@ -174,8 +174,9 @@ def test_nonconverged_run_is_flagged_but_valid(signal):
 
 
 def test_optimize_input_validation(signal):
-    with pytest.raises(ValueError):
-        optimize_thresholds(0, signal, 2.0, PsoConfig(seed=1))
+    for bits in (0, 9):  # outside 1..MAX_BITS, caught before 2^bits thresholds are made
+        with pytest.raises(ValueError):
+            optimize_thresholds(bits, signal, 2.0, PsoConfig(seed=1))
     with pytest.raises(ValueError):
         optimize_thresholds(2, signal, -1.0, PsoConfig(seed=1))
 

@@ -39,7 +39,7 @@ def test_every_public_name_resolves():
 def test_config_keys_and_flags_are_pinned():
     # adding a knob, or orphaning one that nothing reads, means editing this
     assert len(dataclasses.fields(ExperimentSpec)) == 22
-    assert sum(len(flags) for _, _, flags in cli._SUBCOMMANDS.values()) == 44
+    assert sum(len(flags) for _, _, flags in cli._SUBCOMMANDS.values()) == 35
     keys = {f.name for f in dataclasses.fields(ExperimentSpec)}
     assert all(key == "config" or key in keys for key, _ in cli._FLAGS.values())
     # the engine works out its own index ranges: no chunk size to set
