@@ -1,17 +1,21 @@
 """Experiment configuration: one flat dataclass and a ``key = value`` file format.
 
 One assignment per line, ``#`` comments, no sections or nesting, so
-configs diff cleanly and shell scripts can write them.  Every key is a
+configs diff cleanly and shell scripts can write them.  A comment starts
+at a ``#`` that begins the line or follows whitespace, so in
+``out = runs/a#1.csv`` the ``#`` is part of the value.  Every key is a
 field of :class:`ExperimentSpec`, typed by its annotation alone
 (:func:`parse_value`, for files and flags alike); an unknown or duplicate
 key is an error.  ``parse_config(serialize_config(spec)) == spec`` holds
-exactly: floats are written as round-trip ``repr``, tuples as comma lists.
+exactly: floats are written as round-trip ``repr``, tuples as comma lists,
+and a value that would not read back as itself is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass
 
@@ -101,6 +105,7 @@ class ExperimentSpec:
 
 
 _TYPES = typing.get_type_hints(ExperimentSpec)
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_value(key: str, text: str):
@@ -118,7 +123,7 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse ``key = value`` text into an :class:`ExperimentSpec`."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -146,13 +151,25 @@ def _format_value(value) -> str:
 
 
 def serialize_config(spec: ExperimentSpec) -> str:
-    """Inverse of :func:`parse_config`; ``None`` fields are omitted."""
+    """Inverse of :func:`parse_config`; ``None`` fields are omitted.
+
+    A value that would not read back as itself -- a text with a line
+    break, surrounding whitespace or a comment-starting ``#`` -- raises
+    ``ValueError``.
+    """
     lines = []
     for field in dataclasses.fields(spec):
         value = getattr(spec, field.name)
         if value is None:
             continue
-        lines.append(f"{field.name} = {_format_value(value)}")
+        line = f"{field.name} = {_format_value(value)}"
+        try:
+            back = getattr(parse_config(line), field.name)
+        except ConfigError:
+            back = None
+        if back != value and value == value:  # a NaN reads back as NaN
+            raise ValueError(f"{field.name} = {value!r} would not read back from a config file")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

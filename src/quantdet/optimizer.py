@@ -86,16 +86,6 @@ def _repair(positions: np.ndarray) -> np.ndarray:
     return positions
 
 
-def canonical_grid(bits: int, noise_power: float) -> np.ndarray:
-    """Symmetric uniform-grid thresholds, the classic hand-designed start.
-
-    The grid spans +/- 3 sigma_component, covering the bulk of the
-    Gaussian without wasting outer bins.
-    """
-    half_width = 3.0 * math.sqrt(noise_power / 2.0)
-    return np.linspace(-half_width, half_width, 2 ** bits + 1)[1:-1]
-
-
 def optimize_thresholds(
     bits: int,
     signal: EffectiveSignal,
@@ -104,10 +94,10 @@ def optimize_thresholds(
 ) -> PsoResult:
     """Run the swarm and return the best ``bits``-bit threshold vector found.
 
-    Initialization mixes three families: the canonical grid (particle 0),
-    random symmetric uniform grids (first half of the swarm), and fully
-    random sorted candidates -- symmetric starts matter because the
-    u = 0 objective is even, while the random half guards against the
+    Initialization mixes two families: symmetric uniform grids (first half
+    of the swarm: the +/- 3 sigma_component grid, then random half-widths)
+    and fully random sorted candidates -- symmetric starts matter because
+    the u = 0 objective is even, while the random half guards against the
     optimum not being a uniform grid.  Every particle stays in the box
     +/- 5 sigma_component, beyond which thresholds see essentially no
     probability mass; so the design scales with sigma_component.
@@ -119,17 +109,15 @@ def optimize_thresholds(
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
     dim = 2 ** bits - 1
-    radius = 5.0 * math.sqrt(noise_power / 2.0)
+    sigma = math.sqrt(noise_power / 2.0)
+    radius = 5.0 * sigma
     rng = np.random.default_rng(config.seed)
 
-    pos = np.empty((_SWARM_SIZE, dim))
-    pos[0] = canonical_grid(bits, noise_power)
     n_sym = _SWARM_SIZE // 2
-    widths = rng.uniform(0.1 * radius, 0.95 * radius, size=n_sym - 1)
-    for j, w in enumerate(widths, start=1):
-        pos[j] = np.linspace(-w, w, 2 ** bits + 1)[1:-1]
-    pos[n_sym:] = rng.uniform(-radius, radius, size=(_SWARM_SIZE - n_sym, dim))
-    pos = _repair(pos)
+    widths = np.r_[3.0 * sigma, rng.uniform(0.1 * radius, 0.95 * radius, size=n_sym - 1)]
+    grids = np.linspace(-widths, widths, 2 ** bits + 1, axis=1)[:, 1:-1]
+    randoms = rng.uniform(-radius, radius, size=(_SWARM_SIZE - n_sym, dim))
+    pos = _repair(np.concatenate((grids, randoms)))
     vel = rng.uniform(-0.1 * radius, 0.1 * radius, size=(_SWARM_SIZE, dim))
 
     fitness = fisher_rows(pos, signal.energy, noise_power)
@@ -140,10 +128,8 @@ def optimize_thresholds(
     g_pos = best_pos[g_idx].copy()
     history = [g_fit]
 
-    iterations = 0
     converged = False
     for it in range(1, config.max_iters + 1):
-        iterations = it
         r_cog = rng.uniform(size=(_SWARM_SIZE, dim))
         r_soc = rng.uniform(size=(_SWARM_SIZE, dim))
         vel = (
@@ -164,7 +150,7 @@ def optimize_thresholds(
             g_pos = best_pos[g_idx].copy()
         history.append(g_fit)
 
-        if it >= config.stall_iters and math.isfinite(g_fit):
+        if it >= config.stall_iters:
             gain = g_fit - history[-1 - config.stall_iters]
             if gain <= _STALL_TOL * max(1.0, abs(g_fit)):
                 converged = True
@@ -174,7 +160,7 @@ def optimize_thresholds(
     return PsoResult(
         thresholds=thresholds,
         achieved_objective=g_fit,
-        iterations=iterations,
+        iterations=it,
         converged=converged,
     )
 

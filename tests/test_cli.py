@@ -189,6 +189,20 @@ def test_roc_flag_overrides_config(tmp_path):
     assert rows[1].split(",")[7] == "150"  # flag beat the file
 
 
+def test_config_values_keep_their_hash(tmp_path, capsys):
+    # a '#' inside a path is part of it; only one after whitespace starts a comment
+    design, out = tmp_path / "q#1.txt", tmp_path / "a#1.csv"
+    assert run(["thresholds", "--q", "1", "--seed", "1", "--out", str(design)]) == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"thresholds_path = {design}  # the design\nout = {out}   # note\n"
+                   "pfa_grid = 0.1 # one point\n")
+    assert run(["roc", "--config", str(cfg), "--detectors", "1", "--seed", "1",
+                "--trials", "200"]) == 0
+    assert f"thresholds file {design}," in capsys.readouterr().out
+    assert len(_read(out).strip().split("\n")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a#1.csv", "exp.cfg", "q#1.txt"]
+
+
 def test_q_overrides_detectors(tmp_path):
     # with both set, by flag or in a config file, --q is the one detector
     # and --detectors is ignored: the CSV is that of --q alone

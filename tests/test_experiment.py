@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from quantdet.experiment import (
     ConfigError,
@@ -65,15 +68,74 @@ def test_numpy_values_round_trip():
 
 
 def test_parse_comments_and_blanks():
+    # a comment starts only at a '#' that begins the line or follows whitespace
     spec = parse_config(
         """
         # full-width comment
         pfa = 0.05   # trailing comment
         n_rx = 4
+        out = runs/a#1.csv   # note
+        thresholds_path = q#2.txt
+        #seed = 3
         """
     )
     assert spec.pfa == 0.05
     assert spec.n_rx == 4
+    assert spec.out == "runs/a#1.csv"
+    assert spec.thresholds_path == "q#2.txt"
+    assert spec.seed is None
+
+
+def test_values_that_would_not_read_back_are_refused():
+    for fields in (dict(out="runs/a #1.csv"), dict(out="#1.csv"), dict(thresholds_path=" q2.txt"),
+                   dict(thresholds_path="q2.txt\t"), dict(out="a\nseed = 3"),
+                   dict(detectors=(" 1", "inf"))):
+        with pytest.raises(ValueError, match="would not read back"):
+            serialize_config(ExperimentSpec(**fields))
+    # a NaN reads back as NaN, though it equals nothing
+    assert math.isnan(parse_config(serialize_config(ExperimentSpec(angle=math.nan))).angle)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _grid(values):
+    return st.none() | st.lists(values, min_size=1, max_size=4).map(tuple)
+
+
+_SPECS = st.builds(
+    ExperimentSpec,
+    n_tx=st.integers(1, 64),
+    spacing=st.floats(allow_nan=False),
+    angle=_FINITE,
+    noise_power=st.floats(allow_nan=False),
+    beta_i=_FINITE,
+    snr_db=st.none() | _FINITE,
+    q=st.none() | st.integers(1, 8),
+    detectors=st.lists(st.sampled_from(["1", "2", "3", "8", "inf"]), min_size=1).map(tuple),
+    thresholds_path=st.none() | st.text(min_size=1),
+    pfa=_OPEN_UNIT,
+    pfa_grid=_grid(_OPEN_UNIT),
+    eta_grid=_grid(st.floats(0.0, allow_infinity=False)),
+    snr_grid_db=_grid(_FINITE),
+    trials=st.none() | st.integers(1, 10 ** 12),
+    seed=st.none() | st.integers(0, 2 ** 64),
+    workers=st.integers(1, 64),
+    max_iters=st.integers(1, 10 ** 6),
+    out=st.none() | st.text(min_size=1),
+)
+
+
+@given(_SPECS)
+def test_every_written_spec_reads_back(spec):
+    # any text may be asked for as out or thresholds_path; one that cannot be
+    # written so that it reads back is refused, and every other one is exact
+    try:
+        text = serialize_config(spec)
+    except ValueError:
+        assume(False)
+    assert parse_config(text) == spec
 
 
 def test_parse_tuple_values():
