@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .detectors import GlrtDetector, RaoDetector
-from .experiment import ConfigError, ExperimentSpec, _format_value, load_config, parse_value
+from .experiment import ConfigError, ExperimentSpec, load_config, parse_value
 from .montecarlo import (
     TrialConfig, _engine_pool, empirical_threshold, estimate_roc, exceedance, run_trials, subseed,
 )
@@ -134,6 +134,24 @@ def _out_path(spec: ExperimentSpec, default: str) -> str:
     return out
 
 
+def _check_memory(trials: int, hypotheses: int) -> None:
+    """Refuse a run whose largest engine call's statistics cannot fit in physical memory.
+
+    ``run_trials`` holds its chunk arrays and their concatenation
+    together, so each float64 statistic counts twice: 16 B per trial and
+    hypothesis.  Where ``os.sysconf`` lacks or cannot give the page counts,
+    nothing is checked.
+    """
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 16 * hypotheses * trials
+    if page > 0 and pages > 0 and need > page * pages:
+        raise ConfigError(f"{trials} trials need {need / 2**30:.4g} GiB of statistics, more "
+                          f"than the {page * pages / 2**30:.4g} GiB of physical memory")
+
+
 def _design(spec: ExperimentSpec, scene: SceneConfig, bits: int, seed: int):
     """The swarm's ``bits``-bit design for ``scene``, on the spec's swarm budget."""
     pso = PsoConfig(seed=seed, **_same_named(spec, PsoConfig, "seed"))
@@ -144,8 +162,8 @@ def _resolve_detectors(spec, scene, tokens=None, simulated=()) -> list:
     """(detector, threshold origin, lambda_F on ``scene``) for each of the command's detectors.
 
     This is the one reader of ``q`` and ``thresholds_path`` in roc,
-    pd-snr and theory.  The detectors are ``(q,)`` if ``q`` is
-    set, else ``tokens`` (bit depths and/or 'inf', checked by
+    pd-snr and theory.  The detectors are ``(q,)`` if ``q`` is set, else
+    ``tokens`` (bit depths and/or 'inf', checked and made canonical by
     :class:`ExperimentSpec`); theory passes none and gets the file's bit
     depth, else 'inf'.  A given file is read, and so checked, once and
     first.  Before any design, this checks that a GLRT's |z^H x|^2, about
@@ -182,6 +200,12 @@ def _resolve_detectors(spec, scene, tokens=None, simulated=()) -> list:
             origin = "swarm" if design.converged else "swarm (NOT converged)"
         out.append((detector, origin, detector.noncentrality(scene)))
     return out
+
+
+def _format_value(value) -> str:
+    if isinstance(value, float):  # numpy's float64 too, whose repr is "np.float64(...)"
+        return repr(float(value))
+    return str(value)
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -237,6 +261,7 @@ def cmd_roc(spec: ExperimentSpec) -> int:
     out = _out_path(spec, "roc.csv")
     scene = _scene_from_spec(spec)
     trials = spec.trials or _DEFAULT_TRIALS
+    _check_memory(trials, 2)
     pfa_grid = spec.pfa_grid or np.logspace(-4.0, np.log10(0.5), 16)
     eta = None if spec.eta_grid is None else np.sort(spec.eta_grid)
     resolved = _resolve_detectors(spec, scene, spec.detectors, (scene,))
@@ -274,6 +299,7 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     out = _out_path(spec, "pd_snr.csv")
     scene = _scene_from_spec(dataclasses.replace(spec, snr_db=None))  # SNRs: the grid's alone
     trials = spec.trials or _DEFAULT_TRIALS
+    _check_memory(trials, 1)
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
     scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
     resolved = _resolve_detectors(spec, scene, spec.detectors, scenes)

@@ -6,14 +6,11 @@ at a ``#`` that begins the line or follows whitespace, so in
 ``out = runs/a#1.csv`` the ``#`` is part of the value.  Every key is a
 field of :class:`ExperimentSpec`, typed by its annotation alone
 (:func:`parse_value`, for files and flags alike); an unknown or duplicate
-key is an error.  ``parse_config(serialize_config(spec)) == spec`` holds
-exactly: floats are written as round-trip ``repr``, tuples as comma lists,
-and a value that would not read back as itself is refused.
+key is an error.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import typing
@@ -93,15 +90,21 @@ class ExperimentSpec:
             raise ConfigError(f"every snr_grid_db entry must be finite, got {self.snr_grid_db}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        canonical = []  # each token as str(int(tok)) or 'inf', listed once
         for tok in self.detectors:
             try:
-                ok = tok == "inf" or 1 <= int(tok) <= MAX_BITS
+                canon = "inf" if tok == "inf" else str(int(tok))
+                ok = canon == "inf" or 1 <= int(canon) <= MAX_BITS
             except ValueError:
                 ok = False
             if not ok:
                 raise ConfigError(
                     f"bad detector token {tok!r}: expected a bit depth in 1..{MAX_BITS} or 'inf'"
                 )
+            if canon in canonical:
+                raise ConfigError(f"detector {canon} is listed twice in {self.detectors}")
+            canonical.append(canon)
+        object.__setattr__(self, "detectors", tuple(canonical))
 
 
 _TYPES = typing.get_type_hints(ExperimentSpec)
@@ -140,37 +143,6 @@ def parse_config(text: str) -> ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return ExperimentSpec(**values)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):  # numpy's float64 too, whose repr is "np.float64(...)"
-        return repr(float(value))
-    return str(value)
-
-
-def serialize_config(spec: ExperimentSpec) -> str:
-    """Inverse of :func:`parse_config`; ``None`` fields are omitted.
-
-    A value that would not read back as itself -- a text with a line
-    break, surrounding whitespace or a comment-starting ``#`` -- raises
-    ``ValueError``.
-    """
-    lines = []
-    for field in dataclasses.fields(spec):
-        value = getattr(spec, field.name)
-        if value is None:
-            continue
-        line = f"{field.name} = {_format_value(value)}"
-        try:
-            back = getattr(parse_config(line), field.name)
-        except ConfigError:
-            back = None
-        if back != value and value == value:  # a NaN reads back as NaN
-            raise ValueError(f"{field.name} = {value!r} would not read back from a config file")
-        lines.append(line)
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentSpec:

@@ -18,6 +18,7 @@ from scipy import special as sp
 from scipy import stats
 
 from quantdet.detectors import RaoDetector
+from quantdet.quantizer import bin_stats_table
 from quantdet.signal_model import Hypothesis, observation_planes
 
 mpmath.mp.dps = 40
@@ -143,21 +144,40 @@ def is_null_tail(scene, thresholds, eta, trials, seed):
     statistic's mean, about 2 + a^2 E J1, then sits near ``eta``.  Each
     trial is scored by the detector's own scorer and weighted by the
     phase-averaged likelihood ratio exp(a^2 E / N0) / I0(2 a |z^H x| / N0),
-    with I0 exponentially rescaled (scipy ``i0e``) to stay finite.
+    with I0 exponentially rescaled (scipy ``i0e``) to stay finite.  Trials
+    are drawn and scored in blocks of 4096, which bounds the planes' memory.
     """
     detector = RaoDetector(thresholds)
     signal, n0 = scene.signal, scene.noise_power
+    scorer = detector.scorer(signal, n0)
     a = math.sqrt((eta - 2.0) / detector.noncentrality(dataclasses.replace(scene, beta=1.0)))
-    planes = observation_planes(scene, Hypothesis.H0, seed, 0, trials)
     theta = np.random.default_rng([seed, 1]).uniform(0.0, 2.0 * math.pi, trials)
-    shift = a * np.exp(1j * theta)[:, None] * signal.z
-    planes[:, 0] += shift.real
-    planes[:, 1] += shift.imag
-    stats = detector.scorer(signal, n0)(planes)
-    y = 2.0 * a * np.abs((planes[:, 0] + 1j * planes[:, 1]) @ np.conj(signal.z)) / n0
-    weights = np.exp(a * a * signal.energy / n0 - y) / sp.i0e(y)
-    hits = np.where(stats > eta, weights, 0.0)
+    hits = np.empty(trials)
+    for start in range(0, trials, 4096):
+        stop = min(start + 4096, trials)
+        planes = observation_planes(scene, Hypothesis.H0, seed, start, stop)
+        shift = a * np.exp(1j * theta[start:stop])[:, None] * signal.z
+        planes[:, 0] += shift.real
+        planes[:, 1] += shift.imag
+        y = 2.0 * a * np.abs((planes[:, 0] + 1j * planes[:, 1]) @ np.conj(signal.z)) / n0
+        weights = np.exp(a * a * signal.energy / n0 - y) / sp.i0e(y)
+        hits[start:stop] = np.where(scorer(planes) > eta, weights, 0.0)
     return float(hits.mean()), float(hits.std(ddof=1) / math.sqrt(trials))
+
+
+def edgeworth_null_tail(scene, thresholds, eta) -> float:
+    """The Rao detector's H0 tail P(T > eta) with one Edgeworth term.
+
+    e^{-eta/2} [1 + K eta (eta - 4) / 64], with
+    K = 2 (mu4 / mu2^2 - 3) sum_m e_m^2 / E^2, mu_k = sum_i F'_i^k / F_i^{k-1}
+    from ``bin_stats_table`` and e_m = g_m^2 + h_m^2; K = 0 gives chi2_2's tail.
+    """
+    stats = bin_stats_table(thresholds, scene.noise_power)
+    mu2 = np.sum(stats.f1 ** 2 / stats.f)
+    mu4 = np.sum(stats.f1 ** 4 / stats.f ** 3)
+    e = scene.signal.g ** 2 + scene.signal.h ** 2
+    k = 2.0 * (mu4 / mu2 ** 2 - 3.0) * np.sum(e * e) / np.sum(e) ** 2
+    return float(math.exp(-eta / 2.0) * (1.0 + k * eta * (eta - 4.0) / 64.0))
 
 
 def ncx2_2_sf_quadrature(x: float, lam: float) -> float:

@@ -845,6 +845,13 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         (["roc", "--detectors", "1,inf", "--snr-db=3044", "--seed", "1"], None),
         (["roc", "--detectors", "1,inf", "--seed", "1"], "snr_db = 3044\n"),
         (["pd-snr", "--snr-grid=-6,3044", "--seed", "1"], None),
+        (["roc", "--detectors", "1,01,+1", "--seed", "1", "--trials", "200",
+          "--pfa-grid", "0.1"], None),
+        (["roc", "--detectors", "1,1", "--seed", "1", "--trials", "200"], None),
+        (["pd-snr", "--seed", "1", "--trials", "200"], "detectors = inf,2,inf\n"),
+        # 32 B per trial: about 3 TB of statistics
+        (["roc", "--detectors", "1,2,3", "--trials", "100000000000", "--seed", "1"], None),
+        (["pd-snr", "--detectors", "1,2,3", "--trials", "100000000000", "--seed", "1"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "roc --eta-grid=1,nan",
@@ -857,11 +864,14 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
          "thresholds --out missing/q3.txt", "roc --out missing/roc.csv", "roc --out .",
          "pd-snr --out missing/pd_snr.csv", "theory --out .", "pd-snr --pfa 0",
          "pd-snr --pfa 1", "config pfa = 1.0", "roc glrt --snr-db=3044",
-         "roc glrt config snr_db = 3044", "pd-snr glrt --snr-grid=-6,3044"],
+         "roc glrt config snr_db = 3044", "pd-snr glrt --snr-grid=-6,3044",
+         "roc --detectors 1,01,+1", "roc --detectors 1,1", "config detectors = inf,2,inf",
+         "roc --trials 1e11", "pd-snr --trials 1e11"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
-    # q and every detector token must be 'inf' or 1..8, every grid value
-    # and SNR usable, and no setting empty; a bad one fails before any
+    # q and every detector token must be 'inf' or 1..8, listed once, every
+    # grid value and SNR usable, no setting empty, and the statistics must
+    # fit in memory; a bad one fails with one error line before any
     # threshold is designed, any trial runs or anything is written
     def no_design(*args, **kwargs):
         raise AssertionError("optimize_thresholds was called")
@@ -878,7 +888,9 @@ def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch
         argv = argv + ["--config", "exp.cfg"]
     assert run(argv) == 1
     assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if config else [])
-    assert capsys.readouterr().out == ""  # not even a detector line
+    captured = capsys.readouterr()
+    assert captured.out == ""  # not even a detector line
+    assert sum("error: " in line for line in captured.err.splitlines()) == 1
 
 
 _BIG_SCENE = "n_tx = 4\nn_rx = 64\nsnapshots = 64\n"  # n = 16384: lambda_f = 2048 at 0 dB
