@@ -5,9 +5,9 @@ Every experiment parameter lives in a flat ``key = value`` config file
 subcommand accepts only the flags it reads; any other is a usage error.
 All Monte Carlo commands require an explicit ``seed``.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
-degeneracy (including an optimizer that failed to converge), 3 selftest
-failure.
+Exit codes: 0 success, 1 invalid configuration or arguments, a run too
+large for memory or a pool worker that died, 2 numerical degeneracy
+(including an optimizer that failed to converge), 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -295,6 +295,8 @@ def cmd_pd_snr(spec: ExperimentSpec) -> int:
     trials = spec.trials or _DEFAULT_TRIALS
     _check_memory(trials, 1)
     snr_grid = spec.snr_grid_db or tuple(np.arange(-20.0, 0.5, 2.0))
+    if len(set(snr_grid)) < len(snr_grid):  # a row is named by (detector, q, snr_db)
+        raise ConfigError(f"an SNR point is listed twice in {snr_grid}")
     scenes = [scene.with_snr_db(snr_db) for snr_db in snr_grid]
     resolved = _resolve_detectors(spec, scene, spec.detectors, scenes)
     if spec.pfa * trials < 100:
@@ -339,6 +341,7 @@ def cmd_selftest(spec: ExperimentSpec) -> int:
     seed = spec.seed if spec.seed is not None else DEFAULT_SEED
     kwargs = {}
     if spec.trials is not None:
+        _check_memory(spec.trials, 1)
         kwargs["trials"] = spec.trials
     results = run_selftest(seed=seed, **kwargs)
     for res in results:

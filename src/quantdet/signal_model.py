@@ -87,15 +87,6 @@ class SceneConfig:
         """
         return effective_signal(self)
 
-    @cached_property
-    def _h1_mean(self) -> np.ndarray:
-        """Re/Im planes of beta * z, shape (2, n), read-only: the H1 mean every tile adds."""
-        mean = self.beta * self.signal.z
-        return _read_only(np.stack([mean.real, mean.imag]))
-
-    def __getstate__(self):  # a pickled scene carries its template, not the mean derived from it
-        return {k: v for k, v in vars(self).items() if k != "_h1_mean"}
-
     def with_snr_db(self, snr_db: float) -> "SceneConfig":
         """Copy of the scene with |beta| rescaled to hit ``snr_db``.
 
@@ -285,7 +276,8 @@ def observation_planes(
         rng.standard_normal(out=planes[j])
     planes *= math.sqrt(scene.noise_power / 2.0)
     if hypothesis is Hypothesis.H1:
-        planes += scene._h1_mean  # one (2, n) block added to every row
+        mean = scene.beta * scene.signal.z
+        planes += np.stack([mean.real, mean.imag])  # one (2, n) block added to every row
     return planes
 
 

@@ -852,6 +852,10 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
         # 32 B per trial: about 3 TB of statistics
         (["roc", "--detectors", "1,2,3", "--trials", "100000000000", "--seed", "1"], None),
         (["pd-snr", "--detectors", "1,2,3", "--trials", "100000000000", "--seed", "1"], None),
+        (["selftest", "--trials", "100000000000", "--seed", "1"], None),
+        # two rows the CSV could not tell apart
+        (["pd-snr", "--detectors", "1,inf", "--trials", "2000", "--snr-grid=-10,-10",
+          "--seed", "3"], None),
     ],
     ids=["roc --q 9", "pd-snr --detectors 1,9", "theory --q 9", "config detectors = 2,x",
          "roc --pfa-grid=0.1,nan", "pd-snr --snr-grid=-6,nan", "roc --eta-grid=1,nan",
@@ -866,13 +870,15 @@ def test_flags_read_texts_as_their_config_keys(tmp_path, monkeypatch, capsys):
          "pd-snr --pfa 1", "config pfa = 1.0", "roc glrt --snr-db=3044",
          "roc glrt config snr_db = 3044", "pd-snr glrt --snr-grid=-6,3044",
          "roc --detectors 1,01,+1", "roc --detectors 1,1", "config detectors = inf,2,inf",
-         "roc --trials 1e11", "pd-snr --trials 1e11"],
+         "roc --trials 1e11", "pd-snr --trials 1e11", "selftest --trials 1e11",
+         "pd-snr --snr-grid=-10,-10"],
 )
 def test_bit_depth_checked_before_any_design(argv, config, tmp_path, monkeypatch, capsys):
     # q and every detector token must be 'inf' or 1..8, listed once, every
-    # grid value and SNR usable, no setting empty, and the statistics must
-    # fit in memory; a bad one fails with one error line before any
-    # threshold is designed, any trial runs or anything is written
+    # grid value and SNR usable, each SNR point listed once, no setting
+    # empty, and the statistics must fit in memory; a bad one fails with
+    # one error line before any threshold is designed, any trial or
+    # selftest check runs or anything is written
     def no_design(*args, **kwargs):
         raise AssertionError("optimize_thresholds was called")
 

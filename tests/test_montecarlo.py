@@ -348,7 +348,8 @@ def test_constant_labels_are_not_fields(rao2):
 def test_glrt_h1_mean_matches_noncentral_moment(small_scene):
     # E[chi'^2_2(lambda)] = 2 + lambda holds exactly for the matched
     # filter at every sample size, so the sample mean pins the engine's
-    # SNR bookkeeping end to end
+    # SNR bookkeeping end to end.  False-fail rate on a correct engine:
+    # 2 Q(4) = 6.3e-5 by the normal approximation; seeds 1-1000 failed none
     n = 20000
     _, h1 = run_trials(_cfg(small_scene, GlrtDetector(), 0, n, seed=77))
     lam = GlrtDetector().noncentrality(small_scene)
@@ -384,7 +385,12 @@ def test_rao_rates_match_exact_tails(q, snapshots, snr_db, path, workers, refere
     # empirical rates lie within 4 binomial SE of it.  20,000 trials per
     # hypothesis are 5 tiles of 4,096 at n = 4 (10 of 2,048 at n = 8), and
     # 3 (5) per range at two workers.  TABLE_VALUES = 0 forces the direct
-    # formula in place of the score-term table.
+    # formula in place of the score-term table.  False-fail rate on a
+    # correct engine: 2 Q(4) = 6.3e-5 per comparison (exact binomial rates
+    # 6.2e-5 to 8.0e-5), at most 3.2e-3 over the 48 by the union bound.  A
+    # scene's four worker and path cases score one draw to the same bits,
+    # so its 12 distinct comparisons bound the rate at 8.0e-4; seeds 1-300
+    # failed none
     if path == "direct":
         monkeypatch.setattr(detectors, "TABLE_VALUES", 0)
     scene = SceneConfig(n_tx=1, n_rx=2, snapshots=snapshots).with_snr_db(snr_db)
@@ -405,7 +411,11 @@ def test_importance_sampled_null_tail_matches_exact_tails(reference_q2):
     # the importance sampler (oracles.is_null_tail) reaches H0 tails that
     # plain trials barely see: at three thresholds between atoms, with exact
     # tails from 1e-3 to about 7e-6, 50,000 weighted trials land within 4 of
-    # their own SEs, each SE under half the tail (plain trials: 1.7x at 7e-6)
+    # their own SEs, each SE under half the tail (plain trials: 1.7x at 7e-6).
+    # False-fail rate on a correct engine: 11 of seeds 1-500 failed (2.2%),
+    # far above 4 SE's nominal 6.3e-5, since the weights are heavy-tailed:
+    # 6 runs fell more than 4 SE low at 1e-4 or 7e-6, and 5 hit a weight
+    # that lifted the SE at 7e-6 past half the tail
     scene = SceneConfig(n_tx=1, n_rx=2, snapshots=2)
     ts = ThresholdSet(bits=2, interior=reference_q2)
     t, prob = oracles.rao_atoms(scene, ts, Hypothesis.H0)
@@ -422,7 +432,9 @@ def test_importance_sampled_null_tail_matches_edgeworth_term(scene, q):
     # trials land within 4 of their own SEs of the Edgeworth-corrected tail
     # (oracles.edgeworth_null_tail).  chi2_2 overstates these tails: over
     # seeds 100-119 it lay 2.1-3.9 SE above the estimate on average, a gap
-    # too small to assert for one seed at this trial count
+    # too small to assert for one seed at this trial count.  False-fail rate
+    # on a correct engine: 1 of seeds 1-200 failed, q = 2 at 1e-6 (4.15 SE
+    # low); q = 3 failed none
     thresholds = optimize_thresholds(q, scene.signal, scene.noise_power,
                                      PsoConfig(seed=1)).thresholds
     for p_fa in (1e-4, 1e-6):
